@@ -120,18 +120,19 @@ def weighted_j0_gemm(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.nda
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
     The j0 table for a block of radii is built once and reused across all
-    columns through a BLAS product, which is what makes time sweeps cheap.
+    columns through one real BLAS product, which is what makes time sweeps
+    cheap.  A C-contiguous complex matrix viewed as float64 is the real
+    matrix whose columns alternate real and imaginary parts, so the product
+    with that view, viewed back as complex, is the complex result.
     """
     r = _as_vec(r)
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    c_re = np.ascontiguousarray(coeffs.real)
-    c_im = np.ascontiguousarray(coeffs.imag)
-    out = np.empty((r.shape[0], coeffs.shape[1]), dtype=np.complex128)
+    stacked = np.ascontiguousarray(coeffs).view(np.float64)
+    out = np.empty((r.shape[0], stacked.shape[1]))
     for lo in range(0, r.shape[0], _GEMM_CHUNK_ROWS):
         sl = slice(lo, min(lo + _GEMM_CHUNK_ROWS, r.shape[0]))
-        table = _ACTIVE.j0_table(r[sl], k)
-        out[sl] = table @ c_re + 1j * (table @ c_im)
-    return out
+        np.matmul(_ACTIVE.j0_table(r[sl], k), stacked, out=out[sl])
+    return out.view(np.complex128)

@@ -29,9 +29,15 @@ def j0_table(r: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i])."""
-    out = np.empty(r.shape[0], dtype=np.complex128)
+    """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]).
+
+    The real table multiplies the (len(k), 2) float64 view of the complex
+    coefficients in one real BLAS product.  A real table times a complex
+    vector is first cast to complex and runs many times slower.
+    """
+    stacked = np.ascontiguousarray(coeffs).view(np.float64).reshape(-1, 2)
+    out = np.empty((r.shape[0], 2))
     for lo in range(0, r.shape[0], _CHUNK_ROWS):
         sl = slice(lo, min(lo + _CHUNK_ROWS, r.shape[0]))
-        out[sl] = j0_table(r[sl], k) @ coeffs
-    return out
+        np.matmul(j0_table(r[sl], k), stacked, out=out[sl])
+    return out.view(np.complex128).ravel()

@@ -193,6 +193,9 @@ def _validate_ranges(config: RunConfig) -> None:
     for name in ("amp_tol", "prob_tol"):
         if getattr(config, name) <= 0.0:
             raise ConfigError(f"field {name}: must be positive")
+    # the seed is the Philox key, a 128-bit unsigned integer
+    if not 0 <= config.seed < 2 ** 128:
+        raise ConfigError("field seed: must lie in [0, 2**128)")
 
 
 def _require(config: RunConfig, *names: str) -> None:

@@ -17,9 +17,10 @@ which is strictly smaller for skewed priors; it is provided as an optional
 strategy for comparison, with probability matching the default.
 
 The measurement time enters only through p_t, so choosing t to minimize p_t
-minimizes the error.  The optimizer combines a coarse grid with deterministic
-golden-section refinement and breaks ties toward the earliest time, since an
-earlier measurement gives a shorter total protocol at equal error.
+minimizes the error.  The optimizer combines a coarse grid with a
+deterministic zoom search, each step one batched sweep across the bracket
+around the running minimum, and breaks ties toward the earliest time, since
+an earlier measurement gives a shorter total protocol at equal error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from lcdisc.propagation import (
 GOLDEN_TOL = 1e-4
 _CLIP_WARN = 1e-6
 _TIE_EPS = 1e-12
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# new times per zoom step; each step narrows the bracket (ZOOM_POINTS + 1) / 2
+# times, and all times of one sweep share its j0 tables
+ZOOM_POINTS = 16
 
 STRATEGY_PAPER = "paper"
 STRATEGY_MAP = "map"
@@ -182,11 +185,14 @@ def optimal_measurement_time(
 ) -> OptimalTime:
     """Minimize p_t over a time window.
 
-    A coarse sweep over ``n_grid`` times brackets the minimum, then a
-    golden-section search refines it to within GOLDEN_TOL.  Among all
-    evaluated candidates whose p_t ties the minimum (to 1e-12), the earliest
-    time wins.  A minimum sitting on a window boundary triggers a warning,
-    since the window may be cutting the true optimum off.
+    A coarse sweep over ``n_grid`` times brackets the minimum between the
+    neighbours of the best grid time.  Each zoom step then sweeps
+    ZOOM_POINTS times spread evenly inside the bracket, in one batched call,
+    and brackets the best time of that finer grid the same way, until the
+    bracket is at most GOLDEN_TOL wide.  Among all evaluated candidates
+    whose p_t ties the minimum (to 1e-12), the earliest time wins.  A
+    minimum sitting on a window boundary triggers a warning, since the
+    window may be cutting the true optimum off.
     """
     t_lo, t_hi = (float(t_window[0]), float(t_window[1]))
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
@@ -197,27 +203,16 @@ def optimal_measurement_time(
     ts = np.linspace(t_lo, t_hi, int(n_grid))
     ps = outside_probability_sweep(profile, R, ts, prob_tol)
     candidates = list(zip(ts.tolist(), ps.tolist()))
-    i_min = int(np.argmin(ps))
-    a = ts[max(i_min - 1, 0)]
-    b = ts[min(i_min + 1, len(ts) - 1)]
-
-    def p_of(t: float) -> float:
-        p = outside_probability(profile, R, t, prob_tol)
-        candidates.append((t, p))
-        return p
-
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = p_of(x1), p_of(x2)
-    while b - a > GOLDEN_TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = p_of(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = p_of(x2)
+    while True:
+        i_min = int(np.argmin(ps))
+        lo, hi = max(i_min - 1, 0), min(i_min + 1, len(ts) - 1)
+        if ts[hi] - ts[lo] <= GOLDEN_TOL:
+            break
+        inner = np.linspace(ts[lo], ts[hi], ZOOM_POINTS + 2)[1:-1]
+        inner_ps = outside_probability_sweep(profile, R, inner, prob_tol)
+        candidates.extend(zip(inner.tolist(), inner_ps.tolist()))
+        ts = np.concatenate(([ts[lo]], inner, [ts[hi]]))
+        ps = np.concatenate(([ps[lo]], inner_ps, [ps[hi]]))
 
     p_min = min(p for _, p in candidates)
     t_star, p_star = min(

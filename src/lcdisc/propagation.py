@@ -11,10 +11,15 @@ with j0(z) = sin(z)/z.  |A|^2 integrates to 1 over space for a normalized
 profile, and the phase exp(-i k t) preserves that norm at every time.
 
 The integrand oscillates with local frequency about max(r, t), so composite
-Gauss-Legendre panels are capped at a fixed fraction of the local oscillation
-period.  Every quadrature is evaluated at two resolutions (panel widths w and
-2w) and the difference serves as the error estimate; exceeding the tolerance
-raises :class:`NumericFailureError` instead of returning a doubtful number.
+Gauss-Legendre panels are capped at a fraction of the local oscillation
+period, and the first k panel is graded toward the k^{3/2} branch point at
+k = 0.  How many panels per period a result needs follows from its
+tolerance: every quadrature is evaluated on the ladder DENSITY_LADDER of
+densities, coarse to fine, and the first density whose result agrees with
+the one below it to within the tolerance is returned.  The largest
+difference between those two levels is the error estimate; if no two
+neighbouring levels agree, :class:`NumericFailureError` is raised with the
+last estimate instead of returning a doubtful number.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +49,12 @@ from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
 DEFAULT_AMP_TOL = 1e-9
 DEFAULT_PROB_TOL = 1e-8
 COVERAGE_BOUND = 1e-6
+
+# panels per oscillation period, coarse to fine
+DENSITY_LADDER = (2.0, 4.0, 8.0, 16.0)
+# halvings of the first k panel toward the k^{3/2} branch point at k = 0;
+# the innermost panel, 2^-12 of the first, holds a negligible share
+_K_GRADE = 12
 
 _SQRT_PI = math.sqrt(math.pi)
 _ORACLE_GRID_ENV = "LCD_MAX_GRID"
@@ -78,10 +90,29 @@ class RadialAmplitude:
 
 
 def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
-            scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+            panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes in k resolving oscillations up to radius ``r_peak``."""
-    width = scale * panel_width(max(r_peak, abs(t)))
-    return gauss_panels(0.0, profile.k_max, width)
+    width = panel_width(max(r_peak, abs(t)), panels_per_period)
+    return gauss_panels(0.0, profile.k_max, width, grade=_K_GRADE)
+
+
+def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
+               what: str) -> np.ndarray:
+    """Run ``evaluate(panels_per_period)`` up DENSITY_LADDER until converged.
+
+    Returns the finer result of the first two neighbouring densities whose
+    largest difference is at most ``tol``.  Each level's result is reused as
+    the coarse side of the next comparison.  A NaN estimate never passes.
+    """
+    coarse = evaluate(DENSITY_LADDER[0])
+    for panels_per_period in DENSITY_LADDER[1:]:
+        fine = evaluate(panels_per_period)
+        estimate = float(np.max(np.abs(fine - coarse)))
+        if estimate <= tol:
+            return fine
+        coarse = fine
+    raise NumericFailureError(f"{what} quadrature did not converge",
+                              estimate=estimate)
 
 
 def _phase_coeffs(profile: MomentumProfile, k: np.ndarray, w: np.ndarray,
@@ -108,24 +139,26 @@ def amplitude_on_radii(
 
     Raises
     ------
+    InvalidParameterError
+        If ``t`` is not finite or a radius is negative or not finite.
     NumericFailureError
-        If the two-resolution error estimate exceeds ``amp_tol``.
+        If no two neighbouring densities agree to within ``amp_tol``.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise InvalidParameterError("time t must be finite")
     r = np.asarray(r, dtype=float)
-    if r.size and r.min() < 0.0:
-        raise InvalidParameterError("radii must be nonnegative")
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise InvalidParameterError("radii must be finite and nonnegative")
     if r.size == 0:
         return np.empty(0, dtype=np.complex128)
     r_peak = float(r.max())
-    values = []
-    for scale in (1.0, 2.0):
-        k, w = _k_rule(profile, r_peak, t, scale)
-        values.append(weighted_j0_sum(r, k, _phase_coeffs(profile, k, w, t)))
-    estimate = float(np.max(np.abs(values[0] - values[1])))
-    if estimate > amp_tol:
-        raise NumericFailureError("amplitude quadrature did not converge",
-                                  estimate=estimate)
-    return values[0]
+
+    def evaluate(panels_per_period: float) -> np.ndarray:
+        k, w = _k_rule(profile, r_peak, t, panels_per_period)
+        return weighted_j0_sum(r, k, _phase_coeffs(profile, k, w, t))
+
+    return _converged(evaluate, amp_tol, "amplitude")
 
 
 def centered_amplitude(
@@ -217,7 +250,7 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
 
 
 def _rho_rule(profile: MomentumProfile, R: float, d: float,
-              scale: float) -> tuple[np.ndarray, np.ndarray]:
+              panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Radial nodes over the support [max(0, d-R), d+R] of the cap weight.
 
     Panels never cross the kink of the weight at rho = |R - d|.
@@ -228,7 +261,7 @@ def _rho_rule(profile: MomentumProfile, R: float, d: float,
     kink = abs(R - d)
     if lo < kink < hi:
         breaks.insert(1, kink)
-    width = scale * panel_width(2.0 * profile.k_max)
+    width = panel_width(2.0 * profile.k_max, panels_per_period)
     return piecewise_gauss_panels(np.array(breaks), width)
 
 
@@ -259,8 +292,16 @@ def inside_probability_sweep(
 ) -> np.ndarray:
     """Vectorized :func:`inside_probability` over many times.
 
-    All times share one j0 table per resolution, which makes optimizer
+    All times share one j0 table per density, which makes optimizer
     sweeps far cheaper than repeated scalar calls.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``R`` or the center distance is negative or not finite, or if
+        ``t_values`` is empty or holds a time that is not finite.
+    NumericFailureError
+        If no two neighbouring densities agree to within ``prob_tol``.
     """
     if not (math.isfinite(R) and R >= 0.0):
         raise InvalidParameterError("ball radius R must be finite and >= 0")
@@ -268,24 +309,25 @@ def inside_probability_sweep(
     if not (math.isfinite(d) and d >= 0.0):
         raise InvalidParameterError("center distance must be finite and >= 0")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    if t_values.size == 0:
+        raise InvalidParameterError("t_values must hold at least one time")
+    if not np.all(np.isfinite(t_values)):
+        raise InvalidParameterError("times must be finite")
     if R == 0.0:
         return np.zeros(t_values.shape)
     t_peak = float(np.max(np.abs(t_values)))
-    results = []
-    for scale in (1.0, 2.0):
-        rho, w_rho = _rho_rule(profile, R, d, scale)
+
+    def evaluate(panels_per_period: float) -> np.ndarray:
+        rho, w_rho = _rho_rule(profile, R, d, panels_per_period)
         cap = sphere_cap_weight(rho, R, d)
-        k, w_k = _k_rule(profile, float(rho.max()), t_peak, scale)
+        k, w_k = _k_rule(profile, float(rho.max()), t_peak, panels_per_period)
         amp = weighted_j0_gemm(rho, k,
                                _phase_coeffs(profile, k, w_k, t_values))
         density = amp.real ** 2 + amp.imag ** 2
         weights = 4.0 * math.pi * w_rho * rho * rho * cap
-        results.append(weights @ density)
-    estimate = float(np.max(np.abs(results[0] - results[1])))
-    if estimate > prob_tol:
-        raise NumericFailureError("ball-probability quadrature did not converge",
-                                  estimate=estimate)
-    return np.maximum(results[0], 0.0)
+        return weights @ density
+
+    return np.maximum(_converged(evaluate, prob_tol, "ball-probability"), 0.0)
 
 
 # boundary cells are subdivided this many times per axis to measure the
@@ -304,7 +346,8 @@ def oracle_inside_probability_3d(
     The bounding box of the ball is split into grid_n^3 cells and |A|^2 is
     integrated cell by cell over the portion inside the ball, with the
     amplitude evaluated at each sample point's exact distance from the
-    packet center.  Interior cells use a 2x2x2 Gauss product rule (plain
+    packet center by :func:`amplitude_on_radii`, under its convergence
+    guard.  Interior cells use a 2x2x2 Gauss product rule (plain
     cell-center sampling leaves an O(h^2) volume term far above the target
     agreement); cells straddling the sphere are weighted by the fraction of
     their volume inside, counted on an 8^3 subcell grid, and evaluated at
@@ -357,10 +400,8 @@ def oracle_inside_probability_3d(
         offset = centroid[occupied] - np.array([0.0, 0.0, d])
         rho.append(np.sqrt(np.sum(offset * offset, axis=1)))
 
-    rho = np.concatenate(rho)
     weights = np.concatenate(weights)
-    k, w = _k_rule(profile, float(rho.max()), t)
-    amp = weighted_j0_sum(rho, k, _phase_coeffs(profile, k, w, t))
+    amp = amplitude_on_radii(profile, np.concatenate(rho), t)
     return float(h ** 3 * np.dot(weights, amp.real ** 2 + amp.imag ** 2))
 
 

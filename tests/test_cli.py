@@ -252,6 +252,8 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     ["dump-density", "--family", "cauchy", "--r-max", "5"],
     ["ruler", "--L1", "2"],  # missing L2
     ["monte-carlo", *GAUSS_ARGS, "--R", "1", "--trials", "10"],
+    ["monte-carlo", *GAUSS_ARGS, "--R", "1", "--trials", "1000",
+     "--seed", "-1"],
     ["scan-time", "--R", "nope"],
     ["scan-time", "--config", "/nonexistent/path.cfg", "--R", "1"],
 ])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcdisc import discrimination, propagation
 from lcdisc import (
     DiscriminationReport,
     InvalidParameterError,
@@ -144,6 +145,21 @@ def test_optimal_time_earliest_tie(gauss_profile):
         best = optimal_measurement_time(gauss_profile, 30.0, (0.0, 1.0),
                                         n_grid=9)
     assert best.t_star == 0.0
+
+
+def test_optimal_time_sweep_count(gauss_d10, monkeypatch):
+    # Every p_t evaluation, scalar or batched, goes through one sweep call.
+    sweeps = []
+    for module in (discrimination, propagation):
+        real = module.inside_probability_sweep
+
+        def counting(*args, _real=real, **kwargs):
+            sweeps.append(args[2])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "inside_probability_sweep", counting)
+    optimal_measurement_time(gauss_d10, 2.0, (0.0, 20.0))
+    assert 2 <= len(sweeps) <= 8
 
 
 def test_optimal_time_validation(gauss_profile):

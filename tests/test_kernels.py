@@ -84,6 +84,21 @@ def test_gemm_matches_sum(backend):
         assert np.max(np.abs(table[:, col] - direct)) < 1e-12 * scale
 
 
+def test_gemm_matches_two_real_products(backend):
+    # One gemm against the interleaved [re | im] coefficients must equal the
+    # table times each part separately.
+    from lcdisc import _kernels
+    rng = np.random.default_rng(4)
+    r = rng.uniform(0.0, 20.0, 300)
+    k = np.sort(rng.uniform(0.0, 12.0, 80))
+    coeffs = rng.normal(size=(80, 5)) + 1j * rng.normal(size=(80, 5))
+    table = _kernels._ACTIVE.j0_table(r, k)
+    expected = table @ coeffs.real + 1j * (table @ coeffs.imag)
+    got = weighted_j0_gemm(r, k, coeffs)
+    scale = np.sum(np.abs(coeffs), axis=0)
+    assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
+
+
 def test_backends_agree():
     names = available_backends()
     if len(names) < 2:

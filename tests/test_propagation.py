@@ -1,12 +1,14 @@
 """Position amplitude, radial grids, cap weights, and ball probabilities."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcdisc import (
+    ExponentialFamily,
     InvalidParameterError,
     NumericFailureError,
     ResourceLimitError,
@@ -15,11 +17,14 @@ from lcdisc import (
     default_r_max,
     inside_probability,
     inside_probability_sweep,
+    make_profile,
     oracle_inside_probability_3d,
     quantile_radius,
     radial_density_grid,
     sphere_cap_weight,
 )
+from lcdisc._kernels import weighted_j0_sum
+from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
 # The amplitude values integrate over the stored [0, k_max] interval, so they
@@ -243,6 +248,55 @@ def test_inside_probability_validation(gauss_profile):
         inside_probability(gauss_profile, 2.0, 0.0, center_distance=-1.0)
     with pytest.raises(NumericFailureError):
         inside_probability(gauss_profile, 2.0, 0.0, prob_tol=1e-18)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: inside_probability(g, 2.0, math.nan),
+    lambda g: inside_probability(g, 2.0, math.inf),
+    lambda g: inside_probability(g, math.nan, 0.0),
+    lambda g: centered_amplitude(g, math.nan, 0.0),
+    lambda g: amplitude_on_radii(g, np.array([1.0]), math.nan),
+    lambda g: inside_probability_sweep(g, 2.0, np.array([])),
+], ids=["t_nan", "t_inf", "R_nan", "r_nan", "amp_t_nan", "empty_sweep"])
+def test_non_finite_or_empty_input_raises(gauss_profile, call):
+    with pytest.raises(InvalidParameterError):
+        call(gauss_profile)
+
+
+def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
+    """P_in on graded Gauss panels far denser than the library ever uses."""
+    d = profile.offset_d
+    lo, hi = max(0.0, d - R), d + R
+    kink = abs(R - d)
+    breaks = [lo, kink, hi] if lo < kink < hi else [lo, hi]
+    rho, w_rho = piecewise_gauss_panels(
+        np.array(breaks), panel_width(2.0 * profile.k_max, panels_per_period))
+    k, w_k = gauss_panels(
+        0.0, profile.k_max,
+        panel_width(max(rho.max(), abs(t)), panels_per_period), grade=24)
+    coeffs = (w_k * k ** 1.5 * profile.magnitude(k) * np.exp(-1j * k * t)
+              / math.sqrt(math.pi))
+    amp = weighted_j0_sum(rho, k, coeffs)
+    weights = 4.0 * math.pi * w_rho * rho * rho * sphere_cap_weight(rho, R, d)
+    return float(weights @ (amp.real ** 2 + amp.imag ** 2))
+
+
+@pytest.fixture(scope="module")
+def expo_narrow_d35():
+    return make_profile(ExponentialFamily(kappa=0.55), offset_d=3.5)
+
+
+@pytest.mark.parametrize("fixture,R,t", [
+    ("gauss_profile", 2.0, 0.0),
+    ("gauss_d3", 1.5, 2.0),
+    ("gauss_d10", 2.0, 10.0),
+    ("expo_profile", 2.0, 0.0),
+    ("expo_narrow_d35", 1.0, 2.0),
+])
+def test_inside_probability_matches_dense_reference(fixture, R, t, request):
+    profile = request.getfixturevalue(fixture)
+    got = inside_probability(profile, R, t)
+    assert abs(got - _dense_inside_probability(profile, R, t)) <= 1e-13
 
 
 def test_oracle_agrees_on_coarse_grid(gauss_profile):
