@@ -10,11 +10,16 @@ Run as:  python3 benchmarks/bench_kernels.py [--rows N] [--cols N] [--reps N]
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from lcdisc import _kernels
+# run from a checkout: import lcdisc from its src/, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lcdisc import _kernels  # noqa: E402
 
 
 def bench_op(label: str, op, evals: int, reps: int) -> float:

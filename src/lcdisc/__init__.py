@@ -55,12 +55,10 @@ from lcdisc.montecarlo import (
     DetectionSampler,
     ErrorEstimate,
     Outcome,
-    TrialRecord,
+    TrialBatch,
     estimate_error,
-    run_trial,
+    philox_uniforms,
     run_trials,
-    sample_detection,
-    trial_rng,
 )
 from lcdisc.propagation import (
     RadialAmplitude,
@@ -98,7 +96,7 @@ __all__ = [
     "Ruler",
     "RulerTiming",
     "TAIL_MASS_BOUND",
-    "TrialRecord",
+    "TrialBatch",
     "__version__",
     "accessible_error",
     "amplitude_on_radii",
@@ -118,17 +116,15 @@ __all__ = [
     "oracle_inside_probability_3d",
     "outside_probability",
     "outside_probability_sweep",
+    "philox_uniforms",
     "posteriors_on_unknown",
     "quantile_radius",
     "radial_density_grid",
     "ruler_min_time",
-    "run_trial",
     "run_trials",
-    "sample_detection",
     "scan_time_ball",
     "sphere_cap_weight",
     "strategy_error",
     "total_error",
     "tradeoff_curve",
-    "trial_rng",
 ]

@@ -25,6 +25,7 @@ from lcdisc import montecarlo
 from lcdisc.amplitude import (
     ExponentialFamily,
     GaussianFamily,
+    HelicityChannel,
     MomentumProfile,
     make_profile,
     momentum_norm,
@@ -321,22 +322,28 @@ def _cmd_monte_carlo(config: RunConfig) -> None:
     priors = Priors(pi0=config.pi0)
     _require(config, "R")
     rows: list[str] = []
+    # channel names indexed by "is PLUS"; outside the ball the outcome is
+    # unknown, inside it is the true channel
+    channel = (HelicityChannel.MINUS.name.lower(),
+               HelicityChannel.PLUS.name.lower())
+    unknown = montecarlo.Outcome.UNKNOWN.value
 
-    def record_row(rec: montecarlo.TrialRecord) -> None:
-        rows.append(",".join((
-            str(rec.index),
-            rec.true_state.name.lower(),
-            fmt(rec.detection_radius_rho),
-            str(int(rec.inside_omega)),
-            rec.outcome.value,
-            rec.guess.name.lower(),
-            str(int(rec.correct)),
-        )))
+    def record_rows(batch: montecarlo.TrialBatch) -> None:
+        columns = zip(range(batch.start, batch.start + batch.rho.size),
+                      batch.true_plus.tolist(), batch.rho.tolist(),
+                      batch.inside.tolist(), batch.guess_plus.tolist(),
+                      batch.correct.tolist())
+        rows.extend(
+            f"{index},{channel[plus]},{fmt(rho)},{int(inside)},"
+            f"{channel[plus] if inside else unknown},{channel[guess]},"
+            f"{int(correct)}"
+            for index, plus, rho, inside, guess, correct in columns)
 
     estimate = montecarlo.estimate_error(
         profile, priors, config.R, config.t, config.trials, config.seed,
         strategy=config.strategy, prob_tol=config.prob_tol,
-        on_trial=record_row if config.trials_csv else None)
+        r_max=config.r_max,
+        on_batch=record_rows if config.trials_csv else None)
     if config.trials_csv:
         header = _csv_header(
             "monte-carlo", config,

@@ -8,21 +8,30 @@ the priors (probability matching by default, MAP as an extension).
 
 Randomness contract
 -------------------
-The generator is Philox (numpy's counter-based ``Philox4x64``), seeded with
-the run seed as key.  Trial ``i`` uses an independent substream obtained by
-setting the 256-bit counter to ``i << 64``, which leaves 2^64 draws of
-headroom per trial.  Within a trial the uniforms are consumed in a fixed
-order:
+The generator is Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), keyed with the run seed as the two words
+``(seed mod 2^64, seed >> 64)``.  Trial ``i`` reads the stream of numpy's
+``Generator(Philox(key=seed, counter=i << 64))``, which leaves 2^64 draws of
+headroom per trial.  numpy increments the 256-bit counter before it
+generates each block of four 64-bit words, so the trial's words come from
+the counter blocks ``(1, i, 0, 0)`` and ``(2, i, 0, 0)`` (least significant
+word first).  A word ``w`` becomes the double ``(w >> 11) * 2^-53``.  The
+uniforms are consumed in a fixed order:
 
-1. channel draw (PLUS when u < pi0),
-2. detection radius by inverse-transform from the cached radial CDF,
-3. cos(theta) = 2u - 1,
-4. phi = 2 pi u,
-5. only when the outcome is unknown under probability matching: the guess
-   (state PLUS when u < pi0).
+1. block 1, word 0: channel draw (PLUS when u < pi0),
+2. block 1, word 1: detection radius by inverse transform from the cached
+   radial CDF,
+3. block 1, word 2: cos(theta) = 2u - 1,
+4. block 1, word 3: phi = 2 pi u, which the decision rule never needs,
+5. block 2, word 0: only when the outcome is unknown under probability
+   matching, the guess (state PLUS when u < pi0).
 
-Any implementation following this contract reproduces the trial sequence
-bit for bit.
+Trials are simulated as arrays, in batches of at most ``CHUNK_TRIALS``, so
+memory does not grow with the number of trials.  A trial's draws depend only
+on the seed and its index, and the array code does each trial's arithmetic
+in the scalar order, so the chunk size never changes a result.  Any
+implementation following this contract reproduces the trial sequence bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,12 +42,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from lcdisc.amplitude import HelicityChannel, MomentumProfile
+from lcdisc.amplitude import MomentumProfile
 from lcdisc.discrimination import (
     STRATEGIES,
-    STRATEGY_MAP,
     STRATEGY_PAPER,
     Priors,
     outside_probability,
@@ -54,6 +61,14 @@ from lcdisc.propagation import (
 
 DEFAULT_CDF_CELLS = 4096
 MIN_TRIALS = 1000
+CHUNK_TRIALS = 65536
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 class Outcome(enum.Enum):
@@ -64,28 +79,23 @@ class Outcome(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_CHANNEL_OUTCOME = {
-    HelicityChannel.PLUS: Outcome.CHANNEL_PLUS,
-    HelicityChannel.MINUS: Outcome.CHANNEL_MINUS,
-}
-
-
 @dataclass(frozen=True)
-class TrialRecord:
-    """One simulated trial.
+class TrialBatch:
+    """The consecutive trials ``start, start + 1, ...`` as parallel arrays.
 
-    Inside the ball the outcome always matches the true channel and
-    ``correct`` is True; outside, the outcome is UNKNOWN and ``guess`` comes
-    from the configured strategy.
+    ``true_plus`` and ``guess_plus`` are True where the channel is
+    HelicityChannel.PLUS.  Inside the ball the outcome is the true channel
+    and the guess always matches it; outside, the outcome is UNKNOWN and
+    the guess comes from the configured strategy.
     """
 
-    index: int
-    true_state: HelicityChannel
-    detection_radius_rho: float
-    inside_omega: bool
-    outcome: Outcome
-    guess: HelicityChannel
-    correct: bool
+    start: int
+    true_plus: np.ndarray
+    rho: np.ndarray
+    cos_theta: np.ndarray
+    inside: np.ndarray
+    guess_plus: np.ndarray
+    correct: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,42 @@ class ErrorEstimate:
     n_unknown: int
     unknown_rate: float
     p_t: float
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m * x``."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> _SHIFT32, x & _LOW32
+    lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = (lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    hi = (x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) +
+          (carry >> _SHIFT32))
+    return hi, x * np.uint64(m)
+
+
+def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
+    """Uniforms 1-5 of the trials ``index``, shape ``(5, len(index))``.
+
+    Row j holds uniform j + 1 of the randomness contract; it equals
+    ``Generator(Philox(key=seed, counter=i << 64)).random(5)[j]``.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    n = index.size
+    # blocks 1 and 2 of every trial run through the rounds side by side
+    zeros = np.zeros(2 * n, dtype=np.uint64)
+    ctr = [np.repeat(np.array([1, 2], dtype=np.uint64), n),
+           np.tile(index, 2), zeros, zeros]
+    k0, k1 = seed & _MASK64, seed >> 64
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ np.uint64(k0), lo1,
+               hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    words = np.stack([ctr[0][:n], ctr[1][:n], ctr[2][:n], ctr[3][:n],
+                      ctr[0][n:]])
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 class DetectionSampler:
@@ -140,83 +186,48 @@ class DetectionSampler:
                                    n_points=n_cells + 1, amp_tol=amp_tol)
         return cls(grid)
 
-    def sample_radius(self, rng: Generator) -> float:
-        u = rng.random()
-        i = int(np.searchsorted(self._cdf, u, side="right")) - 1
-        i = min(max(i, 0), len(self._r) - 2)
-        span = self._cdf[i + 1] - self._cdf[i]
-        frac = (u - self._cdf[i]) / span if span > 0.0 else 0.0
-        return float(self._r[i] + frac * (self._r[i + 1] - self._r[i]))
-
-    def sample(self, rng: Generator) -> tuple[float, np.ndarray]:
-        """Draw (rho, unit direction); consumes three uniforms."""
-        rho = self.sample_radius(rng)
-        cos_theta = 2.0 * rng.random() - 1.0
-        phi = 2.0 * math.pi * rng.random()
-        sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-        direction = np.array([sin_theta * math.cos(phi),
-                              sin_theta * math.sin(phi),
-                              cos_theta])
-        return rho, direction
+    def radii(self, u: np.ndarray) -> np.ndarray:
+        """Radii for an array of uniforms in [0, 1), one per uniform."""
+        cdf, r = self._cdf, self._r
+        i = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(r) - 2)
+        span = cdf[i + 1] - cdf[i]
+        frac = np.divide(u - cdf[i], span, out=np.zeros_like(u),
+                         where=span > 0.0)
+        return r[i] + frac * (r[i + 1] - r[i])
 
 
-def sample_detection(sampler: DetectionSampler,
-                     rng: Generator) -> tuple[float, np.ndarray]:
-    """Draw one detection point as (radius about the packet center, direction)."""
-    return sampler.sample(rng)
-
-
-def trial_rng(seed: int, index: int) -> Generator:
-    """Independent generator for one trial (see the module's randomness
-    contract)."""
-    return Generator(Philox(key=seed, counter=index << 64))
-
-
-def run_trial(
+def _simulate(
     sampler: DetectionSampler,
     priors: Priors,
     R: float,
     offset_d: float,
     strategy: str,
-    rng: Generator,
-    index: int = 0,
-) -> TrialRecord:
-    """Simulate one firing and apply the decision rule.
+    seed: int,
+    start: int,
+    stop: int,
+) -> TrialBatch:
+    """Simulate the firings of trials ``start .. stop - 1``.
 
     The packet center sits at distance ``offset_d`` from the origin; the
     firing at radius rho about that center lands inside the origin ball of
     radius R iff d^2 + rho^2 + 2 d rho cos(theta) <= R^2.
     """
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    true_state = (HelicityChannel.PLUS if rng.random() < priors.pi0
-                  else HelicityChannel.MINUS)
-    rho, direction = sampler.sample(rng)
+    u = philox_uniforms(seed, np.arange(start, stop, dtype=np.uint64))
+    true_plus = u[0] < priors.pi0
+    rho = sampler.radii(u[1])
+    cos_theta = 2.0 * u[2] - 1.0
     dist_sq = offset_d * offset_d + rho * rho + \
-        2.0 * offset_d * rho * direction[2]
+        2.0 * offset_d * rho * cos_theta
     inside = dist_sq <= R * R
-    if inside:
-        outcome = _CHANNEL_OUTCOME[true_state]
-        guess = true_state
+    if strategy == STRATEGY_PAPER:
+        guess_outside = u[4] < priors.pi0
     else:
-        outcome = Outcome.UNKNOWN
-        if strategy == STRATEGY_PAPER:
-            guess = (HelicityChannel.PLUS if rng.random() < priors.pi0
-                     else HelicityChannel.MINUS)
-        else:
-            # MAP: larger prior wins, tie broken toward PLUS (state 0)
-            guess = (HelicityChannel.PLUS if priors.pi0 >= priors.pi1
-                     else HelicityChannel.MINUS)
-    return TrialRecord(
-        index=index,
-        true_state=true_state,
-        detection_radius_rho=rho,
-        inside_omega=bool(inside),
-        outcome=outcome,
-        guess=guess,
-        correct=guess is true_state,
-    )
+        # MAP: larger prior wins, tie broken toward PLUS (state 0)
+        guess_outside = priors.pi0 >= priors.pi1
+    guess_plus = np.where(inside, true_plus, guess_outside)
+    return TrialBatch(start=start, true_plus=true_plus, rho=rho,
+                      cos_theta=cos_theta, inside=inside,
+                      guess_plus=guess_plus, correct=guess_plus == true_plus)
 
 
 def run_trials(
@@ -227,14 +238,23 @@ def run_trials(
     n_trials: int,
     seed: int,
     strategy: str = STRATEGY_PAPER,
-    sampler: DetectionSampler | None = None,
-) -> Iterator[TrialRecord]:
-    """Yield the deterministic trial sequence for a seed."""
-    if sampler is None:
-        sampler = DetectionSampler.for_profile(profile, t)
-    for index in range(n_trials):
-        yield run_trial(sampler, priors, R, profile.offset_d, strategy,
-                        trial_rng(seed, index), index)
+    r_max: float | None = None,
+) -> Iterator[TrialBatch]:
+    """Yield the deterministic trial sequence for a seed, in batches of at
+    most ``CHUNK_TRIALS`` trials.
+
+    ``r_max`` is the outer radius of the sampler's radial grid (default
+    :func:`lcdisc.propagation.default_r_max`).
+    """
+    if strategy not in STRATEGIES:
+        raise InvalidParameterError(
+            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidParameterError("seed must lie in [0, 2**128)")
+    sampler = DetectionSampler.for_profile(profile, t, r_max=r_max)
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        yield _simulate(sampler, priors, R, profile.offset_d, strategy, seed,
+                        start, min(start + CHUNK_TRIALS, n_trials))
 
 
 def estimate_error(
@@ -246,12 +266,13 @@ def estimate_error(
     seed: int,
     strategy: str = STRATEGY_PAPER,
     prob_tol: float = DEFAULT_PROB_TOL,
-    on_trial: Callable[[TrialRecord], None] | None = None,
+    r_max: float | None = None,
+    on_batch: Callable[[TrialBatch], None] | None = None,
 ) -> ErrorEstimate:
     """Empirical error rate over independent trials versus the analytic rate.
 
-    ``on_trial``, when given, observes every record (used by the CLI to
-    stream a per-trial CSV without a second pass).
+    ``on_batch``, when given, observes every batch of trials in order (used
+    by the CLI to write a per-trial CSV without a second pass).
     """
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(
@@ -260,15 +281,14 @@ def estimate_error(
     analytic = strategy_error(strategy, priors, p_t)
     n_errors = 0
     n_unknown = 0
-    for record in run_trials(profile, priors, R, t, n_trials, seed, strategy):
+    for batch in run_trials(profile, priors, R, t, n_trials, seed, strategy,
+                            r_max=r_max):
         # in-domain outcomes identify the channel perfectly by construction
-        assert record.correct or not record.inside_omega
-        if not record.correct:
-            n_errors += 1
-        if record.outcome is Outcome.UNKNOWN:
-            n_unknown += 1
-        if on_trial is not None:
-            on_trial(record)
+        assert np.all(batch.correct | ~batch.inside)
+        n_errors += int(np.count_nonzero(~batch.correct))
+        n_unknown += int(np.count_nonzero(~batch.inside))
+        if on_batch is not None:
+            on_batch(batch)
     return ErrorEstimate(
         n_trials=n_trials,
         n_errors=n_errors,

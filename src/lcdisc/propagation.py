@@ -313,7 +313,9 @@ def inside_probability_sweep(
         raise InvalidParameterError("t_values must hold at least one time")
     if not np.all(np.isfinite(t_values)):
         raise InvalidParameterError("times must be finite")
-    if R == 0.0:
+    if d + R <= max(0.0, d - R):
+        # R = 0, or a ball too small to widen [d - R, d + R] in floating
+        # point: no radial support, so no probability inside
         return np.zeros(t_values.shape)
     t_peak = float(np.max(np.abs(t_values)))
 

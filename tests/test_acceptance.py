@@ -98,13 +98,13 @@ def test_criterion_6_monte_carlo_vs_analytic(gauss_profile):
     n = 100000
     in_domain_errors = 0
 
-    def watch(record):
+    def watch(batch):
         nonlocal in_domain_errors
-        if record.inside_omega and not record.correct:
-            in_domain_errors += 1
+        in_domain_errors += int(np.count_nonzero(batch.inside &
+                                                 ~batch.correct))
 
     est = estimate_error(gauss_profile, Priors(0.5), 2.0, 0.0, n, seed=1,
-                         on_trial=watch)
+                         on_batch=watch)
     assert abs(est.empirical_rate - est.analytic_rate) <= 3.0 * est.std_err
     assert in_domain_errors == 0
     unknown_band = 3.0 * math.sqrt(est.p_t * (1.0 - est.p_t) / n)

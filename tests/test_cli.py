@@ -1,8 +1,13 @@
 """Command-line interface: config parsing, artifacts, and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lcdisc.cli import RunConfig, build_config, fmt, main, parse_config
 from lcdisc.errors import ConfigError
@@ -287,3 +292,104 @@ def test_runconfig_echo_skips_unset():
     assert "family" not in items
     assert items["pi0"] == "0.5"
     assert items["strategy"] == "paper"
+
+
+# sha256 of the --trials-csv file and of the JSON on stdout; any change to
+# the randomness contract, the sampler or the row format moves them
+FROZEN_MONTE_CARLO = {
+    "centred-paper": (
+        ["--R", "1", "--t", "0", "--pi0", "0.5", "--strategy", "paper",
+         "--seed", "893741986"],
+        "aa7aa545d4517afd9a745531d37fc960a907d23a0bd83992aebaa97113cb47c2",
+        "b7a227f3697f586ee9199aaf961392842ab81b33796e74dad2ccafd02fe71488"),
+    "offset-map": (
+        ["--d", "3", "--R", "2.5", "--t", "1", "--pi0", "0.3",
+         "--strategy", "map", "--seed", "11"],
+        "7f026c7573b507f315f3b7ab740b7a3b8c2c8a748d231e947e30f577d628abd6",
+        "b7aa62b05189e9eaddb04837d304e25e1389e545894256395bc89f261b54c39c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_MONTE_CARLO))
+def test_monte_carlo_frozen_digests(case, capsys, tmp_path, monkeypatch):
+    args, csv_digest, json_digest = FROZEN_MONTE_CARLO[case]
+    # the artifacts echo the config, paths included, so the path is relative
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "monte-carlo", *GAUSS_ARGS, *args,
+                           "--trials", "5000", "--format", "json",
+                           "--trials-csv", "trials.csv")
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes())
+    assert digest.hexdigest() == csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+
+EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
+             "--R", "1.5", "--t", "1", "--trials", "20000", "--seed", "3"]
+
+
+def test_monte_carlo_honours_r_max(capsys):
+    code, _, err = run_cli(capsys, "monte-carlo", *EXPO_ARGS)
+    assert code == 3
+    assert "increase r_max" in err
+    code, out, _ = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
+                           "--r-max", "60")
+    assert code == 0
+    estimate = json.loads(out)["estimate"]
+    assert abs(estimate["empirical_rate"] - estimate["analytic_rate"]) <= \
+        3.0 * estimate["std_err"]
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+_NEGATIVE = st.floats(max_value=-1e-300).map(repr)
+
+# values outside each monte-carlo field's domain
+_FUZZ_BAD = {
+    "k0": _NON_FINITE | _NEGATIVE | st.just("0"),
+    "sigma": _NON_FINITE | _NEGATIVE | st.just("0"),
+    "d": _NON_FINITE | _NEGATIVE,
+    "R": _NON_FINITE | _NEGATIVE,
+    "t": _NON_FINITE,
+    "r-max": _NON_FINITE | _NEGATIVE | st.just("0") | st.just("0.5"),
+    "pi0": _NON_FINITE | _NEGATIVE |
+    st.floats(min_value=1.0, exclude_min=True).map(repr),
+    "seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 128),
+    "trials": st.integers(max_value=999),
+}
+
+
+@st.composite
+def _monte_carlo_argv(draw):
+    values = {
+        "k0": repr(draw(st.floats(0.5, 8.0))),
+        "sigma": repr(draw(st.floats(0.5, 2.0))),
+        "d": repr(draw(st.floats(0.0, 3.0))),
+        "R": repr(draw(st.floats(0.0, 3.0))),
+        "t": repr(draw(st.floats(-3.0, 3.0))),
+        "r-max": draw(st.none() | st.floats(15.0, 30.0).map(repr)),
+        "pi0": repr(draw(st.floats(0.0, 1.0))),
+        "seed": draw(st.integers(0, 2 ** 128 - 1)),
+        "trials": draw(st.integers(1000, 2000)),
+        "strategy": draw(st.sampled_from(["paper", "map"])),
+    }
+    for flag in draw(st.sets(st.sampled_from(sorted(_FUZZ_BAD)),
+                             max_size=2)):
+        values[flag] = draw(_FUZZ_BAD[flag])
+    # --flag=value keeps a value such as -inf from reading as a flag
+    return ["monte-carlo", "--family=gaussian"] + [
+        f"--{flag}={value}" for flag, value in values.items()
+        if value is not None]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_monte_carlo_argv())
+def test_fuzz_monte_carlo_exit_codes(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        estimate = json.loads(out.getvalue())["estimate"]
+        assert 0.0 <= estimate["empirical_rate"] <= 1.0
+        assert 0.0 <= estimate["p_t"] <= 1.0

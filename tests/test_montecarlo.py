@@ -5,24 +5,44 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from lcdisc import (
     DetectionSampler,
     ErrorEstimate,
-    HelicityChannel,
+    ExponentialFamily,
     InvalidParameterError,
     InvalidStateError,
-    Outcome,
     Priors,
+    TrialBatch,
     estimate_error,
+    make_profile,
     outside_probability,
+    philox_uniforms,
     quantile_radius,
     radial_density_grid,
-    run_trial,
     run_trials,
-    sample_detection,
-    trial_rng,
 )
+from lcdisc import montecarlo
+
+
+def _uniforms(seed, n):
+    return philox_uniforms(seed, np.arange(n, dtype=np.uint64))
+
+
+def _concat(batches):
+    """One batch holding every trial of ``batches``, in order."""
+    assert [b.start for b in batches] == \
+        list(np.cumsum([0] + [b.rho.size for b in batches[:-1]]))
+    return TrialBatch(start=0, **{
+        field.name: np.concatenate([getattr(b, field.name) for b in batches])
+        for field in dataclasses.fields(TrialBatch) if field.name != "start"})
+
+
+def _same(a, b):
+    return a.start == b.start and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(TrialBatch) if f.name != "start")
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +51,17 @@ def sampler(gauss_profile):
 
 
 def test_trial_rng_substreams_independent():
-    a = trial_rng(7, 0).random(4)
-    b = trial_rng(7, 1).random(4)
+    a = philox_uniforms(7, [0])
+    b = philox_uniforms(7, [1])
     assert not np.array_equal(a, b)
     # Same seed and index reproduce the stream bit for bit.
-    assert np.array_equal(a, trial_rng(7, 0).random(4))
+    assert np.array_equal(a, philox_uniforms(7, [0]))
     # Different seeds decorrelate the same trial index.
-    assert not np.array_equal(a, trial_rng(8, 0).random(4))
+    assert not np.array_equal(a, philox_uniforms(8, [0]))
 
 
 def test_sampler_radius_quantiles(gauss_profile, sampler):
-    rng = trial_rng(123, 0)
-    draws = np.array([sampler.sample_radius(rng) for _ in range(20000)])
+    draws = sampler.radii(_uniforms(123, 20000)[1])
     grid = radial_density_grid(gauss_profile, 0.0)
     for q in (0.25, 0.5, 0.75):
         expected = quantile_radius(grid, q)
@@ -50,18 +69,15 @@ def test_sampler_radius_quantiles(gauss_profile, sampler):
         assert got == pytest.approx(expected, abs=0.02)
 
 
-def test_sampler_draws_in_range(sampler):
-    rng = trial_rng(5, 0)
-    for _ in range(200):
-        rho, direction = sample_detection(sampler, rng)
-        assert 0.0 <= rho <= sampler._r[-1]
-        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+def test_sampler_draws_in_range(gauss_profile, sampler):
+    batch, = run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 200, 5)
+    assert np.all((batch.rho >= 0.0) & (batch.rho <= sampler._r[-1]))
+    assert np.all(np.abs(batch.cos_theta) <= 1.0)
 
 
-def test_sampler_direction_isotropic(sampler):
-    rng = trial_rng(11, 0)
-    cos_z = np.array([sample_detection(sampler, rng)[1][2]
-                      for _ in range(20000)])
+def test_sampler_direction_isotropic(gauss_profile):
+    batch, = run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 20000, 11)
+    cos_z = batch.cos_theta
     # cos(theta) should be uniform in [-1, 1]: mean 0, variance 1/3.
     assert abs(cos_z.mean()) < 3.0 / math.sqrt(3.0 * 20000)
     assert cos_z.var() == pytest.approx(1.0 / 3.0, abs=0.02)
@@ -88,32 +104,32 @@ def test_sampler_rejects_zero_width_grid(gauss_profile):
         DetectionSampler(flat)
 
 
-def test_run_trial_fields(gauss_profile, sampler):
-    record = run_trial(sampler, Priors(0.5), 2.0, 0.0, "paper",
-                       trial_rng(1, 3), index=3)
-    assert record.index == 3
-    assert record.true_state in (HelicityChannel.PLUS, HelicityChannel.MINUS)
-    if record.inside_omega:
-        assert record.outcome is not Outcome.UNKNOWN
-        assert record.correct
-        assert record.guess is record.true_state
-    else:
-        assert record.outcome is Outcome.UNKNOWN
+def test_run_trial_fields(gauss_profile):
+    batch, = run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 1000, 1)
+    assert batch.start == 0
+    assert all(getattr(batch, f.name).shape == (1000,)
+               for f in dataclasses.fields(TrialBatch) if f.name != "start")
+    inside = batch.inside
+    assert 0 < np.count_nonzero(inside) < 1000
+    assert np.all(batch.correct[inside])
+    assert np.array_equal(batch.guess_plus[inside], batch.true_plus[inside])
+    assert np.array_equal(batch.correct, batch.guess_plus == batch.true_plus)
 
 
-def test_run_trial_strategy_validation(sampler):
+def test_run_trial_strategy_validation(gauss_profile):
     with pytest.raises(InvalidParameterError):
-        run_trial(sampler, Priors(0.5), 2.0, 0.0, "bogus", trial_rng(1, 0))
+        list(run_trials(gauss_profile, Priors(0.5), 2.0, 0.0, 1000, 1,
+                        strategy="bogus"))
 
 
 def test_trials_deterministic(gauss_profile):
     kwargs = dict(priors=Priors(0.5), R=1.0, t=0.0, n_trials=500, seed=42)
-    first = list(run_trials(gauss_profile, **kwargs))
-    second = list(run_trials(gauss_profile, **kwargs))
-    assert first == second
-    shifted = list(run_trials(gauss_profile, priors=Priors(0.5), R=1.0,
-                              t=0.0, n_trials=500, seed=43))
-    assert first != shifted
+    first, = run_trials(gauss_profile, **kwargs)
+    second, = run_trials(gauss_profile, **kwargs)
+    assert _same(first, second)
+    shifted, = run_trials(gauss_profile, priors=Priors(0.5), R=1.0,
+                          t=0.0, n_trials=500, seed=43)
+    assert not _same(first, shifted)
 
 
 def test_estimate_deterministic(gauss_profile):
@@ -170,14 +186,15 @@ def test_estimate_huge_ball_never_errs(gauss_profile):
 
 
 def test_estimate_on_trial_callback(gauss_profile):
-    records = []
+    batches = []
     est = estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0,
-                         n_trials=1000, seed=5, on_trial=records.append)
-    assert len(records) == 1000
-    assert [r.index for r in records] == list(range(1000))
-    assert sum(not r.correct for r in records) == est.n_errors
-    assert records == list(run_trials(gauss_profile, Priors(0.5), 1.0, 0.0,
-                                      1000, 5))
+                         n_trials=1000, seed=5, on_batch=batches.append)
+    every = _concat(batches)
+    assert every.rho.size == 1000
+    assert np.count_nonzero(~every.correct) == est.n_errors
+    assert np.count_nonzero(~every.inside) == est.n_unknown
+    assert _same(every, _concat(list(run_trials(
+        gauss_profile, Priors(0.5), 1.0, 0.0, 1000, 5))))
 
 
 def test_estimate_requires_min_trials(gauss_profile):
@@ -189,14 +206,110 @@ def test_estimate_requires_min_trials(gauss_profile):
 def test_offset_inside_test_uses_direction(gauss_d3):
     # With the packet center off the ball center, whether a firing lands
     # inside depends on direction, not only on rho; check the quoted
-    # inequality on a batch of records.
+    # inequality on a batch of trials drawn from the documented uniforms.
     sampler = DetectionSampler.for_profile(gauss_d3, 0.0)
-    for index in range(200):
-        rng = trial_rng(21, index)
-        rng.random()  # skip the channel draw to align with the trial stream
-        rho, direction = sampler.sample(rng)
-        dist_sq = 9.0 + rho * rho + 6.0 * rho * direction[2]
-        record = run_trial(sampler, Priors(0.5), 2.5, 3.0, "paper",
-                           trial_rng(21, index), index)
-        assert record.inside_omega == (dist_sq <= 2.5 * 2.5)
-        assert record.detection_radius_rho == rho
+    u = _uniforms(21, 200)
+    rho = sampler.radii(u[1])
+    cos_theta = 2.0 * u[2] - 1.0
+    dist_sq = 9.0 + rho * rho + 6.0 * rho * cos_theta
+    batch, = run_trials(gauss_d3, Priors(0.5), 2.5, 0.0, 200, 21)
+    assert np.array_equal(batch.inside, dist_sq <= 2.5 * 2.5)
+    assert np.array_equal(batch.rho, rho)
+    assert np.array_equal(batch.cos_theta, cos_theta)
+
+
+@pytest.mark.parametrize("seed", [0, 893741986, 2 ** 128 - 1])
+def test_philox_uniforms_match_numpy(seed):
+    index = [0, 1, 2 ** 32, 2 ** 63]
+    expected = np.array([Generator(Philox(key=seed, counter=i << 64)).random(5)
+                         for i in index]).T
+    assert np.array_equal(philox_uniforms(seed, index), expected)
+
+
+def _scalar_trial(sampler, priors, R, d, strategy, seed, index):
+    """One trial drawn the way the randomness contract reads, one uniform
+    at a time from numpy's own Philox; the reference for the array path."""
+    rng = Generator(Philox(key=seed, counter=index << 64))
+    true_plus = rng.random() < priors.pi0
+    u = rng.random()
+    cdf, r = sampler._cdf, sampler._r
+    i = int(np.searchsorted(cdf, u, side="right")) - 1
+    i = min(max(i, 0), len(r) - 2)
+    span = cdf[i + 1] - cdf[i]
+    frac = (u - cdf[i]) / span if span > 0.0 else 0.0
+    rho = float(r[i] + frac * (r[i + 1] - r[i]))
+    cos_theta = 2.0 * rng.random() - 1.0
+    rng.random()  # phi
+    inside = d * d + rho * rho + 2.0 * d * rho * cos_theta <= R * R
+    if inside:
+        guess_plus = true_plus
+    elif strategy == "paper":
+        guess_plus = rng.random() < priors.pi0
+    else:
+        guess_plus = priors.pi0 >= priors.pi1
+    return true_plus, rho, cos_theta, inside, guess_plus
+
+
+@pytest.mark.parametrize("strategy", ["paper", "map"])
+def test_batch_matches_scalar_reference(gauss_d3, strategy):
+    priors, R, t, seed, n = Priors(0.4), 2.5, 1.0, 2 ** 100 + 9, 300
+    sampler = DetectionSampler.for_profile(gauss_d3, t)
+    batch, = run_trials(gauss_d3, priors, R, t, n, seed, strategy)
+    got = list(zip(batch.true_plus.tolist(), batch.rho.tolist(),
+                   batch.cos_theta.tolist(), batch.inside.tolist(),
+                   batch.guess_plus.tolist()))
+    assert got == [_scalar_trial(sampler, priors, R, 3.0, strategy, seed, i)
+                   for i in range(n)]
+    assert 0 < np.count_nonzero(batch.inside) < n
+
+
+def test_chunk_size_does_not_change_trials(gauss_d3, monkeypatch):
+    kwargs = dict(priors=Priors(0.4), R=2.5, t=1.0, n_trials=3000, seed=6)
+    whole = list(run_trials(gauss_d3, **kwargs))
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 700)
+    chunked = list(run_trials(gauss_d3, **kwargs))
+    assert len(whole) == 1
+    assert [b.rho.size for b in chunked] == [700, 700, 700, 700, 200]
+    assert _same(_concat(chunked), whole[0])
+
+
+def test_seed_outside_key_range_rejected(gauss_profile):
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(InvalidParameterError):
+            estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0, 1000, seed)
+
+
+def test_estimate_counts_are_python_ints(gauss_profile):
+    est = estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0, 1000, 4)
+    assert type(est.n_errors) is int and type(est.n_unknown) is int
+
+
+def _expo_offset():
+    return make_profile(ExponentialFamily(kappa=0.55), offset_d=2.0)
+
+
+def test_r_max_reaches_the_sampler():
+    # the default grid misses more than COVERAGE_BOUND of this profile's mass
+    with pytest.raises(InvalidStateError):
+        estimate_error(_expo_offset(), Priors(0.5), 1.5, 1.0, 1000, 1)
+    est = estimate_error(_expo_offset(), Priors(0.5), 1.5, 1.0, 1000, 1,
+                         r_max=60.0)
+    assert est.n_trials == 1000
+
+
+@pytest.mark.parametrize("case", ["centred-paper", "offset-map",
+                                  "exponential-r_max"])
+def test_million_trials_within_3_sigma(case, gauss_profile, gauss_d3):
+    profile, priors, R, t, strategy, r_max = {
+        "centred-paper": (gauss_profile, Priors(0.5), 1.0, 0.0, "paper",
+                          None),
+        "offset-map": (gauss_d3, Priors(0.3), 2.5, 1.0, "map", None),
+        "exponential-r_max": (_expo_offset(), Priors(0.5), 1.5, 1.0,
+                              "paper", 60.0),
+    }[case]
+    n = 1_000_000
+    est = estimate_error(profile, priors, R, t, n, seed=20261018,
+                         strategy=strategy, r_max=r_max)
+    assert abs(est.empirical_rate - est.analytic_rate) <= 3.0 * est.std_err
+    unknown_band = 3.0 * math.sqrt(est.p_t * (1.0 - est.p_t) / n)
+    assert abs(est.unknown_rate - est.p_t) <= unknown_band

@@ -218,6 +218,13 @@ def test_inside_probability_edge_radii(gauss_profile, expo_profile):
         1.0, abs=1e-6)
 
 
+def test_inside_probability_ball_below_resolution(gauss_d3):
+    # d - R and d + R round to the same float: an empty radial support, and
+    # no probability inside, where the rule once failed on an empty array
+    assert inside_probability(gauss_d3, 1e-38, 1.0) == 0.0
+    assert inside_probability(gauss_d3, 1e-300, 0.0) == 0.0
+
+
 def test_inside_probability_monotone_in_radius(gauss_profile):
     values = np.array([inside_probability(gauss_profile, R, 0.0)
                        for R in np.linspace(0.0, 4.0, 20)])
