@@ -2,7 +2,11 @@
 
 Times the two operations that dominate every computation in the package: the
 fused weighted sum (one amplitude per radius) and the table-fill path used by
-time sweeps.  Reported rates are millions of j0 evaluations per second.
+time sweeps.  Reported rates are millions of j0 evaluations per second.  A
+last row per backend times the angle-addition fill of a panel rule, as the
+ball-probability sweep builds it, against the direct table on the same nodes
+(18 panels x 8 nodes x 800 k nodes by default), with the sin/cos evaluations
+each one makes and its cost per table entry.
 
 Run as:  python3 benchmarks/bench_kernels.py [--rows N] [--cols N] [--reps N]
 """
@@ -20,6 +24,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lcdisc import _kernels  # noqa: E402
+from lcdisc.quadrature import GAUSS_ORDER, PanelRule  # noqa: E402
 
 
 def bench_op(label: str, op, evals: int, reps: int) -> float:
@@ -36,6 +41,26 @@ def timeit(op) -> float:
     return time.perf_counter() - start
 
 
+def bench_panel_fill(rule: PanelRule, k: np.ndarray, reps: int) -> None:
+    """Angle-addition fill of ``rule``, one run of equal panels, against the
+    direct table on its nodes."""
+    entries = rule.size * k.size
+    cases = (
+        ("panel fill", rule, 2 * (rule.centres.size + GAUSS_ORDER) * k.size),
+        ("direct table", rule.nodes, entries),
+    )
+    for label, r, calls in cases:
+        def op():
+            for _ in range(20):  # one table alive at a time, as in a gemm
+                _kernels._ACTIVE.j0_table(r, k)
+
+        op()  # warm up
+        best = min(timeit(op) for _ in range(reps)) / 20
+        print(f"  {label:<18s} {best * 1e3:8.3f} ms   "
+              f"{best / entries * 1e9:6.2f} ns/entry   "
+              f"{calls:7d} sin/cos")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=200_000,
@@ -44,6 +69,10 @@ def main() -> None:
                         help="number of k nodes (default 1536)")
     parser.add_argument("--reps", type=int, default=3,
                         help="repetitions, best time wins (default 3)")
+    parser.add_argument("--panels", type=int, default=18,
+                        help="panels of the panel-fill row (default 18)")
+    parser.add_argument("--panel-k", type=int, default=800,
+                        help="k nodes of the panel-fill row (default 800)")
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
@@ -54,6 +83,10 @@ def main() -> None:
     gemm_cols = 16
     coeff_mat = np.tile(coeffs[:, None], (1, gemm_cols))
     evals = args.rows * args.cols
+    # panels of width 0.25 from rho = 1, as in a ball-probability sweep
+    rule = PanelRule(1.125 + 0.25 * np.arange(args.panels),
+                     np.full(args.panels, 0.125))
+    panel_k = np.sort(rng.uniform(1e-3, 12.0, args.panel_k))
 
     initial = _kernels.backend_name()
     results: dict[str, float] = {}
@@ -69,6 +102,7 @@ def main() -> None:
                 f"gemm x{gemm_cols}",
                 lambda: _kernels.weighted_j0_gemm(r, k, coeff_mat),
                 evals * gemm_cols, args.reps)
+            bench_panel_fill(rule, panel_k, args.reps)
     finally:
         _kernels.set_backend(initial)
 

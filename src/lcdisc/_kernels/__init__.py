@@ -5,6 +5,9 @@ sums: a compiled C extension and a pure NumPy fallback.  The compiled one is
 used when importable; ``LCDISC_BACKEND=numpy|compiled`` or :func:`set_backend`
 overrides the choice.  Within a backend results are deterministic because
 every summation order is fixed.
+
+Radii given as a :class:`~lcdisc.quadrature.PanelRule` take one table fill
+shared by both backends, by angle addition from the panel geometry.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import os
 import numpy as np
 
 from lcdisc._kernels import _fallback
+from lcdisc.quadrature import GAUSS_ORDER, PanelRule
 
 try:
     from lcdisc._kernels import _core
@@ -42,7 +46,9 @@ class _CompiledBackend:
         return out_re + 1j * out_im
 
     @staticmethod
-    def j0_table(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def j0_table(r: np.ndarray | PanelRule, k: np.ndarray) -> np.ndarray:
+        if isinstance(r, PanelRule):
+            return _fallback.panel_j0_table(r, k)
         with np.errstate(divide="ignore"):
             inv_k = np.where(k > 0.0, 1.0 / k, 0.0)
         out = np.empty((r.shape[0], k.shape[0]))
@@ -58,7 +64,9 @@ class _NumpyBackend:
         return _fallback.j0_sum(r, k, np.asarray(coeffs, dtype=np.complex128))
 
     @staticmethod
-    def j0_table(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def j0_table(r: np.ndarray | PanelRule, k: np.ndarray) -> np.ndarray:
+        if isinstance(r, PanelRule):
+            return _fallback.panel_j0_table(r, k)
         return _fallback.j0_table(r, k)
 
 
@@ -116,23 +124,35 @@ def weighted_j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndar
     return _ACTIVE.j0_sum(r, k, coeffs)
 
 
-def weighted_j0_gemm(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def weighted_j0_gemm(r: np.ndarray | PanelRule, k: np.ndarray,
+                     coeffs: np.ndarray) -> np.ndarray:
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
-    The j0 table for a block of radii is built once and reused across all
-    columns through one real BLAS product, which is what makes time sweeps
-    cheap.  A C-contiguous complex matrix viewed as float64 is the real
-    matrix whose columns alternate real and imaginary parts, so the product
-    with that view, viewed back as complex, is the complex result.
+    ``r`` is an array of radii or a :class:`PanelRule`, whose nodes are the
+    radii.  The j0 table for a block of radii is built once and reused
+    across all columns through one real BLAS product, which is what makes
+    time sweeps cheap.  A C-contiguous complex matrix viewed as float64 is
+    the real matrix whose columns alternate real and imaginary parts, so the
+    product with that view, viewed back as complex, is the complex result.
     """
-    r = _as_vec(r)
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
+    if isinstance(r, PanelRule):
+        step = _GEMM_CHUNK_ROWS // GAUSS_ORDER
+        blocks = [PanelRule(r.centres[lo:lo + step],
+                            r.half_widths[lo:lo + step])
+                  for lo in range(0, r.centres.size, step)]
+    else:
+        r = _as_vec(r)
+        blocks = [r[lo:lo + _GEMM_CHUNK_ROWS]
+                  for lo in range(0, r.size, _GEMM_CHUNK_ROWS)]
     stacked = np.ascontiguousarray(coeffs).view(np.float64)
-    out = np.empty((r.shape[0], stacked.shape[1]))
-    for lo in range(0, r.shape[0], _GEMM_CHUNK_ROWS):
-        sl = slice(lo, min(lo + _GEMM_CHUNK_ROWS, r.shape[0]))
-        np.matmul(_ACTIVE.j0_table(r[sl], k), stacked, out=out[sl])
+    out = np.empty((r.size, stacked.shape[1]))
+    row = 0
+    for block in blocks:
+        np.matmul(_ACTIVE.j0_table(block, k), stacked,
+                  out=out[row:row + block.size])
+        row += block.size
     return out.view(np.complex128)

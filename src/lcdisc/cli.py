@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -421,7 +422,11 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: seven subparsers
+    of about thirty flags each cost several milliseconds to build, and
+    ``parse_args`` leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="lcdisc",
         description="Relativistic limits on distinguishing two orthogonal "

@@ -44,7 +44,12 @@ from lcdisc.errors import (
     NumericFailureError,
     ResourceLimitError,
 )
-from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
+from lcdisc.quadrature import (
+    PanelRule,
+    gauss_panels,
+    panel_width,
+    piecewise_gauss_panels,
+)
 
 DEFAULT_AMP_TOL = 1e-9
 DEFAULT_PROB_TOL = 1e-8
@@ -57,6 +62,7 @@ DENSITY_LADDER = (2.0, 4.0, 8.0, 16.0)
 _K_GRADE = 12
 
 _SQRT_PI = math.sqrt(math.pi)
+_TINY = float(np.finfo(float).tiny)
 _ORACLE_GRID_ENV = "LCD_MAX_GRID"
 _ORACLE_GRID_CAP = 256
 
@@ -250,8 +256,8 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
 
 
 def _rho_rule(profile: MomentumProfile, R: float, d: float,
-              panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes over the support [max(0, d-R), d+R] of the cap weight.
+              panels_per_period: float) -> PanelRule:
+    """Radial panels over the support [max(0, d-R), d+R] of the cap weight.
 
     Panels never cross the kink of the weight at rho = |R - d|.
     """
@@ -313,20 +319,22 @@ def inside_probability_sweep(
         raise InvalidParameterError("t_values must hold at least one time")
     if not np.all(np.isfinite(t_values)):
         raise InvalidParameterError("times must be finite")
-    if d + R <= max(0.0, d - R):
+    if d + R - max(0.0, d - R) < _TINY:
         # R = 0, or a ball too small to widen [d - R, d + R] in floating
-        # point: no radial support, so no probability inside
+        # point, or narrower than the smallest normal float, where the
+        # probability, of order R^3, underflows: no probability inside
         return np.zeros(t_values.shape)
     t_peak = float(np.max(np.abs(t_values)))
 
     def evaluate(panels_per_period: float) -> np.ndarray:
-        rho, w_rho = _rho_rule(profile, R, d, panels_per_period)
+        rule = _rho_rule(profile, R, d, panels_per_period)
+        rho = rule.nodes
         cap = sphere_cap_weight(rho, R, d)
         k, w_k = _k_rule(profile, float(rho.max()), t_peak, panels_per_period)
-        amp = weighted_j0_gemm(rho, k,
+        amp = weighted_j0_gemm(rule, k,
                                _phase_coeffs(profile, k, w_k, t_values))
         density = amp.real ** 2 + amp.imag ** 2
-        weights = 4.0 * math.pi * w_rho * rho * rho * cap
+        weights = 4.0 * math.pi * rule.weights * rho * rho * cap
         return weights @ density
 
     return np.maximum(_converged(evaluate, prob_tol, "ball-probability"), 0.0)

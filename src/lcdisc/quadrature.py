@@ -13,11 +13,17 @@ polynomial resolves; uniform panels then converge only algebraically.
 Halving the first panel repeatedly toward the branch point (``grade``)
 leaves every panel but the innermost, tiny one a full panel width away from
 the singularity, which restores spectral convergence.
+
+:func:`piecewise_gauss_panels` keeps its panel geometry in a
+:class:`PanelRule`: within one interval every panel has the same half-width
+h, so each node is a panel centre plus one of GAUSS_ORDER fixed offsets
+h x_g.  The j0 kernels use that to build sin(k rho) by angle addition.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,7 +33,32 @@ from lcdisc.errors import InvalidParameterError
 GAUSS_ORDER = 8
 # the reference rule on [-1, 1], built once: leggauss costs far more than
 # mapping it onto panels
-_GAUSS_X, _GAUSS_W = leggauss(GAUSS_ORDER)
+GAUSS_X, GAUSS_W = leggauss(GAUSS_ORDER)
+
+
+@dataclass(frozen=True)
+class PanelRule:
+    """A composite Gauss-Legendre rule together with its panel geometry.
+
+    Panel p spans ``centres[p] +- half_widths[p]``; its GAUSS_ORDER nodes are
+    ``centres[p] + half_widths[p] * GAUSS_X``, in panel order, and ``size``
+    is the node count.
+    """
+
+    centres: np.ndarray
+    half_widths: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        half = self.half_widths[:, None]
+        object.__setattr__(
+            self, "nodes", (self.centres[:, None] + half * GAUSS_X).ravel())
+        object.__setattr__(self, "weights", (half * GAUSS_W).ravel())
+
+    @property
+    def size(self) -> int:
+        return self.nodes.size
 
 
 def panel_width(frequency: float, panels_per_period: float) -> float:
@@ -62,31 +93,38 @@ def gauss_panels(
     if grade > 0:
         graded = a + (edges[1] - a) * np.ldexp(1.0, -np.arange(grade, 0, -1))
         edges = np.concatenate(([a], graded, edges[1:]))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
+    rule = PanelRule(0.5 * (edges[1:] + edges[:-1]),
+                     0.5 * (edges[1:] - edges[:-1]))
+    return rule.nodes, rule.weights
 
 
 def piecewise_gauss_panels(
     breakpoints: np.ndarray,
     max_width: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> PanelRule:
     """Composite rule over consecutive intervals given by ``breakpoints``.
 
     Panels never straddle a breakpoint, so integrands with kinks at the
-    breakpoints are still smooth on every panel.
+    breakpoints are still smooth on every panel.  Each interval is split
+    into equal panels no wider than ``max_width`` that share one
+    half-width exactly; empty intervals get no panels.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise InvalidParameterError("need at least two breakpoints")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidParameterError("integration limits must be finite")
     if np.any(np.diff(pts) < 0.0):
         raise InvalidParameterError("breakpoints must be sorted ascending")
-    nodes = []
-    weights = []
+    if not max_width > 0.0:
+        raise InvalidParameterError("panel width must be positive")
+    centres = [np.empty(0)]
+    half_widths = [np.empty(0)]
     for lo, hi in zip(pts[:-1], pts[1:]):
-        x, w = gauss_panels(lo, hi, max_width)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        if hi <= lo:
+            continue
+        n_panels = max(1, math.ceil((hi - lo) / max_width))
+        half = 0.5 * (hi - lo) / n_panels
+        centres.append(lo + half * np.arange(1.0, 2.0 * n_panels, 2.0))
+        half_widths.append(np.full(n_panels, half))
+    return PanelRule(np.concatenate(centres), np.concatenate(half_widths))

@@ -329,11 +329,28 @@ EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
 
 
 def test_monte_carlo_honours_r_max(capsys):
-    code, _, err = run_cli(capsys, "monte-carlo", *EXPO_ARGS)
+    # 8.5 is this request's default extent; given explicitly it is kept
+    code, _, err = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
+                           "--r-max", "8.5")
     assert code == 3
     assert "increase r_max" in err
     code, out, _ = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
                            "--r-max", "60")
+    assert code == 0
+    estimate = json.loads(out)["estimate"]
+    assert abs(estimate["empirical_rate"] - estimate["analytic_rate"]) <= \
+        3.0 * estimate["std_err"]
+
+
+@pytest.mark.parametrize("args", [
+    EXPO_ARGS,
+    ["--family", "gaussian", "--k0", "2.133", "--sigma", "1.197",
+     "--d", "0.974", "--R", "2", "--t", "1.798", "--trials", "20000",
+     "--seed", "3"],
+], ids=["exponential", "narrow-gaussian"])
+def test_monte_carlo_widens_default_grid(capsys, args):
+    # the default extent misses mass for both; the sampler widens it 8x
+    code, out, _ = run_cli(capsys, "monte-carlo", *args)
     assert code == 0
     estimate = json.loads(out)["estimate"]
     assert abs(estimate["empirical_rate"] - estimate["analytic_rate"]) <= \

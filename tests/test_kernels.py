@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lcdisc
+from lcdisc import _kernels
 from lcdisc._kernels import (
     _fallback,
     available_backends,
@@ -11,6 +14,11 @@ from lcdisc._kernels import (
     weighted_j0_gemm,
     weighted_j0_sum,
 )
+from lcdisc.propagation import DENSITY_LADDER
+from lcdisc.quadrature import PanelRule, panel_width, piecewise_gauss_panels
+
+# largest k node of the standard Gaussian profile, about 11.7
+_K_MAX = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0)).k_max
 
 
 def _reference_j0(z):
@@ -144,3 +152,65 @@ def test_fallback_direct():
     z = np.array([0.0, 1e-6, 0.5, 3.14159, 40.0])
     got = _fallback.j0_table(np.array([1.0]), z)[0]
     assert np.max(np.abs(got - _reference_j0(z))) < 1e-15
+
+
+def _sin_over_z(z):
+    """The direct np.sin(z) / z table, with j0(0) = 1 where z underflows."""
+    with np.errstate(invalid="ignore"):
+        return np.where(z == 0.0, 1.0, np.sin(z) / z)
+
+
+def _panel_run(draw, level):
+    """Centres of one run of panels with the half-width of a ladder level."""
+    half = 0.5 * panel_width(2.0 * _K_MAX, level)
+    centres = draw(st.lists(st.floats(half, 50.0), min_size=1, max_size=24))
+    return centres, [half] * len(centres)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       levels=st.lists(st.sampled_from(DENSITY_LADDER), min_size=1,
+                       max_size=2),
+       k=st.lists(st.floats(0.0, _K_MAX, exclude_min=True), min_size=1,
+                  max_size=64).map(sorted),
+       z=st.lists(st.floats(0.0, 1e5, exclude_min=True), min_size=1,
+                  max_size=64))
+def test_j0_tables_match_sin_over_z(data, levels, k, z):
+    # the angle-addition fill of a panel rule, with one or two runs of
+    # half-widths, against sin(z)/z on the rule's nodes
+    runs = [_panel_run(data.draw, level) for level in levels]
+    rule = PanelRule(np.concatenate([c for c, _ in runs]),
+                     np.concatenate([h for _, h in runs]))
+    k = np.array(k)
+    zk = np.multiply.outer(rule.nodes, k)
+    got = _fallback.panel_j0_table(rule, k)
+    assert np.max(np.abs(got - _sin_over_z(zk))) <= 1e-13
+    # every backend's direct table over z up to 1e5
+    z = np.array(z)
+    initial = backend_name()
+    try:
+        for name in available_backends():
+            set_backend(name)
+            table = _kernels._ACTIVE.j0_table(z, np.array([1.0]))[:, 0]
+            assert np.max(np.abs(table - _sin_over_z(z))) <= 1e-13
+    finally:
+        set_backend(initial)
+
+
+def test_panel_table_through_gemm(backend):
+    # a rule of two runs, more panels than one gemm block holds, and a zero
+    # wavenumber, where j0 = 1
+    rule = piecewise_gauss_panels(np.array([0.0, 1.3, 9.0]), 0.2)
+    assert rule.centres.size > _kernels._GEMM_CHUNK_ROWS // 8
+    assert np.unique(rule.half_widths).size == 2
+    rng = np.random.default_rng(5)
+    k = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
+    coeffs = rng.normal(size=(61, 3)) + 1j * rng.normal(size=(61, 3))
+    table = _kernels._ACTIVE.j0_table(rule, k)
+    assert np.max(np.abs(table - _reference_j0(np.outer(rule.nodes, k)))) \
+        <= 1e-13
+    assert np.all(table[:, 0] == 1.0)
+    got = weighted_j0_gemm(rule, k, coeffs)
+    expected = weighted_j0_gemm(rule.nodes, k, coeffs)
+    scale = np.sum(np.abs(coeffs), axis=0)
+    assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)

@@ -289,12 +289,23 @@ def _expo_offset():
 
 
 def test_r_max_reaches_the_sampler():
-    # the default grid misses more than COVERAGE_BOUND of this profile's mass
+    # an explicit grid at the default extent, 8.5, misses more than
+    # COVERAGE_BOUND of this profile's mass and is not widened
     with pytest.raises(InvalidStateError):
-        estimate_error(_expo_offset(), Priors(0.5), 1.5, 1.0, 1000, 1)
+        estimate_error(_expo_offset(), Priors(0.5), 1.5, 1.0, 1000, 1,
+                       r_max=8.5)
     est = estimate_error(_expo_offset(), Priors(0.5), 1.5, 1.0, 1000, 1,
                          r_max=60.0)
     assert est.n_trials == 1000
+
+
+def test_default_grid_doubles_until_it_covers(monkeypatch):
+    # 8.5 -> 17 -> 34 -> 68: the third doubling covers the mass
+    sampler = DetectionSampler.for_profile(_expo_offset(), 1.0)
+    assert sampler._r[-1] == 68.0
+    monkeypatch.setattr(montecarlo, "MAX_EXTENT_DOUBLINGS", 2)
+    with pytest.raises(InvalidStateError, match="increase r_max"):
+        DetectionSampler.for_profile(_expo_offset(), 1.0)
 
 
 @pytest.mark.parametrize("case", ["centred-paper", "offset-map",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcdisc import (
     ExponentialFamily,
+    GaussianFamily,
     InvalidParameterError,
     NumericFailureError,
     ResourceLimitError,
@@ -23,7 +24,8 @@ from lcdisc import (
     radial_density_grid,
     sphere_cap_weight,
 )
-from lcdisc._kernels import weighted_j0_sum
+from lcdisc import propagation
+from lcdisc._kernels import _fallback, weighted_j0_sum
 from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
@@ -223,6 +225,9 @@ def test_inside_probability_ball_below_resolution(gauss_d3):
     # no probability inside, where the rule once failed on an empty array
     assert inside_probability(gauss_d3, 1e-38, 1.0) == 0.0
     assert inside_probability(gauss_d3, 1e-300, 0.0) == 0.0
+    # a concentric ball narrower than the smallest normal float
+    assert inside_probability(gauss_d3, 5e-324, 0.0, center_distance=0.0) \
+        == 0.0
 
 
 def test_inside_probability_monotone_in_radius(gauss_profile):
@@ -276,8 +281,9 @@ def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     lo, hi = max(0.0, d - R), d + R
     kink = abs(R - d)
     breaks = [lo, kink, hi] if lo < kink < hi else [lo, hi]
-    rho, w_rho = piecewise_gauss_panels(
+    rule = piecewise_gauss_panels(
         np.array(breaks), panel_width(2.0 * profile.k_max, panels_per_period))
+    rho, w_rho = rule.nodes, rule.weights
     k, w_k = gauss_panels(
         0.0, profile.k_max,
         panel_width(max(rho.max(), abs(t)), panels_per_period), grade=24)
@@ -337,3 +343,47 @@ def test_amplitude_norm_invariance_against_rescaled_profile(gauss_profile):
     base = inside_probability(gauss_profile, 1.0, 0.0)
     assert inside_probability(doubled, 1.0, 0.0) == pytest.approx(4.0 * base,
                                                                   rel=1e-9)
+
+
+def test_piecewise_rule_shares_one_half_width_per_interval():
+    rule = piecewise_gauss_panels(np.array([0.0, 1.3, 1.3, 9.0]), 0.2)
+    # 7 panels on [0, 1.3], none on the empty [1.3, 1.3], 39 on [1.3, 9]
+    assert rule.centres.size == 46
+    assert np.all(rule.half_widths[:7] == 1.3 / 14)
+    assert np.all(rule.half_widths[7:] == 7.7 / 78)
+    assert np.all(rule.nodes == (rule.centres[:, None] +
+                                 rule.half_widths[:, None] *
+                                 np.polynomial.legendre.leggauss(8)[0])
+                  .ravel())
+    assert np.all((rule.nodes > 0.0) & (rule.nodes < 9.0))
+    # the 8-point rule integrates degree-15 polynomials exactly
+    assert rule.weights @ rule.nodes ** 15 == pytest.approx(9.0 ** 16 / 16,
+                                                            rel=1e-13)
+
+
+def _direct_gemm(rule, k, coeffs):
+    """The [re|im] contraction against the direct sin(z)/z table."""
+    stacked = np.ascontiguousarray(coeffs).view(np.float64)
+    return (_fallback.j0_table(rule.nodes, k) @ stacked).view(np.complex128)
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.0]), np.array([13.0]), np.array([40.0]),
+    np.linspace(0.0, 40.0, 32),
+], ids=["t0", "t13", "t40", "sweep32"])
+@pytest.mark.parametrize("family,d,R", [
+    (GaussianFamily(k0=5.0, sigma=1.0), 0.0, 1.5),
+    (GaussianFamily(k0=5.0, sigma=1.0), 1.0, 2.0),
+    (GaussianFamily(k0=5.0, sigma=1.0), 6.0, 2.0),
+    (ExponentialFamily(kappa=2.0), 0.0, 1.5),
+    (ExponentialFamily(kappa=2.0), 1.0, 2.0),
+    (ExponentialFamily(kappa=2.0), 6.0, 2.0),
+], ids=["gauss-d0", "gauss-kink", "gauss-far", "expo-d0", "expo-kink",
+        "expo-far"])
+def test_sweep_matches_direct_table(monkeypatch, family, d, R, times):
+    # the angle-addition table against the direct table on the same rules
+    profile = make_profile(family, offset_d=d)
+    got = inside_probability_sweep(profile, R, times)
+    monkeypatch.setattr(propagation, "weighted_j0_gemm", _direct_gemm)
+    expected = inside_probability_sweep(profile, R, times)
+    assert np.max(np.abs(got - expected)) <= 1e-14
