@@ -6,8 +6,10 @@ used when importable; ``LCDISC_BACKEND=numpy|compiled`` or :func:`set_backend`
 overrides the choice.  Within a backend results are deterministic because
 every summation order is fixed.
 
-Radii given as a :class:`~lcdisc.quadrature.PanelRule` take one table fill
-shared by both backends, by angle addition from the panel geometry.
+Time sweeps fill j0 tables on the nodes of a
+:class:`~lcdisc.quadrature.PanelRule`: the compiled backend evaluates
+sin(z)/z on every node directly in C, the NumPy backend builds the table by
+angle addition from the panel geometry, which needs far fewer np.sin calls.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import os
 import numpy as np
 
 from lcdisc._kernels import _fallback
-from lcdisc.quadrature import GAUSS_ORDER, PanelRule
+from lcdisc.quadrature import PanelRule
 
 try:
     from lcdisc._kernels import _core
 except ImportError:
     _core = None
 
-_GEMM_CHUNK_ROWS = 256
+# panels per table block: 256 rows of 8 Gauss nodes each
+_GEMM_CHUNK_PANELS = 32
 
 
 def _as_vec(a: np.ndarray) -> np.ndarray:
@@ -46,13 +49,13 @@ class _CompiledBackend:
         return out_re + 1j * out_im
 
     @staticmethod
-    def j0_table(r: np.ndarray | PanelRule, k: np.ndarray) -> np.ndarray:
-        if isinstance(r, PanelRule):
-            return _fallback.panel_j0_table(r, k)
+    def j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
+        # one C sin per entry beats the NumPy angle-addition fill several
+        # times over, so the geometry is not needed here
         with np.errstate(divide="ignore"):
             inv_k = np.where(k > 0.0, 1.0 / k, 0.0)
-        out = np.empty((r.shape[0], k.shape[0]))
-        _core.j0_table(_as_vec(r), _as_vec(k), inv_k, out)
+        out = np.empty((rule.size, k.shape[0]))
+        _core.j0_table(rule.nodes, _as_vec(k), inv_k, out)
         return out
 
 
@@ -64,10 +67,8 @@ class _NumpyBackend:
         return _fallback.j0_sum(r, k, np.asarray(coeffs, dtype=np.complex128))
 
     @staticmethod
-    def j0_table(r: np.ndarray | PanelRule, k: np.ndarray) -> np.ndarray:
-        if isinstance(r, PanelRule):
-            return _fallback.panel_j0_table(r, k)
-        return _fallback.j0_table(r, k)
+    def j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
+        return _fallback.panel_j0_table(rule, k)
 
 
 _BACKENDS = {"numpy": _NumpyBackend}
@@ -124,34 +125,27 @@ def weighted_j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndar
     return _ACTIVE.j0_sum(r, k, coeffs)
 
 
-def weighted_j0_gemm(r: np.ndarray | PanelRule, k: np.ndarray,
+def weighted_j0_gemm(r: PanelRule, k: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
-    ``r`` is an array of radii or a :class:`PanelRule`, whose nodes are the
-    radii.  The j0 table for a block of radii is built once and reused
-    across all columns through one real BLAS product, which is what makes
-    time sweeps cheap.  A C-contiguous complex matrix viewed as float64 is
-    the real matrix whose columns alternate real and imaginary parts, so the
-    product with that view, viewed back as complex, is the complex result.
+    The radii r[i] are the nodes of the :class:`PanelRule` ``r``.  The j0
+    table for a block of panels is built once and reused across all columns
+    through one real BLAS product, which is what makes time sweeps cheap.
+    A C-contiguous complex matrix viewed as float64 is the real matrix whose
+    columns alternate real and imaginary parts, so the product with that
+    view, viewed back as complex, is the complex result.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    if isinstance(r, PanelRule):
-        step = _GEMM_CHUNK_ROWS // GAUSS_ORDER
-        blocks = [PanelRule(r.centres[lo:lo + step],
-                            r.half_widths[lo:lo + step])
-                  for lo in range(0, r.centres.size, step)]
-    else:
-        r = _as_vec(r)
-        blocks = [r[lo:lo + _GEMM_CHUNK_ROWS]
-                  for lo in range(0, r.size, _GEMM_CHUNK_ROWS)]
     stacked = np.ascontiguousarray(coeffs).view(np.float64)
     out = np.empty((r.size, stacked.shape[1]))
     row = 0
-    for block in blocks:
+    for lo in range(0, r.centres.size, _GEMM_CHUNK_PANELS):
+        hi = lo + _GEMM_CHUNK_PANELS
+        block = PanelRule(r.centres[lo:hi], r.half_widths[lo:hi])
         np.matmul(_ACTIVE.j0_table(block, k), stacked,
                   out=out[row:row + block.size])
         row += block.size

@@ -4,8 +4,8 @@ Matches the compiled backend's contract: j0(z) = sin(z)/z with the series
 1 - z^2/6 below ``SMALL_Z``, which is where sin(z)/z starts losing digits
 to cancellation and where z = 0 would divide by zero.
 
-:func:`panel_j0_table` is the table fill both backends share for the nodes
-of a :class:`~lcdisc.quadrature.PanelRule`.
+:func:`panel_j0_table` fills the table on the nodes of a
+:class:`~lcdisc.quadrature.PanelRule` by angle addition.
 """
 
 from __future__ import annotations

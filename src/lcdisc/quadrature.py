@@ -69,6 +69,18 @@ def panel_width(frequency: float, panels_per_period: float) -> float:
     return 2.0 * math.pi / (panels_per_period * max(frequency, 1.0))
 
 
+def _panel_count(a: float, b: float, max_width: float) -> int:
+    """Number of equal panels no wider than ``max_width`` that split [a, b];
+    0 when the interval is empty."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameterError("integration limits must be finite")
+    if not max_width > 0.0:
+        raise InvalidParameterError("panel width must be positive")
+    if b <= a:
+        return 0
+    return max(1, math.ceil((b - a) / max_width))
+
+
 def gauss_panels(
     a: float,
     b: float,
@@ -82,13 +94,9 @@ def gauss_panels(
     a + h / 2^j for j = 1..grade, for integrands with an algebraic branch
     point at ``a``.  Returns empty arrays when the interval is empty.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParameterError("integration limits must be finite")
-    if not max_width > 0.0:
-        raise InvalidParameterError("panel width must be positive")
-    if b <= a:
+    n_panels = _panel_count(a, b, max_width)
+    if n_panels == 0:
         return np.empty(0), np.empty(0)
-    n_panels = max(1, math.ceil((b - a) / max_width))
     edges = np.linspace(a, b, n_panels + 1)
     if grade > 0:
         graded = a + (edges[1] - a) * np.ldexp(1.0, -np.arange(grade, 0, -1))
@@ -112,18 +120,14 @@ def piecewise_gauss_panels(
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise InvalidParameterError("need at least two breakpoints")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidParameterError("integration limits must be finite")
     if np.any(np.diff(pts) < 0.0):
         raise InvalidParameterError("breakpoints must be sorted ascending")
-    if not max_width > 0.0:
-        raise InvalidParameterError("panel width must be positive")
     centres = [np.empty(0)]
     half_widths = [np.empty(0)]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
+    for lo, hi in zip(pts[:-1].tolist(), pts[1:].tolist()):
+        n_panels = _panel_count(lo, hi, max_width)
+        if n_panels == 0:
             continue
-        n_panels = max(1, math.ceil((hi - lo) / max_width))
         half = 0.5 * (hi - lo) / n_panels
         centres.append(lo + half * np.arange(1.0, 2.0 * n_panels, 2.0))
         half_widths.append(np.full(n_panels, half))

@@ -56,16 +56,14 @@ def test_j0_sum_matches_reference(backend):
 
 def test_j0_table_matches_reference(backend):
     rng = np.random.default_rng(1)
-    r = np.concatenate(([0.0], rng.uniform(0.0, 200.0, 40)))
+    # radii from 1e-3, next to the origin, out to 200
+    rule = piecewise_gauss_panels(np.array([0.0, 0.05, 200.0]), 40.0)
     k = np.sort(np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 30.0, 100))))
-    from lcdisc import _kernels
-    table = _kernels._ACTIVE.j0_table(np.ascontiguousarray(r),
-                                      np.ascontiguousarray(k))
-    expected = _reference_j0(np.outer(r, k))
-    assert table.shape == (41, 102)
+    table = _kernels._ACTIVE.j0_table(rule, k)
+    expected = _reference_j0(np.outer(rule.nodes, k))
+    assert table.shape == (48, 102)
     assert np.max(np.abs(table - expected)) < 1e-14
-    # j0(0) = 1 exactly, on the zero radius and the zero wavenumber.
-    assert np.all(table[0] == 1.0)
+    # j0(0) = 1 exactly on the zero wavenumber.
     assert np.all(table[:, 0] == 1.0)
 
 
@@ -82,12 +80,13 @@ def test_j0_small_argument_series(backend):
 
 def test_gemm_matches_sum(backend):
     rng = np.random.default_rng(2)
-    r = rng.uniform(0.0, 20.0, 700)  # spans several 256-row chunks
+    # 640 nodes: several blocks of 256 table rows
+    rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.25)
     k = np.sort(rng.uniform(0.0, 12.0, 96))
     coeffs = rng.normal(size=(96, 3)) + 1j * rng.normal(size=(96, 3))
-    table = weighted_j0_gemm(r, k, coeffs)
+    table = weighted_j0_gemm(rule, k, coeffs)
     for col in range(3):
-        direct = weighted_j0_sum(r, k, coeffs[:, col])
+        direct = weighted_j0_sum(rule.nodes, k, coeffs[:, col])
         scale = np.sum(np.abs(coeffs[:, col]))
         assert np.max(np.abs(table[:, col] - direct)) < 1e-12 * scale
 
@@ -95,14 +94,13 @@ def test_gemm_matches_sum(backend):
 def test_gemm_matches_two_real_products(backend):
     # One gemm against the interleaved [re | im] coefficients must equal the
     # table times each part separately.
-    from lcdisc import _kernels
     rng = np.random.default_rng(4)
-    r = rng.uniform(0.0, 20.0, 300)
+    rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.5)
     k = np.sort(rng.uniform(0.0, 12.0, 80))
     coeffs = rng.normal(size=(80, 5)) + 1j * rng.normal(size=(80, 5))
-    table = _kernels._ACTIVE.j0_table(r, k)
+    table = _kernels._ACTIVE.j0_table(rule, k)
     expected = table @ coeffs.real + 1j * (table @ coeffs.imag)
-    got = weighted_j0_gemm(r, k, coeffs)
+    got = weighted_j0_gemm(rule, k, coeffs)
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
 
@@ -136,8 +134,9 @@ def test_input_validation(backend):
         weighted_j0_sum(r, np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         weighted_j0_sum(r, np.array([1.0, 2.0]), np.array([1.0]))
+    rule = piecewise_gauss_panels(np.array([0.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        weighted_j0_gemm(r, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        weighted_j0_gemm(rule, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_empty_inputs(backend):
@@ -173,8 +172,7 @@ def _panel_run(draw, level):
                        max_size=2),
        k=st.lists(st.floats(0.0, _K_MAX, exclude_min=True), min_size=1,
                   max_size=64).map(sorted),
-       z=st.lists(st.floats(0.0, 1e5, exclude_min=True), min_size=1,
-                  max_size=64))
+       z=st.lists(st.floats(0.0, 1e5), min_size=1, max_size=64))
 def test_j0_tables_match_sin_over_z(data, levels, k, z):
     # the angle-addition fill of a panel rule, with one or two runs of
     # half-widths, against sin(z)/z on the rule's nodes
@@ -185,14 +183,18 @@ def test_j0_tables_match_sin_over_z(data, levels, k, z):
     zk = np.multiply.outer(rule.nodes, k)
     got = _fallback.panel_j0_table(rule, k)
     assert np.max(np.abs(got - _sin_over_z(zk))) <= 1e-13
-    # every backend's direct table over z up to 1e5
+    # every backend's table at k = 1, on panels of half-width 1e-3 next
+    # to each z, so nodes run from 4e-5 to 1e5
     z = np.array(z)
+    wide = PanelRule(z + 1e-3, np.full(z.size, 1e-3))
+    direct = _fallback.j0_table(wide.nodes, np.array([1.0]))[:, 0]
+    assert np.max(np.abs(direct - _sin_over_z(wide.nodes))) <= 1e-13
     initial = backend_name()
     try:
         for name in available_backends():
             set_backend(name)
-            table = _kernels._ACTIVE.j0_table(z, np.array([1.0]))[:, 0]
-            assert np.max(np.abs(table - _sin_over_z(z))) <= 1e-13
+            table = _kernels._ACTIVE.j0_table(wide, np.array([1.0]))[:, 0]
+            assert np.max(np.abs(table - _sin_over_z(wide.nodes))) <= 1e-13
     finally:
         set_backend(initial)
 
@@ -201,7 +203,7 @@ def test_panel_table_through_gemm(backend):
     # a rule of two runs, more panels than one gemm block holds, and a zero
     # wavenumber, where j0 = 1
     rule = piecewise_gauss_panels(np.array([0.0, 1.3, 9.0]), 0.2)
-    assert rule.centres.size > _kernels._GEMM_CHUNK_ROWS // 8
+    assert rule.centres.size > _kernels._GEMM_CHUNK_PANELS
     assert np.unique(rule.half_widths).size == 2
     rng = np.random.default_rng(5)
     k = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
@@ -211,6 +213,6 @@ def test_panel_table_through_gemm(backend):
         <= 1e-13
     assert np.all(table[:, 0] == 1.0)
     got = weighted_j0_gemm(rule, k, coeffs)
-    expected = weighted_j0_gemm(rule.nodes, k, coeffs)
+    expected = _reference_j0(np.outer(rule.nodes, k)) @ coeffs
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
