@@ -31,7 +31,6 @@ brute-force 3D Riemann-sum oracle is provided to validate that reduction.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +62,7 @@ _K_GRADE = 12
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = float(np.finfo(float).tiny)
-_ORACLE_GRID_ENV = "LCD_MAX_GRID"
+# largest oracle grid_n; the oracle costs O(grid_n^3)
 _ORACLE_GRID_CAP = 256
 
 
@@ -149,6 +148,9 @@ def amplitude_on_radii(
         If ``t`` is not finite or a radius is negative or not finite.
     NumericFailureError
         If no two neighbouring densities agree to within ``amp_tol``.
+    ResourceLimitError
+        If ``t`` or a radius is so large that the k rule would need more
+        than :data:`~lcdisc.quadrature.MAX_PANELS` panels.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -308,6 +310,9 @@ def inside_probability_sweep(
         ``t_values`` is empty or holds a time that is not finite.
     NumericFailureError
         If no two neighbouring densities agree to within ``prob_tol``.
+    ResourceLimitError
+        If a time or the ball is so large that a quadrature rule would need
+        more than :data:`~lcdisc.quadrature.MAX_PANELS` panels.
     """
     if not (math.isfinite(R) and R >= 0.0):
         raise InvalidParameterError("ball radius R must be finite and >= 0")
@@ -362,16 +367,14 @@ def oracle_inside_probability_3d(
     agreement); cells straddling the sphere are weighted by the fraction of
     their volume inside, counted on an 8^3 subcell grid, and evaluated at
     the centroid of that inside portion, which removes the boundary
-    staircase error.  Cost grows as O(grid_n^3); the ``LCD_MAX_GRID``
-    environment variable caps grid_n (default 256).
+    staircase error.  Cost grows as O(grid_n^3), so grid_n is capped at
+    256; a larger grid raises :class:`ResourceLimitError`.
     """
     if grid_n < 32:
         raise InvalidParameterError("oracle grid_n must be at least 32")
-    cap = int(os.environ.get(_ORACLE_GRID_ENV, str(_ORACLE_GRID_CAP)))
-    if grid_n > cap:
+    if grid_n > _ORACLE_GRID_CAP:
         raise ResourceLimitError(
-            f"grid_n={grid_n} exceeds the cap of {cap}; "
-            f"raise {_ORACLE_GRID_ENV} to allow larger oracle grids")
+            f"grid_n={grid_n} exceeds the oracle's cap of {_ORACLE_GRID_CAP}")
     if not (math.isfinite(R) and R >= 0.0):
         raise InvalidParameterError("ball radius R must be finite and >= 0")
     if R == 0.0:

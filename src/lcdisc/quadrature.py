@@ -28,12 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from lcdisc.errors import InvalidParameterError
+from lcdisc.errors import InvalidParameterError, ResourceLimitError
 
 GAUSS_ORDER = 8
 # the reference rule on [-1, 1], built once: leggauss costs far more than
 # mapping it onto panels
 GAUSS_X, GAUSS_W = leggauss(GAUSS_ORDER)
+# most panels on one interval: a k rule this long makes each 256-row j0
+# table block of a time sweep 256 x 8 x 2^16 doubles, 1 GiB
+MAX_PANELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,20 @@ def panel_width(frequency: float, panels_per_period: float) -> float:
 
 def _panel_count(a: float, b: float, max_width: float) -> int:
     """Number of equal panels no wider than ``max_width`` that split [a, b];
-    0 when the interval is empty."""
+    0 when the interval is empty.  Raises :class:`ResourceLimitError` when
+    that number exceeds MAX_PANELS, before anything is allocated."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameterError("integration limits must be finite")
     if not max_width > 0.0:
         raise InvalidParameterError("panel width must be positive")
     if b <= a:
         return 0
-    return max(1, math.ceil((b - a) / max_width))
+    count = (b - a) / max_width
+    if count > MAX_PANELS:
+        raise ResourceLimitError(
+            f"[{a:.6g}, {b:.6g}] needs {count:.3g} panels of width "
+            f"{max_width:.3g}, more than the cap of {MAX_PANELS}")
+    return max(1, math.ceil(count))
 
 
 def gauss_panels(

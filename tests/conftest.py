@@ -1,7 +1,6 @@
 import pytest
 
 import lcdisc
-from lcdisc import _kernels
 
 
 @pytest.fixture(scope="session")
@@ -25,9 +24,3 @@ def gauss_d10():
 def expo_profile():
     return lcdisc.make_profile(lcdisc.ExponentialFamily(kappa=2.0))
 
-
-@pytest.fixture
-def restore_backend():
-    initial = _kernels.backend_name()
-    yield
-    _kernels.set_backend(initial)

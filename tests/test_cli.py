@@ -281,6 +281,13 @@ def test_numeric_failure_exits_3(capsys):
     assert "numeric failure" in err
 
 
+def test_huge_fixed_time_exits_3(capsys):
+    code, _, err = run_cli(capsys, "error-curve", *GAUSS_ARGS,
+                           "--R-list", "1", "--fixed-t", "1e15")
+    assert code == 3
+    assert "cap" in err
+
+
 def test_fmt_significant_digits():
     assert fmt(0.9998676918917029) == "0.999867691892"
     assert fmt(2.0) == "2"

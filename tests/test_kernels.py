@@ -1,4 +1,4 @@
-"""Backend-agnostic j0 kernels: accuracy, agreement, and selection."""
+"""The j0 kernels: accuracy, validation and the table-fill lookup."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import lcdisc
 from lcdisc import _kernels
 from lcdisc._kernels import (
-    _fallback,
     available_backends,
     backend_name,
-    set_backend,
+    j0_table,
+    panel_j0_table,
     weighted_j0_gemm,
     weighted_j0_sum,
 )
@@ -27,23 +27,29 @@ def _reference_j0(z):
 
 
 def test_available_backends_include_numpy():
-    names = available_backends()
-    assert "numpy" in names
-    assert backend_name() in names
+    assert available_backends() == ("numpy",)
+    assert backend_name() == "numpy"
 
 
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ValueError):
-        set_backend("cuda")
+def test_gemm_looks_up_table_fill_per_block(monkeypatch):
+    # e2ebench times the table fill by wrapping _ACTIVE.j0_table, so the
+    # gemm must look it up there once per block of _GEMM_CHUNK_PANELS panels
+    calls = []
+
+    def counting(rule, k):
+        calls.append(rule.centres.size)
+        return panel_j0_table(rule, k)
+
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table", counting)
+    rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.25)
+    assert rule.centres.size == 80
+    k = np.linspace(0.0, 12.0, 40)
+    got = weighted_j0_gemm(rule, k, np.ones((40, 2), dtype=complex))
+    assert calls == [32, 32, 16]
+    assert got.shape == (rule.size, 2)
 
 
-@pytest.fixture(params=sorted(available_backends()))
-def backend(request, restore_backend):
-    set_backend(request.param)
-    return request.param
-
-
-def test_j0_sum_matches_reference(backend):
+def test_j0_sum_matches_reference():
     rng = np.random.default_rng(0)
     r = np.concatenate(([0.0, 1e-9], rng.uniform(0.0, 50.0, 64)))
     k = np.sort(rng.uniform(0.0, 12.0, 256))
@@ -54,12 +60,12 @@ def test_j0_sum_matches_reference(backend):
     assert np.max(np.abs(got - expected)) < 1e-13 * scale
 
 
-def test_j0_table_matches_reference(backend):
+def test_j0_table_matches_reference():
     rng = np.random.default_rng(1)
     # radii from 1e-3, next to the origin, out to 200
     rule = piecewise_gauss_panels(np.array([0.0, 0.05, 200.0]), 40.0)
     k = np.sort(np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 30.0, 100))))
-    table = _kernels._ACTIVE.j0_table(rule, k)
+    table = panel_j0_table(rule, k)
     expected = _reference_j0(np.outer(rule.nodes, k))
     assert table.shape == (48, 102)
     assert np.max(np.abs(table - expected)) < 1e-14
@@ -67,7 +73,7 @@ def test_j0_table_matches_reference(backend):
     assert np.all(table[:, 0] == 1.0)
 
 
-def test_j0_small_argument_series(backend):
+def test_j0_small_argument_series():
     # Below the series switchover sin(z)/z in floats is noisier than the
     # series; values must stay within an ulp-scale band of the reference.
     r = np.full(8, 1.0)
@@ -78,7 +84,7 @@ def test_j0_small_argument_series(backend):
     assert got[0].real == pytest.approx(expected, rel=1e-14)
 
 
-def test_gemm_matches_sum(backend):
+def test_gemm_matches_sum():
     rng = np.random.default_rng(2)
     # 640 nodes: several blocks of 256 table rows
     rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.25)
@@ -91,42 +97,21 @@ def test_gemm_matches_sum(backend):
         assert np.max(np.abs(table[:, col] - direct)) < 1e-12 * scale
 
 
-def test_gemm_matches_two_real_products(backend):
+def test_gemm_matches_two_real_products():
     # One gemm against the interleaved [re | im] coefficients must equal the
     # table times each part separately.
     rng = np.random.default_rng(4)
     rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.5)
     k = np.sort(rng.uniform(0.0, 12.0, 80))
     coeffs = rng.normal(size=(80, 5)) + 1j * rng.normal(size=(80, 5))
-    table = _kernels._ACTIVE.j0_table(rule, k)
+    table = panel_j0_table(rule, k)
     expected = table @ coeffs.real + 1j * (table @ coeffs.imag)
     got = weighted_j0_gemm(rule, k, coeffs)
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
 
 
-def test_backends_agree():
-    names = available_backends()
-    if len(names) < 2:
-        pytest.skip("only one backend compiled in")
-    rng = np.random.default_rng(3)
-    r = rng.uniform(0.0, 80.0, 300)
-    k = np.sort(rng.uniform(0.0, 15.0, 400))
-    coeffs = rng.normal(size=400) + 1j * rng.normal(size=400)
-    results = {}
-    initial = backend_name()
-    try:
-        for name in names:
-            set_backend(name)
-            results[name] = weighted_j0_sum(r, k, coeffs)
-    finally:
-        set_backend(initial)
-    scale = np.sum(np.abs(coeffs))
-    assert np.max(np.abs(results["numpy"] - results["compiled"])) < \
-        1e-13 * scale
-
-
-def test_input_validation(backend):
+def test_input_validation():
     r = np.array([1.0])
     with pytest.raises(ValueError):
         weighted_j0_sum(r, np.array([2.0, 1.0]), np.array([1.0, 1.0]))
@@ -139,7 +124,7 @@ def test_input_validation(backend):
         weighted_j0_gemm(rule, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
-def test_empty_inputs(backend):
+def test_empty_inputs():
     assert weighted_j0_sum(np.empty(0), np.array([1.0]),
                            np.array([1.0 + 0j])).shape == (0,)
     out = weighted_j0_sum(np.array([1.0]), np.empty(0), np.empty(0))
@@ -149,7 +134,7 @@ def test_empty_inputs(backend):
 
 def test_fallback_direct():
     z = np.array([0.0, 1e-6, 0.5, 3.14159, 40.0])
-    got = _fallback.j0_table(np.array([1.0]), z)[0]
+    got = j0_table(np.array([1.0]), z)[0]
     assert np.max(np.abs(got - _reference_j0(z))) < 1e-15
 
 
@@ -181,25 +166,19 @@ def test_j0_tables_match_sin_over_z(data, levels, k, z):
                      np.concatenate([h for _, h in runs]))
     k = np.array(k)
     zk = np.multiply.outer(rule.nodes, k)
-    got = _fallback.panel_j0_table(rule, k)
+    got = panel_j0_table(rule, k)
     assert np.max(np.abs(got - _sin_over_z(zk))) <= 1e-13
-    # every backend's table at k = 1, on panels of half-width 1e-3 next
-    # to each z, so nodes run from 4e-5 to 1e5
+    # the panel and direct tables at k = 1, on panels of half-width 1e-3
+    # next to each z, so nodes run from 4e-5 to 1e5
     z = np.array(z)
     wide = PanelRule(z + 1e-3, np.full(z.size, 1e-3))
-    direct = _fallback.j0_table(wide.nodes, np.array([1.0]))[:, 0]
+    direct = j0_table(wide.nodes, np.array([1.0]))[:, 0]
     assert np.max(np.abs(direct - _sin_over_z(wide.nodes))) <= 1e-13
-    initial = backend_name()
-    try:
-        for name in available_backends():
-            set_backend(name)
-            table = _kernels._ACTIVE.j0_table(wide, np.array([1.0]))[:, 0]
-            assert np.max(np.abs(table - _sin_over_z(wide.nodes))) <= 1e-13
-    finally:
-        set_backend(initial)
+    table = panel_j0_table(wide, np.array([1.0]))[:, 0]
+    assert np.max(np.abs(table - _sin_over_z(wide.nodes))) <= 1e-13
 
 
-def test_panel_table_through_gemm(backend):
+def test_panel_table_through_gemm():
     # a rule of two runs, more panels than one gemm block holds, and a zero
     # wavenumber, where j0 = 1
     rule = piecewise_gauss_panels(np.array([0.0, 1.3, 9.0]), 0.2)
@@ -208,7 +187,7 @@ def test_panel_table_through_gemm(backend):
     rng = np.random.default_rng(5)
     k = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
     coeffs = rng.normal(size=(61, 3)) + 1j * rng.normal(size=(61, 3))
-    table = _kernels._ACTIVE.j0_table(rule, k)
+    table = panel_j0_table(rule, k)
     assert np.max(np.abs(table - _reference_j0(np.outer(rule.nodes, k)))) \
         <= 1e-13
     assert np.all(table[:, 0] == 1.0)
