@@ -63,7 +63,6 @@ from lcdisc.montecarlo import (
 from lcdisc.propagation import (
     RadialAmplitude,
     amplitude_on_radii,
-    centered_amplitude,
     default_r_max,
     inside_probability,
     inside_probability_sweep,
@@ -101,7 +100,6 @@ __all__ = [
     "accessible_error",
     "amplitude_on_radii",
     "build_report",
-    "centered_amplitude",
     "channel_overlap",
     "default_r_max",
     "estimate_error",

@@ -14,6 +14,7 @@ which needs far fewer np.sin calls.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -106,24 +107,40 @@ def _check_k(k: np.ndarray) -> np.ndarray:
     return k
 
 
+def _contract(tables: Iterator[np.ndarray], n_rows: int,
+              coeffs: np.ndarray) -> np.ndarray:
+    """``table @ coeffs`` for the j0 tables of consecutive row blocks,
+    stacked into ``n_rows`` rows of complex128.
+
+    A C-contiguous complex matrix viewed as float64 is the real matrix whose
+    columns alternate real and imaginary parts, so one real BLAS product of
+    a j0 table with that view, viewed back as complex, is the complex
+    result.  A real table times a complex matrix is first cast to complex
+    and runs many times slower.
+    """
+    stacked = np.ascontiguousarray(coeffs).view(np.float64)
+    out = np.empty((n_rows, stacked.shape[1]))
+    row = 0
+    for table in tables:
+        np.matmul(table, stacked, out=out[row:row + table.shape[0]])
+        row += table.shape[0]
+        del table  # free it before the next block's table is filled
+    return out.view(np.complex128)
+
+
 def weighted_j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]) as complex128.
 
-    The real table multiplies the (len(k), 2) float64 view of the complex
-    coefficients in one real BLAS product.  A real table times a complex
-    vector is first cast to complex and runs many times slower.
+    The j0 table is filled directly, one block of rows at a time.
     """
     r = _as_vec(r)
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
-    stacked = np.ascontiguousarray(coeffs).view(np.float64).reshape(-1, 2)
-    out = np.empty((r.shape[0], 2))
-    for lo in range(0, r.shape[0], _CHUNK_ROWS):
-        sl = slice(lo, min(lo + _CHUNK_ROWS, r.shape[0]))
-        np.matmul(j0_table(r[sl], k), stacked, out=out[sl])
-    return out.view(np.complex128).ravel()
+    tables = (j0_table(r[lo:lo + _CHUNK_ROWS], k)
+              for lo in range(0, r.shape[0], _CHUNK_ROWS))
+    return _contract(tables, r.shape[0], coeffs[:, None]).ravel()
 
 
 def weighted_j0_gemm(r: PanelRule, k: np.ndarray,
@@ -133,21 +150,14 @@ def weighted_j0_gemm(r: PanelRule, k: np.ndarray,
     The radii r[i] are the nodes of the :class:`PanelRule` ``r``.  The j0
     table for a block of panels is built once and reused across all columns
     through one real BLAS product, which is what makes time sweeps cheap.
-    A C-contiguous complex matrix viewed as float64 is the real matrix whose
-    columns alternate real and imaginary parts, so the product with that
-    view, viewed back as complex, is the complex result.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    stacked = np.ascontiguousarray(coeffs).view(np.float64)
-    out = np.empty((r.size, stacked.shape[1]))
-    row = 0
-    for lo in range(0, r.centres.size, _GEMM_CHUNK_PANELS):
-        hi = lo + _GEMM_CHUNK_PANELS
-        block = PanelRule(r.centres[lo:hi], r.half_widths[lo:hi])
-        np.matmul(_ACTIVE.j0_table(block, k), stacked,
-                  out=out[row:row + block.size])
-        row += block.size
-    return out.view(np.complex128)
+    step = _GEMM_CHUNK_PANELS
+    blocks = (PanelRule(r.centres[lo:lo + step], r.half_widths[lo:lo + step])
+              for lo in range(0, r.centres.size, step))
+    # _ACTIVE.j0_table is looked up per block, where e2ebench wraps it
+    tables = (_ACTIVE.j0_table(block, k) for block in blocks)
+    return _contract(tables, r.size, coeffs)

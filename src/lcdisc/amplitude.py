@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcdisc.errors import InvalidParameterError, NumericFailureError
-from lcdisc.quadrature import gauss_panels
+from lcdisc.quadrature import GAUSS_W, GAUSS_X, gauss_panels
 
 TAIL_MASS_BOUND = 1e-10
 
@@ -149,11 +149,10 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     edges = np.geomspace(k_far / _TAIL_GRID_SPAN, k_far, _TAIL_GRID_SEGMENTS + 1)
     edges = np.concatenate(([0.0], edges))
 
-    x, w = gauss_panels(-1.0, 1.0, max_width=2.0)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    segment_mass = (half[:, None] * w[None, :] *
+    nodes = mid[:, None] + half[:, None] * GAUSS_X[None, :]
+    segment_mass = (half[:, None] * GAUSS_W[None, :] *
                     _squared_mass_weights(family, nodes)).sum(axis=1)
 
     total = float(segment_mass.sum())
@@ -179,9 +178,9 @@ def momentum_norm(profile: MomentumProfile) -> float:
     Equals 1 (up to the constructed tail bound) for profiles built by
     :func:`make_profile`; scales quadratically in ``norm_const``.
     """
-    k, w = gauss_panels(0.0, profile.k_max, max_width=profile.k_max / 1024.0)
-    g = profile.magnitude(k)
-    return float(2.0 * math.pi * np.dot(w, k * g * g))
+    rule = gauss_panels(0.0, profile.k_max, max_width=profile.k_max / 1024.0)
+    g = profile.magnitude(rule.nodes)
+    return float(2.0 * math.pi * np.dot(rule.weights, rule.nodes * g * g))
 
 
 def channel_overlap(channel_a: HelicityChannel, channel_b: HelicityChannel) -> float:

@@ -49,6 +49,8 @@ from lcdisc.errors import (
 )
 from lcdisc.lightcone import ruler_min_time, scan_time_ball
 from lcdisc.propagation import (
+    DEFAULT_AMP_TOL,
+    DEFAULT_PROB_TOL,
     default_r_max,
     quantile_radius,
     radial_density_grid,
@@ -56,13 +58,6 @@ from lcdisc.propagation import (
 
 COMMANDS = ("error-curve", "optimal-time", "monte-carlo", "dump-density",
             "scan-time", "ruler", "amplitude-info")
-
-_FLOAT_KEYS = ("k0", "sigma", "kappa", "d", "pi0", "R", "R_min", "R_max",
-               "t", "t_lo", "t_hi", "fixed_t", "amp_tol", "prob_tol",
-               "r_max", "L1", "L2", "observer_x")
-_INT_KEYS = ("R_count", "t_grid", "trials", "seed", "n_points")
-_STR_KEYS = ("family", "strategy", "format", "output", "trials_csv")
-_LIST_KEYS = ("R_list",)
 
 
 @dataclass
@@ -85,8 +80,8 @@ class RunConfig:
     t_hi: float = 20.0
     t_grid: int = 32
     fixed_t: float | None = None
-    amp_tol: float = 1e-9
-    prob_tol: float = 1e-8
+    amp_tol: float = DEFAULT_AMP_TOL
+    prob_tol: float = DEFAULT_PROB_TOL
     trials: int = 100000
     seed: int = 1
     strategy: str = "paper"
@@ -129,20 +124,22 @@ def _round12(x: float) -> float:
     return float(fmt(x))
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(part) for part in raw.split(",") if part != ""]
+
+
+# parser of each RunConfig field, in field order, by its annotation (a
+# string under postponed evaluation); optional fields parse like the rest
+_PARSERS = {"float": float, "int": int, "str": str, "list[float]": _float_list}
+_KEY_PARSERS = {field.name: _PARSERS[field.type.removesuffix(" | None")]
+         for field in dataclasses.fields(RunConfig)}
+
+
 def _convert(key: str, raw: str, where: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return [float(part) for part in raw.split(",") if part != ""]
-        return raw
+        return _KEY_PARSERS[key](raw)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {raw!r} for key {key!r}")
-
-
-_ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS) | set(_LIST_KEYS)
 
 
 def parse_config(text: str) -> dict[str, Any]:
@@ -163,7 +160,7 @@ def parse_config(text: str) -> dict[str, Any]:
                 raise ConfigError(
                     f"line {lineno}: expected key=value, got {token!r}")
             key, raw = token.split("=", 1)
-            if key not in _ALL_KEYS:
+            if key not in _KEY_PARSERS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in seen_line:
                 raise ConfigError(
@@ -247,10 +244,6 @@ def _radii(config: RunConfig) -> list[float]:
     return [config.R]
 
 
-def _config_object(config: RunConfig) -> dict[str, Any]:
-    return {key: value for key, value in config.echo_items()}
-
-
 def _csv_header(command: str, config: RunConfig, columns: str) -> list[str]:
     echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
     return [f"# lcdisc {command}", f"# config: {echo}", columns]
@@ -265,7 +258,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
-    document = {"command": command, "config": _config_object(config)}
+    document = {"command": command, "config": dict(config.echo_items())}
     document.update(payload)
     _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", config.output)
 
@@ -343,7 +336,7 @@ def _cmd_monte_carlo(config: RunConfig) -> None:
     estimate = montecarlo.estimate_error(
         profile, priors, config.R, config.t, config.trials, config.seed,
         strategy=config.strategy, prob_tol=config.prob_tol,
-        r_max=config.r_max,
+        r_max=config.r_max, amp_tol=config.amp_tol,
         on_batch=record_rows if config.trials_csv else None)
     if config.trials_csv:
         header = _csv_header(
@@ -436,15 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", metavar="FILE",
                          help="key=value configuration file")
-        for key in _ALL_KEYS:
+        for key in _KEY_PARSERS:
             flag = "--" + key.replace("_", "-")
             sub.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE")
     return parser
-
-
-def run_command(command: str, config: RunConfig) -> None:
-    """Execute one subcommand against a resolved configuration."""
-    _RUNNERS[command](config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -460,11 +448,11 @@ def main(argv: list[str] | None = None) -> int:
             file_values = parse_config(text)
         flag_values = {
             key: _convert(key, raw, f"flag --{key.replace('_', '-')}")
-            for key in _ALL_KEYS
+            for key in _KEY_PARSERS
             if (raw := getattr(args, f"cfg_{key}")) is not None
         }
         config = build_config(file_values, flag_values)
-        run_command(args.command, config)
+        _RUNNERS[args.command](config)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lcdisc: configuration error: {exc}", file=sys.stderr)
         return 2

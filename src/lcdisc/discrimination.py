@@ -40,7 +40,7 @@ from lcdisc.propagation import (
     inside_probability_sweep,
 )
 
-GOLDEN_TOL = 1e-4
+TIME_TOL = 1e-4
 _CLIP_WARN = 1e-6
 _TIE_EPS = 1e-12
 # new times per zoom step; each step narrows the bracket (ZOOM_POINTS + 1) / 2
@@ -189,7 +189,7 @@ def optimal_measurement_time(
     neighbours of the best grid time.  Each zoom step then sweeps
     ZOOM_POINTS times spread evenly inside the bracket, in one batched call,
     and brackets the best time of that finer grid the same way, until the
-    bracket is at most GOLDEN_TOL wide.  Among all evaluated candidates
+    bracket is at most TIME_TOL wide.  Among all evaluated candidates
     whose p_t ties the minimum (to 1e-12), the earliest time wins.  A
     minimum sitting on a window boundary triggers a warning, since the
     window may be cutting the true optimum off.
@@ -206,7 +206,7 @@ def optimal_measurement_time(
     while True:
         i_min = int(np.argmin(ps))
         lo, hi = max(i_min - 1, 0), min(i_min + 1, len(ts) - 1)
-        if ts[hi] - ts[lo] <= GOLDEN_TOL:
+        if ts[hi] - ts[lo] <= TIME_TOL:
             break
         inner = np.linspace(ts[lo], ts[hi], ZOOM_POINTS + 2)[1:-1]
         inner_ps = outside_probability_sweep(profile, R, inner, prob_tol)
@@ -217,8 +217,8 @@ def optimal_measurement_time(
     p_min = min(p for _, p in candidates)
     t_star, p_star = min(
         (t, p) for t, p in candidates if p <= p_min + _TIE_EPS)
-    on_boundary = bool(t_star - t_lo < GOLDEN_TOL or
-                       t_hi - t_star < GOLDEN_TOL)
+    on_boundary = bool(t_star - t_lo < TIME_TOL or
+                       t_hi - t_star < TIME_TOL)
     if on_boundary:
         warnings.warn("optimal time sits on the window boundary; "
                       "the window may be too narrow", stacklevel=2)

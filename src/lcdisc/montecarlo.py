@@ -57,6 +57,7 @@ from lcdisc.propagation import (
     DEFAULT_PROB_TOL,
     RadialAmplitude,
     default_r_max,
+    radial_cell_masses,
     radial_density_grid,
 )
 
@@ -164,11 +165,10 @@ class DetectionSampler:
             raise InvalidStateError(
                 "radial grid misses too much mass for sampling; "
                 "increase r_max")
-        r = np.asarray(grid.r_grid, dtype=float)
+        r = grid.r_grid
         if r.size < 2 or r[-1] <= r[0]:
             raise InvalidStateError("radial grid is degenerate")
-        f = 4.0 * math.pi * r * r * np.asarray(grid.density, dtype=float)
-        cell_mass = 0.5 * (f[1:] + f[:-1]) * np.diff(r)
+        cell_mass = radial_cell_masses(grid)
         total = float(cell_mass.sum())
         if not (math.isfinite(total) and total > 0.0):
             raise InvalidStateError("radial grid carries no probability mass")
@@ -181,11 +181,10 @@ class DetectionSampler:
         cls,
         profile: MomentumProfile,
         t: float,
-        n_cells: int = DEFAULT_CDF_CELLS,
         r_max: float | None = None,
         amp_tol: float = DEFAULT_AMP_TOL,
     ) -> DetectionSampler:
-        """Sampler on a grid of ``n_cells`` cells out to ``r_max``.
+        """Sampler on a grid of DEFAULT_CDF_CELLS cells out to ``r_max``.
 
         An explicit ``r_max`` is used as given.  Without one the grid starts
         at :func:`~lcdisc.propagation.default_r_max` and doubles its extent,
@@ -195,8 +194,8 @@ class DetectionSampler:
         grids = 1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)
         extent = default_r_max(profile, t) if r_max is None else r_max
         for _ in range(grids):
-            grid = radial_density_grid(profile, t, r_max=extent,
-                                       n_points=n_cells + 1, amp_tol=amp_tol)
+            grid = radial_density_grid(profile, t, extent,
+                                       DEFAULT_CDF_CELLS + 1, amp_tol)
             if not grid.coverage_warning:
                 break
             extent *= 2.0
@@ -255,6 +254,7 @@ def run_trials(
     seed: int,
     strategy: str = STRATEGY_PAPER,
     r_max: float | None = None,
+    amp_tol: float = DEFAULT_AMP_TOL,
 ) -> Iterator[TrialBatch]:
     """Yield the deterministic trial sequence for a seed, in batches of at
     most ``CHUNK_TRIALS`` trials.
@@ -268,7 +268,7 @@ def run_trials(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameterError("seed must lie in [0, 2**128)")
-    sampler = DetectionSampler.for_profile(profile, t, r_max=r_max)
+    sampler = DetectionSampler.for_profile(profile, t, r_max, amp_tol)
     for start in range(0, n_trials, CHUNK_TRIALS):
         yield _simulate(sampler, priors, R, profile.offset_d, strategy, seed,
                         start, min(start + CHUNK_TRIALS, n_trials))
@@ -284,6 +284,7 @@ def estimate_error(
     strategy: str = STRATEGY_PAPER,
     prob_tol: float = DEFAULT_PROB_TOL,
     r_max: float | None = None,
+    amp_tol: float = DEFAULT_AMP_TOL,
     on_batch: Callable[[TrialBatch], None] | None = None,
 ) -> ErrorEstimate:
     """Empirical error rate over independent trials versus the analytic rate.
@@ -299,7 +300,7 @@ def estimate_error(
     n_errors = 0
     n_unknown = 0
     for batch in run_trials(profile, priors, R, t, n_trials, seed, strategy,
-                            r_max=r_max):
+                            r_max=r_max, amp_tol=amp_tol):
         # in-domain outcomes identify the channel perfectly by construction
         assert np.all(batch.correct | ~batch.inside)
         n_errors += int(np.count_nonzero(~batch.correct))

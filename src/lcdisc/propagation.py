@@ -95,8 +95,8 @@ class RadialAmplitude:
 
 
 def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
-            panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes in k resolving oscillations up to radius ``r_peak``."""
+            panels_per_period: float) -> PanelRule:
+    """Quadrature rule in k resolving oscillations up to radius ``r_peak``."""
     width = panel_width(max(r_peak, abs(t)), panels_per_period)
     return gauss_panels(0.0, profile.k_max, width, grade=_K_GRADE)
 
@@ -120,13 +120,14 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
                               estimate=estimate)
 
 
-def _phase_coeffs(profile: MomentumProfile, k: np.ndarray, w: np.ndarray,
+def _phase_coeffs(profile: MomentumProfile, rule: PanelRule,
                   t: np.ndarray) -> np.ndarray:
-    """Per-node coefficients w * k^{3/2} g(k) exp(-i k t) / sqrt(pi).
+    """Coefficients w k^{3/2} g(k) exp(-i k t) / sqrt(pi) per k rule node.
 
     ``t`` may be a scalar (returns a vector) or a 1D array (returns a matrix
     with one column per time).
     """
+    k, w = rule.nodes, rule.weights
     envelope = w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
@@ -163,21 +164,10 @@ def amplitude_on_radii(
     r_peak = float(r.max())
 
     def evaluate(panels_per_period: float) -> np.ndarray:
-        k, w = _k_rule(profile, r_peak, t, panels_per_period)
-        return weighted_j0_sum(r, k, _phase_coeffs(profile, k, w, t))
+        rule = _k_rule(profile, r_peak, t, panels_per_period)
+        return weighted_j0_sum(r, rule.nodes, _phase_coeffs(profile, rule, t))
 
     return _converged(evaluate, amp_tol, "amplitude")
-
-
-def centered_amplitude(
-    profile: MomentumProfile,
-    r: float,
-    t: float,
-    amp_tol: float = DEFAULT_AMP_TOL,
-) -> complex:
-    """A(r, t) at a single distance r from the packet center."""
-    return complex(amplitude_on_radii(profile, np.array([float(r)]), t,
-                                      amp_tol)[0])
 
 
 def default_r_max(profile: MomentumProfile, t: float) -> float:
@@ -219,15 +209,19 @@ def radial_density_grid(
     )
 
 
+def radial_cell_masses(grid: RadialAmplitude) -> np.ndarray:
+    """Trapezoid probability mass 4 pi r^2 |A|^2 dr of each grid cell."""
+    r = grid.r_grid
+    f = 4.0 * math.pi * r * r * grid.density
+    return 0.5 * (f[1:] + f[:-1]) * np.diff(r)
+
+
 def quantile_radius(grid: RadialAmplitude, q: float) -> float:
     """Radius enclosing the fraction ``q`` of the grid's probability mass."""
     if not 0.0 <= q <= 1.0:
         raise InvalidParameterError("quantile must lie in [0, 1]")
-    r = grid.r_grid
-    f = 4.0 * math.pi * r * r * grid.density
-    cells = 0.5 * (f[1:] + f[:-1]) * np.diff(r)
-    cum = np.concatenate(([0.0], np.cumsum(cells)))
-    return float(np.interp(q * cum[-1], cum, r))
+    cum = np.concatenate(([0.0], np.cumsum(radial_cell_masses(grid))))
+    return float(np.interp(q * cum[-1], cum, grid.r_grid))
 
 
 def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
@@ -278,17 +272,15 @@ def inside_probability(
     R: float,
     t: float,
     prob_tol: float = DEFAULT_PROB_TOL,
-    center_distance: float | None = None,
 ) -> float:
     """Probability that a detection at time t falls inside the ball.
 
     Computes P_in = 4 pi * integral rho^2 |A(rho, t)|^2 w(rho; R, d) drho
     with the exact solid-angle weight :func:`sphere_cap_weight`, where d is
-    the packet-center distance (``center_distance`` overrides the profile's
-    offset, which is how the recentering identity can be tested).
+    the profile's packet-center distance ``offset_d``.
     """
     return float(inside_probability_sweep(profile, R, np.array([t]),
-                                          prob_tol, center_distance)[0])
+                                          prob_tol)[0])
 
 
 def inside_probability_sweep(
@@ -296,7 +288,6 @@ def inside_probability_sweep(
     R: float,
     t_values: np.ndarray,
     prob_tol: float = DEFAULT_PROB_TOL,
-    center_distance: float | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`inside_probability` over many times.
 
@@ -306,8 +297,8 @@ def inside_probability_sweep(
     Raises
     ------
     InvalidParameterError
-        If ``R`` or the center distance is negative or not finite, or if
-        ``t_values`` is empty or holds a time that is not finite.
+        If ``R`` or the profile's ``offset_d`` is negative or not finite,
+        or if ``t_values`` is empty or holds a time that is not finite.
     NumericFailureError
         If no two neighbouring densities agree to within ``prob_tol``.
     ResourceLimitError
@@ -316,9 +307,10 @@ def inside_probability_sweep(
     """
     if not (math.isfinite(R) and R >= 0.0):
         raise InvalidParameterError("ball radius R must be finite and >= 0")
-    d = profile.offset_d if center_distance is None else float(center_distance)
+    # a MomentumProfile built without make_profile skips its offset check
+    d = profile.offset_d
     if not (math.isfinite(d) and d >= 0.0):
-        raise InvalidParameterError("center distance must be finite and >= 0")
+        raise InvalidParameterError("offset_d must be finite and >= 0")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if t_values.size == 0:
         raise InvalidParameterError("t_values must hold at least one time")
@@ -335,9 +327,9 @@ def inside_probability_sweep(
         rule = _rho_rule(profile, R, d, panels_per_period)
         rho = rule.nodes
         cap = sphere_cap_weight(rho, R, d)
-        k, w_k = _k_rule(profile, float(rho.max()), t_peak, panels_per_period)
-        amp = weighted_j0_gemm(rule, k,
-                               _phase_coeffs(profile, k, w_k, t_values))
+        k_rule = _k_rule(profile, float(rho.max()), t_peak, panels_per_period)
+        amp = weighted_j0_gemm(rule, k_rule.nodes,
+                               _phase_coeffs(profile, k_rule, t_values))
         density = amp.real ** 2 + amp.imag ** 2
         weights = 4.0 * math.pi * rule.weights * rho * rho * cap
         return weights @ density
@@ -414,24 +406,22 @@ def oracle_inside_probability_3d(
         rho.append(np.sqrt(np.sum(offset * offset, axis=1)))
 
     weights = np.concatenate(weights)
-    amp = amplitude_on_radii(profile, np.concatenate(rho), t)
+    # the cells' mirror symmetry repeats most radii many times over
+    radii, index = np.unique(np.concatenate(rho), return_inverse=True)
+    amp = amplitude_on_radii(profile, radii, t)[index]
     return float(h ** 3 * np.dot(weights, amp.real ** 2 + amp.imag ** 2))
 
 
-def _cell_inside_fractions(
-    centers: np.ndarray,
-    R: float,
-    h: float,
-    m: int = _ORACLE_SUBCELLS,
-) -> tuple[np.ndarray, np.ndarray]:
+def _cell_inside_fractions(centers: np.ndarray, R: float,
+                           h: float) -> tuple[np.ndarray, np.ndarray]:
     """Volume fraction of cubic cells inside the origin ball, with the
     centroid of each cell's inside portion.
 
-    Each cell is split into m^3 subcells and subcell centers are tested
-    against the sphere; cells with no inside subcell get fraction 0 and
-    their own center as centroid.
+    Each cell is split into _ORACLE_SUBCELLS^3 subcells and subcell centers
+    are tested against the sphere; cells with no inside subcell get
+    fraction 0 and their own center as centroid.
     """
-    steps = (np.arange(m) + 0.5) / m - 0.5
+    steps = (np.arange(_ORACLE_SUBCELLS) + 0.5) / _ORACLE_SUBCELLS - 0.5
     ox, oy, oz = np.meshgrid(steps * h, steps * h, steps * h, indexing="ij")
     offsets = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=-1)
     n_cells = centers.shape[0]

@@ -14,10 +14,10 @@ Halving the first panel repeatedly toward the branch point (``grade``)
 leaves every panel but the innermost, tiny one a full panel width away from
 the singularity, which restores spectral convergence.
 
-:func:`piecewise_gauss_panels` keeps its panel geometry in a
-:class:`PanelRule`: within one interval every panel has the same half-width
-h, so each node is a panel centre plus one of GAUSS_ORDER fixed offsets
-h x_g.  The j0 kernels use that to build sin(k rho) by angle addition.
+Both rule builders return a :class:`PanelRule`.  On one interval of
+:func:`piecewise_gauss_panels` every panel has the same half-width h, so
+each node is a panel centre plus one of GAUSS_ORDER fixed offsets h x_g.
+The j0 kernels use that to build sin(k rho) by angle addition.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ class PanelRule:
 def panel_width(frequency: float, panels_per_period: float) -> float:
     """Largest allowed panel width for a phase frequency (radians per unit).
 
-    One period spans 2 pi of phase; frequencies below 1 count as 1.
+    One period spans 2 pi of phase; frequencies below 1 count as 1.  The
+    period is split first, so a huge frequency cannot overflow a divisor.
     """
-    return 2.0 * math.pi / (panels_per_period * max(frequency, 1.0))
+    return (2.0 * math.pi / panels_per_period) / max(frequency, 1.0)
 
 
 def _panel_count(a: float, b: float, max_width: float) -> int:
@@ -95,24 +96,23 @@ def gauss_panels(
     b: float,
     max_width: float,
     grade: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
+) -> PanelRule:
+    """Composite Gauss-Legendre rule on [a, b].
 
     The interval is split into equal panels no wider than ``max_width``.
     With ``grade`` > 0 the first panel [a, a + h] is further split at
     a + h / 2^j for j = 1..grade, for integrands with an algebraic branch
-    point at ``a``.  Returns empty arrays when the interval is empty.
+    point at ``a``.  An empty interval gets no panels.
     """
     n_panels = _panel_count(a, b, max_width)
     if n_panels == 0:
-        return np.empty(0), np.empty(0)
+        return PanelRule(np.empty(0), np.empty(0))
     edges = np.linspace(a, b, n_panels + 1)
     if grade > 0:
         graded = a + (edges[1] - a) * np.ldexp(1.0, -np.arange(grade, 0, -1))
         edges = np.concatenate(([a], graded, edges[1:]))
-    rule = PanelRule(0.5 * (edges[1:] + edges[:-1]),
+    return PanelRule(0.5 * (edges[1:] + edges[:-1]),
                      0.5 * (edges[1:] - edges[:-1]))
-    return rule.nodes, rule.weights
 
 
 def piecewise_gauss_panels(

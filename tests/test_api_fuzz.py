@@ -7,6 +7,7 @@ inputs stay in a box where one call costs milliseconds: the quadrature's
 node count grows with |t| and with the largest radius.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,8 +52,10 @@ def _is_probability(p) -> bool:
 @given(profile=_PROFILES, R=_length(6.0), t=_TIME, prob_tol=_TOL,
        center_distance=st.none() | _length(6.0))
 def test_fuzz_inside_probability(profile, R, t, prob_tol, center_distance):
+    if center_distance is not None:
+        profile = dataclasses.replace(profile, offset_d=center_distance)
     try:
-        p = inside_probability(profile, R, t, prob_tol, center_distance)
+        p = inside_probability(profile, R, t, prob_tol)
     except LcdiscError:
         return
     assert _is_probability(p)

@@ -5,10 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lcdisc
 from lcdisc.cli import RunConfig, build_config, fmt, main, parse_config
 from lcdisc.errors import ConfigError
 
@@ -275,17 +280,36 @@ def test_unknown_flag_exits_2():
 
 
 def test_numeric_failure_exits_3(capsys):
-    code, _, err = run_cli(capsys, "amplitude-info", *GAUSS_ARGS,
-                           "--n-points", "256", "--amp-tol", "1e-18")
-    assert code == 3
-    assert "numeric failure" in err
+    # monte-carlo's amp_tol reaches the sampler's radial grid
+    for argv in (["amplitude-info", *GAUSS_ARGS, "--n-points", "256",
+                  "--amp-tol", "1e-18"],
+                 ["monte-carlo", *GAUSS_ARGS, "--R", "1", "--trials", "1000",
+                  "--amp-tol", "1e-30"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "numeric failure" in err
 
 
 def test_huge_fixed_time_exits_3(capsys):
-    code, _, err = run_cli(capsys, "error-curve", *GAUSS_ARGS,
-                           "--R-list", "1", "--fixed-t", "1e15")
-    assert code == 3
-    assert "cap" in err
+    # 1.7e308 once overflowed the panel width to 0 and exited 2
+    for fixed_t in ("1e15", "1.7e308"):
+        code, _, err = run_cli(capsys, "error-curve", *GAUSS_ARGS,
+                               "--R-list", "1", "--fixed-t", fixed_t)
+        assert code == 3
+        assert "cap" in err
+
+
+def test_help_is_independent_of_hash_seed():
+    # flags are registered in RunConfig field order, not in set order
+    src = Path(lcdisc.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        outputs.append(subprocess.run(
+            [sys.executable, "-m", "lcdisc", "scan-time", "--help"],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].index("--family") < outputs[0].index("--trials-csv")
 
 
 def test_fmt_significant_digits():

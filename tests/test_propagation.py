@@ -14,7 +14,6 @@ from lcdisc import (
     NumericFailureError,
     ResourceLimitError,
     amplitude_on_radii,
-    centered_amplitude,
     default_r_max,
     inside_probability,
     inside_probability_sweep,
@@ -50,16 +49,16 @@ def _amp_oracle(profile, r, t, n=200001):
 
 def test_amplitude_matches_trapezoid_oracle(gauss_profile):
     for t in (0.0, 3.0):
-        got = centered_amplitude(gauss_profile, 1.0, t)
+        got = amplitude_on_radii(gauss_profile, np.array([1.0]), t)[0]
         assert got == pytest.approx(_amp_oracle(gauss_profile, 1.0, t),
                                     abs=1e-8)
 
 
 def test_amplitude_frozen(gauss_profile):
-    assert centered_amplitude(gauss_profile, 1.0, 0.0) == pytest.approx(
-        AMP_R1_T0, abs=1e-6)
-    assert centered_amplitude(gauss_profile, 1.0, 3.0) == pytest.approx(
-        AMP_R1_T3, abs=1e-6)
+    assert amplitude_on_radii(gauss_profile, np.array([1.0]), 0.0)[0] == \
+        pytest.approx(AMP_R1_T0, abs=1e-6)
+    assert amplitude_on_radii(gauss_profile, np.array([1.0]), 3.0)[0] == \
+        pytest.approx(AMP_R1_T3, abs=1e-6)
 
 
 def test_amplitude_real_at_t0(gauss_profile):
@@ -73,8 +72,8 @@ def test_amplitude_center_value(gauss_profile):
     k = np.linspace(0.0, gauss_profile.k_max, 200001)
     moment = np.trapezoid(k ** 1.5 * gauss_profile.magnitude(k),
                           k) / np.sqrt(np.pi)
-    assert centered_amplitude(gauss_profile, 0.0, 0.0) == pytest.approx(
-        moment, abs=1e-8)
+    assert amplitude_on_radii(gauss_profile, np.array([0.0]), 0.0)[0] == \
+        pytest.approx(moment, abs=1e-8)
 
 
 def test_amplitude_rejects_negative_radius(gauss_profile):
@@ -226,8 +225,8 @@ def test_inside_probability_ball_below_resolution(gauss_d3):
     assert inside_probability(gauss_d3, 1e-38, 1.0) == 0.0
     assert inside_probability(gauss_d3, 1e-300, 0.0) == 0.0
     # a concentric ball narrower than the smallest normal float
-    assert inside_probability(gauss_d3, 5e-324, 0.0, center_distance=0.0) \
-        == 0.0
+    concentric = dataclasses.replace(gauss_d3, offset_d=0.0)
+    assert inside_probability(concentric, 5e-324, 0.0) == 0.0
 
 
 def test_inside_probability_monotone_in_radius(gauss_profile):
@@ -237,9 +236,10 @@ def test_inside_probability_monotone_in_radius(gauss_profile):
 
 
 def test_inside_probability_recentering(gauss_d3, gauss_profile):
-    # Overriding the center distance to zero must reproduce the concentric
-    # geometry regardless of the profile's stored offset.
-    moved = inside_probability(gauss_d3, 1.5, 2.0, center_distance=0.0)
+    # Moving the packet center to the origin must reproduce the concentric
+    # geometry whatever offset the profile was built with.
+    moved = inside_probability(dataclasses.replace(gauss_d3, offset_d=0.0),
+                               1.5, 2.0)
     concentric = inside_probability(gauss_profile, 1.5, 2.0)
     base = inside_probability(gauss_d3, 1.5, 2.0)
     assert moved == pytest.approx(concentric, rel=1e-12)
@@ -256,8 +256,12 @@ def test_inside_sweep_matches_scalar(gauss_d3):
 def test_inside_probability_validation(gauss_profile):
     with pytest.raises(InvalidParameterError):
         inside_probability(gauss_profile, -1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        inside_probability(gauss_profile, 2.0, 0.0, center_distance=-1.0)
+    # a profile built without make_profile skips its offset check
+    for offset_d in (-1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            inside_probability(
+                dataclasses.replace(gauss_profile, offset_d=offset_d),
+                2.0, 0.0)
     with pytest.raises(NumericFailureError):
         inside_probability(gauss_profile, 2.0, 0.0, prob_tol=1e-18)
 
@@ -266,7 +270,7 @@ def test_inside_probability_validation(gauss_profile):
     lambda g: inside_probability(g, 2.0, math.nan),
     lambda g: inside_probability(g, 2.0, math.inf),
     lambda g: inside_probability(g, math.nan, 0.0),
-    lambda g: centered_amplitude(g, math.nan, 0.0),
+    lambda g: amplitude_on_radii(g, np.array([math.nan]), 0.0),
     lambda g: amplitude_on_radii(g, np.array([1.0]), math.nan),
     lambda g: inside_probability_sweep(g, 2.0, np.array([])),
 ], ids=["t_nan", "t_inf", "R_nan", "r_nan", "amp_t_nan", "empty_sweep"])
@@ -278,9 +282,12 @@ def test_non_finite_or_empty_input_raises(gauss_profile, call):
 @pytest.mark.parametrize("call", [
     lambda g: inside_probability(g, 1.0, 1e15),
     lambda g: amplitude_on_radii(g, np.array([1e15]), 0.0),
-], ids=["t_huge", "r_huge"])
+    lambda g: inside_probability(g, 1.0, 1.7e308),
+    lambda g: amplitude_on_radii(g, np.array([1.7e308]), 0.0),
+], ids=["t_huge", "r_huge", "t_max_float", "r_max_float"])
 def test_huge_time_or_radius_hits_panel_cap(gauss_profile, call):
-    # the k rule would need ~4e15 panels: refused before any allocation
+    # the k rule would need ~4e15 panels, or more than a float holds:
+    # refused before any allocation
     with pytest.raises(ResourceLimitError):
         call(gauss_profile)
 
@@ -294,9 +301,10 @@ def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     rule = piecewise_gauss_panels(
         np.array(breaks), panel_width(2.0 * profile.k_max, panels_per_period))
     rho, w_rho = rule.nodes, rule.weights
-    k, w_k = gauss_panels(
+    k_rule = gauss_panels(
         0.0, profile.k_max,
         panel_width(max(rho.max(), abs(t)), panels_per_period), grade=24)
+    k, w_k = k_rule.nodes, k_rule.weights
     coeffs = (w_k * k ** 1.5 * profile.magnitude(k) * np.exp(-1j * k * t)
               / math.sqrt(math.pi))
     amp = weighted_j0_sum(rho, k, coeffs)
