@@ -128,12 +128,6 @@ class MomentumProfile:
         return self.family.sigma_eff
 
 
-def _squared_mass_weights(family: Family, k: np.ndarray) -> np.ndarray:
-    """Integrand k |g_unnormalized(k)|^2 of the norm integral (without 2 pi)."""
-    s = family.shape(k)
-    return k * s * s
-
-
 def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     """Construct a normalized profile and its truncation point.
 
@@ -152,8 +146,10 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = mid[:, None] + half[:, None] * GAUSS_X[None, :]
+    # mass of each segment under k |g|^2, unnormalized and without 2 pi
+    s = family.shape(nodes)
     segment_mass = (half[:, None] * GAUSS_W[None, :] *
-                    _squared_mass_weights(family, nodes)).sum(axis=1)
+                    (nodes * s * s)).sum(axis=1)
 
     total = float(segment_mass.sum())
     if not (math.isfinite(total) and total > 0.0):

@@ -32,6 +32,8 @@ from lcdisc.amplitude import (
     momentum_norm,
 )
 from lcdisc.discrimination import (
+    STRATEGIES,
+    STRATEGY_PAPER,
     Priors,
     build_report,
     optimal_measurement_time,
@@ -58,6 +60,8 @@ from lcdisc.propagation import (
 
 COMMANDS = ("error-curve", "optimal-time", "monte-carlo", "dump-density",
             "scan-time", "ruler", "amplitude-info")
+# most radii R_min/R_max/R_count may list; each costs a p_t search
+MAX_R_COUNT = 4096
 
 
 @dataclass
@@ -84,7 +88,7 @@ class RunConfig:
     prob_tol: float = DEFAULT_PROB_TOL
     trials: int = 100000
     seed: int = 1
-    strategy: str = "paper"
+    strategy: str = STRATEGY_PAPER
     format: str = "csv"
     output: str | None = None
     r_max: float | None = None
@@ -185,8 +189,8 @@ def build_config(file_values: dict[str, Any],
 def _validate_ranges(config: RunConfig) -> None:
     if not 0.0 <= config.pi0 <= 1.0:
         raise ConfigError("field pi0: must lie in [0, 1]")
-    if config.strategy not in ("paper", "map"):
-        raise ConfigError("field strategy: must be 'paper' or 'map'")
+    if config.strategy not in STRATEGIES:
+        raise ConfigError(f"field strategy: must be one of {STRATEGIES}")
     if config.format not in ("csv", "json"):
         raise ConfigError("field format: must be 'csv' or 'json'")
     for name in ("amp_tol", "prob_tol"):
@@ -239,6 +243,9 @@ def _radii(config: RunConfig) -> list[float]:
         _require(config, "R_max", "R_count")
         if config.R_count < 1:
             raise ConfigError("field R_count: must be at least 1")
+        if config.R_count > MAX_R_COUNT:
+            raise ResourceLimitError(
+                f"field R_count: exceeds the cap of {MAX_R_COUNT}")
         return list(np.linspace(config.R_min, config.R_max, config.R_count))
     _require(config, "R")
     return [config.R]

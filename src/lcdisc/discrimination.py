@@ -32,13 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcdisc.amplitude import MomentumProfile
-from lcdisc.errors import InvalidParameterError
+from lcdisc.errors import InvalidParameterError, ResourceLimitError
 from lcdisc.lightcone import scan_time_ball
-from lcdisc.propagation import (
-    DEFAULT_PROB_TOL,
-    inside_probability,
-    inside_probability_sweep,
-)
+from lcdisc.propagation import DEFAULT_PROB_TOL, inside_probability_sweep
 
 TIME_TOL = 1e-4
 _CLIP_WARN = 1e-6
@@ -46,6 +42,8 @@ _TIE_EPS = 1e-12
 # new times per zoom step; each step narrows the bracket (ZOOM_POINTS + 1) / 2
 # times, and all times of one sweep share its j0 tables
 ZOOM_POINTS = 16
+# most times of the coarse sweep, whose matrices grow with the count
+MAX_TIME_GRID = 4096
 
 STRATEGY_PAPER = "paper"
 STRATEGY_MAP = "map"
@@ -102,7 +100,8 @@ def outside_probability(
     prob_tol: float = DEFAULT_PROB_TOL,
 ) -> float:
     """Probability p_t that the detector fires outside the ball."""
-    return _clip_probability(1.0 - inside_probability(profile, R, t, prob_tol))
+    return float(outside_probability_sweep(profile, R, np.array([t]),
+                                           prob_tol)[0])
 
 
 def outside_probability_sweep(
@@ -111,17 +110,14 @@ def outside_probability_sweep(
     t_values: np.ndarray,
     prob_tol: float = DEFAULT_PROB_TOL,
 ) -> np.ndarray:
-    """Vectorized :func:`outside_probability` sharing quadrature tables."""
-    p_in = inside_probability_sweep(profile, R, t_values, prob_tol)
-    return np.array([_clip_probability(1.0 - p) for p in p_in])
-
-
-def _clip_probability(p: float) -> float:
-    if p < -_CLIP_WARN or p > 1.0 + _CLIP_WARN:
-        warnings.warn(f"probability {p:.3e} clipped to [0, 1]; "
+    """Vectorized :func:`outside_probability` sharing quadrature tables;
+    p_t is clipped at 0, with one warning if it is below -_CLIP_WARN."""
+    p_out = 1.0 - inside_probability_sweep(profile, R, t_values, prob_tol)
+    if np.any(p_out < -_CLIP_WARN):
+        warnings.warn(f"probability {p_out.min():.3e} clipped to 0; "
                       "quadrature tolerances may be too loose",
-                      stacklevel=3)
-    return min(max(p, 0.0), 1.0)
+                      stacklevel=2)
+    return np.maximum(p_out, 0.0)
 
 
 def posteriors_on_unknown(priors: Priors) -> tuple[float, float]:
@@ -199,6 +195,8 @@ def optimal_measurement_time(
         raise InvalidParameterError("t_window must satisfy t_lo < t_hi")
     if n_grid < 8:
         raise InvalidParameterError("n_grid must be at least 8")
+    if n_grid > MAX_TIME_GRID:
+        raise ResourceLimitError(f"n_grid exceeds the cap of {MAX_TIME_GRID}")
 
     ts = np.linspace(t_lo, t_hi, int(n_grid))
     ps = outside_probability_sweep(profile, R, ts, prob_tol)

@@ -56,7 +56,6 @@ from lcdisc.propagation import (
     DEFAULT_AMP_TOL,
     DEFAULT_PROB_TOL,
     RadialAmplitude,
-    default_r_max,
     radial_cell_masses,
     radial_density_grid,
 )
@@ -64,8 +63,6 @@ from lcdisc.propagation import (
 DEFAULT_CDF_CELLS = 4096
 MIN_TRIALS = 1000
 CHUNK_TRIALS = 65536
-# times the sampler may double the default grid extent to cover the mass
-MAX_EXTENT_DOUBLINGS = 4
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -184,22 +181,11 @@ class DetectionSampler:
         r_max: float | None = None,
         amp_tol: float = DEFAULT_AMP_TOL,
     ) -> DetectionSampler:
-        """Sampler on a grid of DEFAULT_CDF_CELLS cells out to ``r_max``.
-
-        An explicit ``r_max`` is used as given.  Without one the grid starts
-        at :func:`~lcdisc.propagation.default_r_max` and doubles its extent,
-        at most MAX_EXTENT_DOUBLINGS times, until it covers all but
-        COVERAGE_BOUND of the mass.
-        """
-        grids = 1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)
-        extent = default_r_max(profile, t) if r_max is None else r_max
-        for _ in range(grids):
-            grid = radial_density_grid(profile, t, extent,
-                                       DEFAULT_CDF_CELLS + 1, amp_tol)
-            if not grid.coverage_warning:
-                break
-            extent *= 2.0
-        return cls(grid)
+        """Sampler on a grid of DEFAULT_CDF_CELLS cells out to ``r_max``,
+        which without a value widens until it covers the mass (see
+        :func:`~lcdisc.propagation.radial_density_grid`)."""
+        return cls(radial_density_grid(profile, t, r_max,
+                                       DEFAULT_CDF_CELLS + 1, amp_tol))
 
     def radii(self, u: np.ndarray) -> np.ndarray:
         """Radii for an array of uniforms in [0, 1), one per uniform."""
@@ -260,8 +246,8 @@ def run_trials(
     most ``CHUNK_TRIALS`` trials.
 
     ``r_max`` is the outer radius of the sampler's radial grid; without it
-    the grid widens from :func:`lcdisc.propagation.default_r_max` until it
-    covers the mass (see :meth:`DetectionSampler.for_profile`).
+    the grid widens until it covers the mass (see
+    :func:`lcdisc.propagation.radial_density_grid`).
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(

@@ -53,6 +53,10 @@ from lcdisc.quadrature import (
 DEFAULT_AMP_TOL = 1e-9
 DEFAULT_PROB_TOL = 1e-8
 COVERAGE_BOUND = 1e-6
+# times a default radial grid may double its extent to cover the mass
+MAX_EXTENT_DOUBLINGS = 4
+# most radii of a radial grid; 2^20 of them already take tens of seconds
+MAX_GRID_POINTS = 1 << 20
 
 # panels per oscillation period, coarse to fine
 DENSITY_LADDER = (2.0, 4.0, 8.0, 16.0)
@@ -122,16 +126,10 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
 
 def _phase_coeffs(profile: MomentumProfile, rule: PanelRule,
                   t: np.ndarray) -> np.ndarray:
-    """Coefficients w k^{3/2} g(k) exp(-i k t) / sqrt(pi) per k rule node.
-
-    ``t`` may be a scalar (returns a vector) or a 1D array (returns a matrix
-    with one column per time).
-    """
+    """Coefficients w k^{3/2} g(k) exp(-i k t) / sqrt(pi), one row per k
+    rule node and one column per time of ``t``."""
     k, w = rule.nodes, rule.weights
     envelope = w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return envelope * np.exp(-1j * k * t)
     return envelope[:, None] * np.exp(-1j * np.multiply.outer(k, t))
 
 
@@ -165,7 +163,8 @@ def amplitude_on_radii(
 
     def evaluate(panels_per_period: float) -> np.ndarray:
         rule = _k_rule(profile, r_peak, t, panels_per_period)
-        return weighted_j0_sum(r, rule.nodes, _phase_coeffs(profile, rule, t))
+        coeffs = _phase_coeffs(profile, rule, np.array([t])).ravel()
+        return weighted_j0_sum(r, rule.nodes, coeffs)
 
     return _converged(evaluate, amp_tol, "amplitude")
 
@@ -182,30 +181,40 @@ def radial_density_grid(
     n_points: int = 2048,
     amp_tol: float = DEFAULT_AMP_TOL,
 ) -> RadialAmplitude:
-    """Sample A and |A|^2 on a uniform radial grid.
+    """Sample A and |A|^2 on a uniform radial grid of ``n_points`` radii.
 
-    ``r_max`` defaults to :func:`default_r_max`.  The result records the
-    trapezoid grid norm and flags a coverage warning when the grid misses
-    more than COVERAGE_BOUND of the mass.
+    An explicit ``r_max`` is used as given.  Without one the grid starts at
+    :func:`default_r_max` and doubles its extent, at most
+    MAX_EXTENT_DOUBLINGS times, until it covers all but COVERAGE_BOUND of
+    the mass.  The result records the trapezoid grid norm and flags a
+    coverage warning when the grid still misses more than COVERAGE_BOUND.
+    More than MAX_GRID_POINTS radii raise :class:`ResourceLimitError`.
     """
-    if r_max is None:
-        r_max = default_r_max(profile, t)
-    if not (math.isfinite(r_max) and r_max > 0.0):
+    extent = default_r_max(profile, t) if r_max is None else float(r_max)
+    if not (math.isfinite(extent) and extent > 0.0):
         raise InvalidParameterError("r_max must be finite and > 0")
     if n_points < 16:
         raise InvalidParameterError("n_points must be at least 16")
-    r_grid = np.linspace(0.0, float(r_max), int(n_points))
-    amp = amplitude_on_radii(profile, r_grid, t, amp_tol)
-    density = np.abs(amp) ** 2
-    grid_norm = float(4.0 * math.pi *
-                      np.trapezoid(r_grid * r_grid * density, r_grid))
+    if n_points > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"n_points exceeds the cap of {MAX_GRID_POINTS}")
+    for _ in range(1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)):
+        r_grid = np.linspace(0.0, extent, int(n_points))
+        amp = amplitude_on_radii(profile, r_grid, t, amp_tol)
+        density = np.abs(amp) ** 2
+        grid_norm = float(4.0 * math.pi *
+                          np.trapezoid(r_grid * r_grid * density, r_grid))
+        covered = grid_norm >= 1.0 - COVERAGE_BOUND
+        if covered:
+            break
+        extent *= 2.0
     return RadialAmplitude(
         time_t=float(t),
         r_grid=r_grid,
         amp=amp,
         density=density,
         grid_norm=grid_norm,
-        coverage_warning=grid_norm < 1.0 - COVERAGE_BOUND,
+        coverage_warning=not covered,
     )
 
 
@@ -236,11 +245,9 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     The limiting cases are geometric: the whole sphere is inside when
     rho <= R - d, and none of it when rho >= R + d or when the sphere is
     entirely short of the ball (d > R and rho <= d - R).  For d = 0 the
-    weight degenerates to the indicator of rho < R.
+    first two cases alone leave the indicator of rho < R.
     """
     rho = np.asarray(rho, dtype=float)
-    if d == 0.0:
-        return (rho < R).astype(float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_star = (R * R - d * d - rho * rho) / (2.0 * d * rho)
         w = np.clip(0.5 * (1.0 + u_star), 0.0, 1.0)
@@ -334,7 +341,7 @@ def inside_probability_sweep(
         weights = 4.0 * math.pi * rule.weights * rho * rho * cap
         return weights @ density
 
-    return np.maximum(_converged(evaluate, prob_tol, "ball-probability"), 0.0)
+    return _converged(evaluate, prob_tol, "ball-probability")
 
 
 # boundary cells are subdivided this many times per axis to measure the

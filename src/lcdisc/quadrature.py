@@ -84,10 +84,11 @@ def _panel_count(a: float, b: float, max_width: float) -> int:
     if b <= a:
         return 0
     count = (b - a) / max_width
-    if count > MAX_PANELS:
+    # the count may overflow to inf, so the message names only the cap
+    if not count <= MAX_PANELS:
         raise ResourceLimitError(
-            f"[{a:.6g}, {b:.6g}] needs {count:.3g} panels of width "
-            f"{max_width:.3g}, more than the cap of {MAX_PANELS}")
+            f"[{a:.6g}, {b:.6g}] needs more than the cap of {MAX_PANELS} "
+            f"panels of width {max_width:.3g}")
     return max(1, math.ceil(count))
 
 

@@ -297,6 +297,40 @@ def test_huge_fixed_time_exits_3(capsys):
                                "--R-list", "1", "--fixed-t", fixed_t)
         assert code == 3
         assert "cap" in err
+        # an overflowed panel count is not printed
+        assert "inf" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump-density", *GAUSS_ARGS, "--n-points", "1000000000"],
+    ["optimal-time", *GAUSS_ARGS, "--R", "1", "--t-grid", "1000000000"],
+    ["error-curve", *GAUSS_ARGS, "--R-min", "1", "--R-max", "2",
+     "--R-count", "1000000000"],
+], ids=["n_points", "t_grid", "R_count"])
+def test_huge_grid_sizes_exit_3(capsys, argv):
+    # refused before the grid is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "cap" in err and out == ""
+
+
+NARROW_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
+               "--t", "1"]
+
+
+def test_default_radial_grid_widens_to_cover_the_mass(capsys):
+    # the default extent, 8.5, misses 2.7e-4 of this profile's mass; three
+    # doublings reach 68
+    code, out, _ = run_cli(capsys, "amplitude-info", *NARROW_ARGS)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["default_r_max"] == 8.5
+    assert result["coverage_warning"] is False
+    assert result["grid_norm"] == pytest.approx(0.999999828488, abs=1e-11)
+    assert result["r99"] == pytest.approx(3.67989624939, rel=1e-10)
+    code, out, _ = run_cli(capsys, "dump-density", *NARROW_ARGS)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[0] == "68"
 
 
 def test_help_is_independent_of_hash_seed():

@@ -217,3 +217,13 @@ def test_tradeoff_curve_validation(gauss_profile):
     with pytest.raises(InvalidParameterError):
         tradeoff_curve(gauss_profile, Priors(0.5), np.array([2.0, 1.0]),
                        (0.0, 1.0))
+
+
+def test_sweep_clips_once_with_one_warning(monkeypatch, gauss_profile):
+    monkeypatch.setattr(discrimination, "inside_probability_sweep",
+                        lambda *args: np.array([1.0 + 1e-5, 1.0 + 2e-5, 0.5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = outside_probability_sweep(gauss_profile, 1.0, np.arange(3.0))
+    assert p.tolist() == [0.0, 0.0, 0.5]
+    assert [w.category for w in caught] == [UserWarning]

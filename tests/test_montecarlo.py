@@ -23,7 +23,7 @@ from lcdisc import (
     radial_density_grid,
     run_trials,
 )
-from lcdisc import montecarlo
+from lcdisc import montecarlo, propagation
 
 
 def _uniforms(seed, n):
@@ -303,7 +303,7 @@ def test_default_grid_doubles_until_it_covers(monkeypatch):
     # 8.5 -> 17 -> 34 -> 68: the third doubling covers the mass
     sampler = DetectionSampler.for_profile(_expo_offset(), 1.0)
     assert sampler._r[-1] == 68.0
-    monkeypatch.setattr(montecarlo, "MAX_EXTENT_DOUBLINGS", 2)
+    monkeypatch.setattr(propagation, "MAX_EXTENT_DOUBLINGS", 2)
     with pytest.raises(InvalidStateError, match="increase r_max"):
         DetectionSampler.for_profile(_expo_offset(), 1.0)
 

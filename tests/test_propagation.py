@@ -194,6 +194,22 @@ def test_cap_weight_concentric_indicator():
                           np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("R", [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e150,
+                               1.7e308])
+def test_cap_weight_concentric_edges_are_exact(R):
+    # the general formula alone must give the indicator bit for bit
+    rng = np.random.default_rng(7)
+    rho = np.concatenate((
+        [0.0, 5e-324, R, np.nextafter(R, 0.0), np.nextafter(R, np.inf),
+         2.0 * R, 1e308, np.inf],
+        R * rng.uniform(0.0, 1.0, 1000), R * rng.uniform(1.0, 1.05, 1000),
+        rng.uniform(0.0, 10.0, 1000)))
+    w = sphere_cap_weight(rho, R, 0.0)
+    expected = (rho < R).astype(float)
+    assert np.array_equal(w, expected)
+    assert not np.any(np.signbit(w))
+
+
 @settings(max_examples=200, deadline=None)
 @given(R=st.floats(0.1, 5.0), d=st.floats(0.0, 5.0),
        rho=st.floats(0.001, 12.0))
@@ -287,9 +303,10 @@ def test_non_finite_or_empty_input_raises(gauss_profile, call):
 ], ids=["t_huge", "r_huge", "t_max_float", "r_max_float"])
 def test_huge_time_or_radius_hits_panel_cap(gauss_profile, call):
     # the k rule would need ~4e15 panels, or more than a float holds:
-    # refused before any allocation
-    with pytest.raises(ResourceLimitError):
+    # refused before any allocation, without printing an overflowed count
+    with pytest.raises(ResourceLimitError) as excinfo:
         call(gauss_profile)
+    assert "inf" not in str(excinfo.value)
 
 
 def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
