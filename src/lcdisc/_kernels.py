@@ -8,11 +8,13 @@ Every summation order is fixed, so results are deterministic.
 directly, one np.sin per entry.  :func:`weighted_j0_gemm` takes the nodes of
 a :class:`~lcdisc.quadrature.PanelRule`, as time sweeps do, and fills the
 table by angle addition from the panel geometry (:func:`panel_j0_table`),
-which needs far fewer np.sin calls.
+which needs far fewer np.sin calls.  A :class:`PanelTable` keeps such a
+table, so repeated gemms at the same k nodes only contract.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -124,7 +126,7 @@ def _contract(tables: Iterator[np.ndarray], n_rows: int,
     for table in tables:
         np.matmul(table, stacked, out=out[row:row + table.shape[0]])
         row += table.shape[0]
-        del table  # free it before the next block's table is filled
+        del table  # a streamed block is freed before the next is filled
     return out.view(np.complex128)
 
 
@@ -143,21 +145,50 @@ def weighted_j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndar
     return _contract(tables, r.shape[0], coeffs[:, None]).ravel()
 
 
-def weighted_j0_gemm(r: PanelRule, k: np.ndarray,
+def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:
+    """j0 tables of consecutive blocks of _GEMM_CHUNK_PANELS panels, each
+    filled when it is asked for."""
+    step = _GEMM_CHUNK_PANELS
+    for lo in range(0, rule.centres.size, step):
+        block = PanelRule(rule.centres[lo:lo + step],
+                          rule.half_widths[lo:lo + step])
+        # _ACTIVE.j0_table is looked up per block, where e2ebench wraps it
+        yield _ACTIVE.j0_table(block, k)
+
+
+@dataclass(frozen=True)
+class PanelTable:
+    """The j0 table of a :class:`PanelRule`'s nodes at fixed k nodes, kept
+    as the blocks of _GEMM_CHUNK_PANELS panels that :func:`weighted_j0_gemm`
+    would otherwise fill and drop on every call."""
+
+    blocks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def fill(cls, rule: PanelRule, k: np.ndarray) -> "PanelTable":
+        return cls(tuple(_panel_blocks(rule, _check_k(k))))
+
+    @property
+    def size(self) -> int:
+        """Row count, the rule's node count."""
+        return sum(block.shape[0] for block in self.blocks)
+
+
+def weighted_j0_gemm(r: PanelRule | PanelTable, k: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
     The radii r[i] are the nodes of the :class:`PanelRule` ``r``.  The j0
     table for a block of panels is built once and reused across all columns
     through one real BLAS product, which is what makes time sweeps cheap.
+    A PanelRule's blocks are filled one at a time and each dropped after its
+    product; a :class:`PanelTable` ``r``, filled at the nodes ``k``, brings
+    its blocks.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    step = _GEMM_CHUNK_PANELS
-    blocks = (PanelRule(r.centres[lo:lo + step], r.half_widths[lo:lo + step])
-              for lo in range(0, r.centres.size, step))
-    # _ACTIVE.j0_table is looked up per block, where e2ebench wraps it
-    tables = (_ACTIVE.j0_table(block, k) for block in blocks)
+    tables = (iter(r.blocks) if isinstance(r, PanelTable)
+              else _panel_blocks(r, k))
     return _contract(tables, r.size, coeffs)

@@ -405,6 +405,7 @@ def _cmd_amplitude_info(config: RunConfig) -> None:
         "momentum_norm": _round12(momentum_norm(profile)),
         "sigma_eff": _round12(profile.sigma_eff),
         "default_r_max": _round12(default_r_max(profile, config.t)),
+        "grid_r_max": _round12(float(grid.r_grid[-1])),
         "grid_norm": _round12(grid.grid_norm),
         "coverage_warning": grid.coverage_warning,
         "r99": _round12(quantile_radius(grid, 0.99)),

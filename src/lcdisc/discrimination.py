@@ -34,7 +34,11 @@ import numpy as np
 from lcdisc.amplitude import MomentumProfile
 from lcdisc.errors import InvalidParameterError, ResourceLimitError
 from lcdisc.lightcone import scan_time_ball
-from lcdisc.propagation import DEFAULT_PROB_TOL, inside_probability_sweep
+from lcdisc.propagation import (
+    DEFAULT_PROB_TOL,
+    BallQuadrature,
+    inside_probability_sweep,
+)
 
 TIME_TOL = 1e-4
 _CLIP_WARN = 1e-6
@@ -112,11 +116,18 @@ def outside_probability_sweep(
 ) -> np.ndarray:
     """Vectorized :func:`outside_probability` sharing quadrature tables;
     p_t is clipped at 0, with one warning if it is below -_CLIP_WARN."""
-    p_out = 1.0 - inside_probability_sweep(profile, R, t_values, prob_tol)
+    return _clipped_outside(
+        inside_probability_sweep(profile, R, t_values, prob_tol))
+
+
+def _clipped_outside(p_in: np.ndarray) -> np.ndarray:
+    """p_t = 1 - p_in clipped at 0, with one warning, pointing at the
+    caller's caller, if it is below -_CLIP_WARN."""
+    p_out = 1.0 - p_in
     if np.any(p_out < -_CLIP_WARN):
         warnings.warn(f"probability {p_out.min():.3e} clipped to 0; "
                       "quadrature tolerances may be too loose",
-                      stacklevel=2)
+                      stacklevel=3)
     return np.maximum(p_out, 0.0)
 
 
@@ -181,14 +192,15 @@ def optimal_measurement_time(
 ) -> OptimalTime:
     """Minimize p_t over a time window.
 
-    A coarse sweep over ``n_grid`` times brackets the minimum between the
-    neighbours of the best grid time.  Each zoom step then sweeps
-    ZOOM_POINTS times spread evenly inside the bracket, in one batched call,
-    and brackets the best time of that finer grid the same way, until the
-    bracket is at most TIME_TOL wide.  Among all evaluated candidates
-    whose p_t ties the minimum (to 1e-12), the earliest time wins.  A
-    minimum sitting on a window boundary triggers a warning, since the
-    window may be cutting the true optimum off.
+    All sweeps share one :class:`~lcdisc.propagation.BallQuadrature`
+    resolving the window.  A coarse sweep over ``n_grid`` times brackets
+    the minimum between the neighbours of the best grid time.  Each zoom
+    step then sweeps ZOOM_POINTS times spread evenly inside the bracket, in
+    one batched call, and brackets the best time of that finer grid the
+    same way, until the bracket is at most TIME_TOL wide.  Among all
+    evaluated candidates whose p_t ties the minimum (to 1e-12), the
+    earliest time wins.  A minimum sitting on a window boundary triggers a
+    warning, since the window may be cutting the true optimum off.
     """
     t_lo, t_hi = (float(t_window[0]), float(t_window[1]))
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
@@ -198,8 +210,11 @@ def optimal_measurement_time(
     if n_grid > MAX_TIME_GRID:
         raise ResourceLimitError(f"n_grid exceeds the cap of {MAX_TIME_GRID}")
 
+    # one quadrature for the whole search: its tables are built once and
+    # every sweep below only contracts them
+    ball = BallQuadrature(profile, R, max(abs(t_lo), abs(t_hi)), prob_tol)
     ts = np.linspace(t_lo, t_hi, int(n_grid))
-    ps = outside_probability_sweep(profile, R, ts, prob_tol)
+    ps = _clipped_outside(ball.p_in(ts))
     candidates = list(zip(ts.tolist(), ps.tolist()))
     while True:
         i_min = int(np.argmin(ps))
@@ -207,7 +222,7 @@ def optimal_measurement_time(
         if ts[hi] - ts[lo] <= TIME_TOL:
             break
         inner = np.linspace(ts[lo], ts[hi], ZOOM_POINTS + 2)[1:-1]
-        inner_ps = outside_probability_sweep(profile, R, inner, prob_tol)
+        inner_ps = _clipped_outside(ball.p_in(inner))
         candidates.extend(zip(inner.tolist(), inner_ps.tolist()))
         ts = np.concatenate(([ts[lo]], inner, [ts[hi]]))
         ps = np.concatenate(([ps[lo]], inner_ps, [ps[hi]]))

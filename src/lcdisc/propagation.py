@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from lcdisc._kernels import weighted_j0_gemm, weighted_j0_sum
+from lcdisc._kernels import PanelTable, weighted_j0_gemm, weighted_j0_sum
 from lcdisc.amplitude import MomentumProfile
 from lcdisc.errors import (
     InvalidParameterError,
@@ -124,12 +124,16 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
                               estimate=estimate)
 
 
-def _phase_coeffs(profile: MomentumProfile, rule: PanelRule,
-                  t: np.ndarray) -> np.ndarray:
-    """Coefficients w k^{3/2} g(k) exp(-i k t) / sqrt(pi), one row per k
-    rule node and one column per time of ``t``."""
+def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
+    """w k^{3/2} g(k) / sqrt(pi) on the nodes of a k rule."""
     k, w = rule.nodes, rule.weights
-    envelope = w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
+    return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
+
+
+def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """Coefficients envelope(k) exp(-i k t), one row per k node and one
+    column per time of ``t``."""
     return envelope[:, None] * np.exp(-1j * np.multiply.outer(k, t))
 
 
@@ -163,7 +167,8 @@ def amplitude_on_radii(
 
     def evaluate(panels_per_period: float) -> np.ndarray:
         rule = _k_rule(profile, r_peak, t, panels_per_period)
-        coeffs = _phase_coeffs(profile, rule, np.array([t])).ravel()
+        coeffs = _phase_coeffs(_envelope(profile, rule), rule.nodes,
+                               np.array([t])).ravel()
         return weighted_j0_sum(r, rule.nodes, coeffs)
 
     return _converged(evaluate, amp_tol, "amplitude")
@@ -299,7 +304,9 @@ def inside_probability_sweep(
     """Vectorized :func:`inside_probability` over many times.
 
     All times share one j0 table per density, which makes optimizer
-    sweeps far cheaper than repeated scalar calls.
+    sweeps far cheaper than repeated scalar calls.  This is one
+    :meth:`BallQuadrature.p_in` call on a quadrature whose ``t_max`` is the
+    largest ``|t|``.
 
     Raises
     ------
@@ -312,36 +319,133 @@ def inside_probability_sweep(
         If a time or the ball is so large that a quadrature rule would need
         more than :data:`~lcdisc.quadrature.MAX_PANELS` panels.
     """
-    if not (math.isfinite(R) and R >= 0.0):
-        raise InvalidParameterError("ball radius R must be finite and >= 0")
-    # a MomentumProfile built without make_profile skips its offset check
-    d = profile.offset_d
-    if not (math.isfinite(d) and d >= 0.0):
-        raise InvalidParameterError("offset_d must be finite and >= 0")
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if t_values.size == 0:
-        raise InvalidParameterError("t_values must hold at least one time")
-    if not np.all(np.isfinite(t_values)):
-        raise InvalidParameterError("times must be finite")
-    if d + R - max(0.0, d - R) < _TINY:
-        # R = 0, or a ball too small to widen [d - R, d + R] in floating
-        # point, or narrower than the smallest normal float, where the
-        # probability, of order R^3, underflows: no probability inside
-        return np.zeros(t_values.shape)
-    t_peak = float(np.max(np.abs(t_values)))
+    # p_in validates the times; an empty array gives t_max 0 and a NaN
+    # time a NaN t_max, which the constructor rejects
+    t_max = float(np.max(np.abs(np.asarray(t_values, dtype=float)),
+                         initial=0.0))
+    return BallQuadrature(profile, R, t_max, prob_tol,
+                          keep_tables=False).p_in(t_values)
 
-    def evaluate(panels_per_period: float) -> np.ndarray:
-        rule = _rho_rule(profile, R, d, panels_per_period)
-        rho = rule.nodes
-        cap = sphere_cap_weight(rho, R, d)
-        k_rule = _k_rule(profile, float(rho.max()), t_peak, panels_per_period)
-        amp = weighted_j0_gemm(rule, k_rule.nodes,
-                               _phase_coeffs(profile, k_rule, t_values))
-        density = amp.real ** 2 + amp.imag ** 2
-        weights = 4.0 * math.pi * rule.weights * rho * rho * cap
-        return weights @ density
 
-    return _converged(evaluate, prob_tol, "ball-probability")
+@dataclass(frozen=True)
+class _Level:
+    """What one density of a :class:`BallQuadrature` keeps."""
+
+    # 4 pi w rho^2 cap on the nodes of the rho rule
+    weights: np.ndarray
+    # j0 on the rho nodes x the k nodes, kept, or the rho rule that the
+    # gemm fills it from block by block on every call
+    table: PanelTable | PanelRule
+    # nodes of a k rule resolving max(rho_max, t_max)
+    k: np.ndarray
+    # w k^{3/2} g(k) / sqrt(pi) on the k nodes
+    envelope: np.ndarray
+
+
+class BallQuadrature:
+    """Ball probabilities of one (profile, R) at any times with
+    ``|t| <= t_max``.
+
+    Each DENSITY_LADDER level's rho rule, cap weights, k rule and j0 table
+    are built on first use and kept, so every :meth:`p_in` call after the
+    first costs only the phase coefficients, one gemm per level and the
+    reduction.  The k rule resolves oscillations up to max(rho_max, t_max),
+    which covers every time up to ``t_max``; a later time would need a
+    finer k rule, so :meth:`p_in` rejects it.
+
+    Every level a call reaches stays in memory until the quadrature is
+    dropped, so a wide ball holds the tables of all its levels at once.
+    With ``keep_tables`` False a level keeps its rules but not its table:
+    each call fills, contracts and drops the table one block at a time.  A
+    quadrature called once should pass False: on e2ebench's evaluate
+    workload, whose p_t calls are all single sweeps, keeping the tables
+    raised ``latency_p50_ref`` by about 4%, in 5 of 6 alternating pairs.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``R``, the profile's ``offset_d`` or ``t_max`` is negative or not
+        finite.
+    """
+
+    def __init__(self, profile: MomentumProfile, R: float, t_max: float,
+                 prob_tol: float = DEFAULT_PROB_TOL,
+                 keep_tables: bool = True):
+        if not (math.isfinite(R) and R >= 0.0):
+            raise InvalidParameterError(
+                "ball radius R must be finite and >= 0")
+        # a MomentumProfile built without make_profile skips its offset check
+        d = profile.offset_d
+        if not (math.isfinite(d) and d >= 0.0):
+            raise InvalidParameterError("offset_d must be finite and >= 0")
+        if not (math.isfinite(t_max) and t_max >= 0.0):
+            raise InvalidParameterError(
+                "t_max, the largest |t|, must be finite and >= 0")
+        self.profile = profile
+        self.R = float(R)
+        self.t_max = float(t_max)
+        self.prob_tol = prob_tol
+        self.keep_tables = keep_tables
+        self._levels: dict[float, _Level] = {}
+
+    def _level(self, panels_per_period: float) -> _Level:
+        level = self._levels.get(panels_per_period)
+        if level is None:
+            profile, R = self.profile, self.R
+            d = profile.offset_d
+            rule = _rho_rule(profile, R, d, panels_per_period)
+            rho = rule.nodes
+            cap = sphere_cap_weight(rho, R, d)
+            k_rule = _k_rule(profile, float(rho.max()), self.t_max,
+                             panels_per_period)
+            k = k_rule.nodes
+            level = _Level(
+                weights=4.0 * math.pi * rule.weights * rho * rho * cap,
+                table=(PanelTable.fill(rule, k) if self.keep_tables
+                       else rule),
+                k=k,
+                envelope=_envelope(profile, k_rule))
+            self._levels[panels_per_period] = level
+        return level
+
+    def p_in(self, t_values: np.ndarray) -> np.ndarray:
+        """Probability that a detection at each time falls inside the ball.
+
+        Raises
+        ------
+        InvalidParameterError
+            If ``t_values`` is empty, or holds a time that is not finite or
+            whose magnitude exceeds ``t_max``.
+        NumericFailureError
+            If no two neighbouring densities agree to within ``prob_tol``.
+        ResourceLimitError
+            If ``t_max`` or the ball is so large that a quadrature rule
+            would need more than :data:`~lcdisc.quadrature.MAX_PANELS`
+            panels.
+        """
+        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+        if t_values.size == 0:
+            raise InvalidParameterError("t_values must hold at least one time")
+        if not np.all(np.isfinite(t_values)):
+            raise InvalidParameterError("times must be finite")
+        if np.max(np.abs(t_values)) > self.t_max:
+            raise InvalidParameterError(
+                f"times must satisfy |t| <= t_max = {self.t_max:.6g}")
+        d = self.profile.offset_d
+        if d + self.R - max(0.0, d - self.R) < _TINY:
+            # R = 0, or a ball too small to widen [d - R, d + R] in floating
+            # point, or narrower than the smallest normal float, where the
+            # probability, of order R^3, underflows: no probability inside
+            return np.zeros(t_values.shape)
+
+        def evaluate(panels_per_period: float) -> np.ndarray:
+            level = self._level(panels_per_period)
+            coeffs = _phase_coeffs(level.envelope, level.k, t_values)
+            amp = weighted_j0_gemm(level.table, level.k, coeffs)
+            density = amp.real ** 2 + amp.imag ** 2
+            return level.weights @ density
+
+        return _converged(evaluate, self.prob_tol, "ball-probability")
 
 
 # boundary cells are subdivided this many times per axis to measure the

@@ -99,6 +99,7 @@ def test_amplitude_info_json(capsys, gauss_profile):
     assert result["momentum_norm"] == pytest.approx(1.0, abs=1e-9)
     assert result["sigma_eff"] == 1.0
     assert result["default_r_max"] == 10.0
+    assert result["grid_r_max"] == 10.0
     assert result["coverage_warning"] is False
     assert 1.2 < result["r99"] < 1.5
 
@@ -325,6 +326,7 @@ def test_default_radial_grid_widens_to_cover_the_mass(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["default_r_max"] == 8.5
+    assert result["grid_r_max"] == 68
     assert result["coverage_warning"] is False
     assert result["grid_norm"] == pytest.approx(0.999999828488, abs=1e-11)
     assert result["r99"] == pytest.approx(3.67989624939, rel=1e-10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcdisc import discrimination, propagation
+import lcdisc
+from lcdisc import _kernels, discrimination, propagation
 from lcdisc import (
     DiscriminationReport,
     InvalidParameterError,
@@ -148,18 +149,71 @@ def test_optimal_time_earliest_tie(gauss_profile):
 
 
 def test_optimal_time_sweep_count(gauss_d10, monkeypatch):
-    # Every p_t evaluation, scalar or batched, goes through one sweep call.
+    # Every p_t evaluation, scalar or batched, is one p_in call on a ball
+    # quadrature; a search makes all of its own on one quadrature.
     sweeps = []
-    for module in (discrimination, propagation):
-        real = module.inside_probability_sweep
+    real = propagation.BallQuadrature.p_in
 
-        def counting(*args, _real=real, **kwargs):
-            sweeps.append(args[2])
-            return _real(*args, **kwargs)
+    def counting(self, t_values):
+        sweeps.append(t_values)
+        return real(self, t_values)
 
-        monkeypatch.setattr(module, "inside_probability_sweep", counting)
+    monkeypatch.setattr(propagation.BallQuadrature, "p_in", counting)
     optimal_measurement_time(gauss_d10, 2.0, (0.0, 20.0))
     assert 2 <= len(sweeps) <= 8
+
+
+def _search_fills(monkeypatch, profile):
+    """The j0 table fills of one search, by block and k nodes, and the
+    times of each of its sweeps."""
+    fills, sweeps = [], []
+    real_fill = _kernels._ACTIVE.j0_table
+    real_p_in = propagation.BallQuadrature.p_in
+
+    def fill(rule, k):
+        fills.append((rule.centres.tobytes(), rule.half_widths.tobytes(),
+                      k.tobytes()))
+        return real_fill(rule, k)
+
+    def p_in(self, t_values):
+        sweeps.append(np.array(t_values))
+        return real_p_in(self, t_values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels._ACTIVE, "j0_table", fill)
+        patch.setattr(propagation.BallQuadrature, "p_in", p_in)
+        optimal_measurement_time(profile, 1.0, (0.0, 6.5))
+    return fills, sweeps
+
+
+def test_search_fills_each_table_block_once(monkeypatch):
+    profile = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+                                  offset_d=3.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(discrimination, "TIME_TOL", 1e-2)
+        short_fills, short_sweeps = _search_fills(monkeypatch, profile)
+    fills, sweeps = _search_fills(monkeypatch, profile)
+    # each (ladder level, block) pair is filled at most once per search,
+    # however many zoom steps reuse it
+    assert len(set(fills)) == len(fills)
+    assert len(sweeps) > len(short_sweeps)
+    assert len(fills) == len(short_fills)
+
+
+@pytest.mark.parametrize("family", [
+    lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+    lcdisc.ExponentialFamily(kappa=2.0),
+], ids=["gauss", "expo"])
+def test_search_quadrature_matches_fresh_sweeps(monkeypatch, family):
+    # the zoom steps use the k rule of the window end; a fresh sweep uses
+    # the k rule of its own latest time
+    profile = lcdisc.make_profile(family, offset_d=3.5)
+    _, sweeps = _search_fills(monkeypatch, profile)
+    ball = propagation.BallQuadrature(profile, 1.0, 6.5)
+    for ts in sweeps[1:]:
+        fresh = propagation.inside_probability_sweep(profile, 1.0, ts)
+        assert np.max(np.abs(ball.p_in(ts) - fresh)) <= \
+            propagation.DEFAULT_PROB_TOL
 
 
 def test_optimal_time_validation(gauss_profile):

@@ -23,7 +23,7 @@ from lcdisc import (
     radial_density_grid,
     sphere_cap_weight,
 )
-from lcdisc import propagation
+from lcdisc import _kernels, propagation
 from lcdisc._kernels import j0_table, weighted_j0_sum
 from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
 
@@ -267,6 +267,78 @@ def test_inside_sweep_matches_scalar(gauss_d3):
     sweep = inside_probability_sweep(gauss_d3, 2.0, ts)
     scalars = np.array([inside_probability(gauss_d3, 2.0, t) for t in ts])
     assert np.max(np.abs(sweep - scalars)) < 1e-9
+
+
+# inside_probability_sweep at t = 0, 1.7 and 13 on the standard Gaussian
+# profile, as float.hex, from the sweep before BallQuadrature existed:
+# constructing the quadrature once per call must not move a bit
+SWEEP_BITS = {
+    (0.0, 1.5): ["0x1.fdc711bf97a23p-1", "0x1.6422d0b69ec68p-2",
+                 "0x1.6d2c9a1f5a36bp-39"],
+    (1.0, 2.0): ["0x1.fcf2a95a97222p-1", "0x1.15a5ca2eedb9cp-1",
+                 "0x1.37b12946e98c0p-38"],
+    (6.0, 2.0): ["0x1.8be677babc1e0p-40", "0x1.80fe14cef77fdp-27",
+                 "0x1.44cf3e8c65bc2p-38"],
+}
+
+
+@pytest.mark.parametrize("d,R", list(SWEEP_BITS),
+                         ids=["d0", "kink", "far"])
+def test_inside_sweep_bits_frozen(d, R):
+    profile = make_profile(GaussianFamily(k0=5.0, sigma=1.0), offset_d=d)
+    got = inside_probability_sweep(profile, R, np.array([0.0, 1.7, 13.0]))
+    assert [float(p).hex() for p in got] == SWEEP_BITS[d, R]
+
+
+def test_ball_quadrature_rejects_times_past_t_max(gauss_d3):
+    ball = propagation.BallQuadrature(gauss_d3, 1.0, 6.5)
+    assert ball.p_in(np.array([-6.5, 0.0, 6.5])).shape == (3,)
+    for ts in ([0.0, 6.5 + 1e-9], [-7.0], [math.nan], []):
+        with pytest.raises(InvalidParameterError):
+            ball.p_in(np.array(ts))
+    for t_max in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            propagation.BallQuadrature(gauss_d3, 1.0, t_max)
+
+
+def test_ball_quadrature_reuses_its_tables(monkeypatch, gauss_d3):
+    # a second call fills no table and gives the bits of a fresh quadrature
+    ts = np.array([0.0, 2.5, 7.0])
+    expected = propagation.BallQuadrature(gauss_d3, 2.0, 7.0).p_in(ts[:2])
+    ball = propagation.BallQuadrature(gauss_d3, 2.0, 7.0)
+    fills = []
+    real = _kernels._ACTIVE.j0_table
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
+                        lambda rule, k: fills.append(1) or real(rule, k))
+    ball.p_in(ts)
+    first = len(fills)
+    assert first > 0
+    assert ball.p_in(ts[:2]).tobytes() == expected.tobytes()
+    assert len(fills) == first
+
+
+def test_single_sweep_streams_its_tables(monkeypatch, gauss_d3):
+    # a quadrature that keeps no table, as a single sweep's, fills every
+    # block again on each call, to the bits of one that keeps them
+    ts = np.array([0.0, 2.5, 7.0])
+    kept = propagation.BallQuadrature(gauss_d3, 6.0, 7.0)
+    expected = [kept.p_in(ts), kept.p_in(ts[:2])]
+    fills = []
+    real = _kernels._ACTIVE.j0_table
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
+                        lambda rule, k: fills.append(1) or real(rule, k))
+    ball = propagation.BallQuadrature(gauss_d3, 6.0, 7.0, keep_tables=False)
+    assert ball.p_in(ts).tobytes() == expected[0].tobytes()
+    first = len(fills)
+    assert first > 2  # more than one block per level
+    assert ball.p_in(ts[:2]).tobytes() == expected[1].tobytes()
+    assert len(fills) == 2 * first
+
+    def no_keep(*args):
+        raise AssertionError("a single sweep kept a table")
+
+    monkeypatch.setattr(propagation.PanelTable, "fill", no_keep)
+    inside_probability_sweep(gauss_d3, 6.0, ts)
 
 
 def test_inside_probability_validation(gauss_profile):
