@@ -1,11 +1,12 @@
 """Command-line front-end: config parsing, subcommands, CSV/JSON emission.
 
 Configuration is a flat sequence of ``key=value`` tokens, either in a file
-(``--config``) or as command-line flags; flags override the file.  Unknown
-keys and malformed values are rejected with the offending line or field
-named.  Every emitted artifact echoes the full resolved configuration in its
-header, which is sufficient to re-run the identical computation, and all
-numeric output uses 12 significant digits.
+(``--config``) or as command-line flags, before or after the subcommand;
+flags override the file.  Unknown keys and malformed values are rejected
+with the offending line or field named.  Every emitted artifact echoes the
+full resolved configuration in its header, which is sufficient to re-run
+the identical computation, and all numeric output uses 12 significant
+digits.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -13,12 +14,14 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -58,8 +61,6 @@ from lcdisc.propagation import (
     radial_density_grid,
 )
 
-COMMANDS = ("error-curve", "optimal-time", "monte-carlo", "dump-density",
-            "scan-time", "ruler", "amplitude-info")
 # most radii R_min/R_max/R_count may list; each costs a p_t search
 MAX_R_COUNT = 4096
 
@@ -110,8 +111,6 @@ class RunConfig:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".12g")
     if isinstance(value, list):
@@ -209,13 +208,12 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def _profile(config: RunConfig) -> MomentumProfile:
     _require(config, "family")
-    family = config.family
-    if family == "gaussian":
+    if config.family == "gaussian":
         _require(config, "k0", "sigma")
         if config.kappa is not None:
             raise ConfigError("field kappa: not valid for the gaussian family")
         shape = GaussianFamily(k0=config.k0, sigma=config.sigma)
-    elif family == "exponential":
+    elif config.family == "exponential":
         _require(config, "kappa")
         if config.k0 is not None or config.sigma is not None:
             raise ConfigError(
@@ -223,7 +221,7 @@ def _profile(config: RunConfig) -> MomentumProfile:
         shape = ExponentialFamily(kappa=config.kappa)
     else:
         raise ConfigError(
-            f"field family: unknown family {family!r} "
+            f"field family: unknown family {config.family!r} "
             "(expected 'gaussian' or 'exponential')")
     try:
         return make_profile(shape, offset_d=config.d)
@@ -232,9 +230,7 @@ def _profile(config: RunConfig) -> MomentumProfile:
 
 
 def _radii(config: RunConfig) -> list[float]:
-    chosen = [name for name in ("R_list", "R_min", "R") if
-              getattr(config, name) is not None]
-    if "R_list" in chosen and "R_min" in chosen:
+    if config.R_list is not None and config.R_min is not None:
         raise ConfigError("fields R_list and R_min/R_max/R_count: "
                           "give only one way of listing radii")
     if config.R_list is not None:
@@ -251,23 +247,39 @@ def _radii(config: RunConfig) -> list[float]:
     return [config.R]
 
 
-def _csv_header(command: str, config: RunConfig, columns: str) -> list[str]:
-    echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
-    return [f"# lcdisc {command}", f"# config: {echo}", columns]
+@contextlib.contextmanager
+def _open_output(path: str | None) -> Iterator[TextIO]:
+    """Yield stdout, or ``path`` opened for writing; OSError is ConfigError."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+@contextlib.contextmanager
+def _csv_writer(path: str | None, command: str, config: RunConfig,
+                columns: Iterable[str]) -> Iterator[Callable]:
+    """Write the CSV header that echoes the config to ``path`` (stdout if
+    None), and yield a function that writes a list of rows as it arrives."""
+    with _open_output(path) as handle:
+        echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
+        handle.write(f"# lcdisc {command}\n# config: {echo}\n"
+                     f"{','.join(columns)}\n")
+        yield lambda rows: handle.write("\n".join([*rows, ""]))
 
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
-    document = {"command": command, "config": dict(config.echo_items())}
-    document.update(payload)
-    _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", config.output)
+    document = {"command": command, "config": dict(config.echo_items()),
+                **payload}
+    with _open_output(config.output) as handle:
+        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+# error-curve's CSV columns and JSON keys, with the report field of each
+_CURVE_FIELDS = {"R": "R", "t_star": "t_meas", "p_t": "p_t", "P_e": "P_e",
+                 "scan_T": "scan_T", "total_T": "total_T"}
 
 
 def _cmd_error_curve(config: RunConfig) -> None:
@@ -277,27 +289,19 @@ def _cmd_error_curve(config: RunConfig) -> None:
         profile, priors, _radii(config), (config.t_lo, config.t_hi),
         n_grid=config.t_grid, fixed_t=config.fixed_t,
         prob_tol=config.prob_tol)
+    rows = [[getattr(rep, field) for field in _CURVE_FIELDS.values()]
+            for rep in reports]
     if config.format == "json":
-        points = [{
-            "R": _round12(rep.R),
-            "t_star": _round12(rep.t_meas),
-            "p_t": _round12(rep.p_t),
-            "P_e": _round12(rep.P_e),
-            "scan_T": _round12(rep.scan_T),
-            "total_T": _round12(rep.total_T),
-        } for rep in reports]
         _emit_json("error-curve", config, {
             "priors": {"pi0": _round12(priors.pi0),
                        "pi1": _round12(priors.pi1)},
-            "points": points,
+            "points": [dict(zip(_CURVE_FIELDS, map(_round12, row)))
+                       for row in rows],
         })
         return
-    lines = _csv_header("error-curve", config,
-                        "R,t_star,p_t,P_e,scan_T,total_T")
-    for rep in reports:
-        lines.append(",".join(fmt(v) for v in (
-            rep.R, rep.t_meas, rep.p_t, rep.P_e, rep.scan_T, rep.total_T)))
-    _emit("\n".join(lines) + "\n", config.output)
+    with _csv_writer(config.output, "error-curve", config,
+                     _CURVE_FIELDS) as write_rows:
+        write_rows([",".join(map(fmt, row)) for row in rows])
 
 
 def _cmd_optimal_time(config: RunConfig) -> None:
@@ -318,38 +322,39 @@ def _cmd_optimal_time(config: RunConfig) -> None:
     }})
 
 
-def _cmd_monte_carlo(config: RunConfig) -> None:
-    profile = _profile(config)
-    priors = Priors(pi0=config.pi0)
-    _require(config, "R")
-    rows: list[str] = []
+def _trial_rows(batch: montecarlo.TrialBatch) -> list[str]:
     # channel names indexed by "is PLUS"; outside the ball the outcome is
     # unknown, inside it is the true channel
     channel = (HelicityChannel.MINUS.name.lower(),
                HelicityChannel.PLUS.name.lower())
     unknown = montecarlo.Outcome.UNKNOWN.value
-
-    def record_rows(batch: montecarlo.TrialBatch) -> None:
-        columns = zip(range(batch.start, batch.start + batch.rho.size),
-                      batch.true_plus.tolist(), batch.rho.tolist(),
-                      batch.inside.tolist(), batch.guess_plus.tolist(),
-                      batch.correct.tolist())
-        rows.extend(
-            f"{index},{channel[plus]},{fmt(rho)},{int(inside)},"
+    columns = zip(range(batch.start, batch.start + batch.rho.size),
+                  batch.true_plus.tolist(), batch.rho.tolist(),
+                  batch.inside.tolist(), batch.guess_plus.tolist(),
+                  batch.correct.tolist())
+    return [f"{index},{channel[plus]},{fmt(rho)},{int(inside)},"
             f"{channel[plus] if inside else unknown},{channel[guess]},"
             f"{int(correct)}"
-            for index, plus, rho, inside, guess, correct in columns)
+            for index, plus, rho, inside, guess, correct in columns]
 
-    estimate = montecarlo.estimate_error(
-        profile, priors, config.R, config.t, config.trials, config.seed,
-        strategy=config.strategy, prob_tol=config.prob_tol,
-        r_max=config.r_max, amp_tol=config.amp_tol,
-        on_batch=record_rows if config.trials_csv else None)
-    if config.trials_csv:
-        header = _csv_header(
-            "monte-carlo", config,
-            "trial,true_state,rho,inside,outcome,guess,correct")
-        _emit("\n".join(header + rows) + "\n", config.trials_csv)
+
+def _cmd_monte_carlo(config: RunConfig) -> None:
+    profile = _profile(config)
+    priors = Priors(pi0=config.pi0)
+    _require(config, "R")
+    # the trial CSV is opened before the trials run and written batch by
+    # batch, so memory does not grow with the trial count
+    columns = ("trial", "true_state", "rho", "inside", "outcome", "guess",
+               "correct")
+    trials = (_csv_writer(config.trials_csv, "monte-carlo", config, columns)
+              if config.trials_csv else contextlib.nullcontext())
+    with trials as write_rows:
+        estimate = montecarlo.estimate_error(
+            profile, priors, config.R, config.t, config.trials, config.seed,
+            strategy=config.strategy, prob_tol=config.prob_tol,
+            r_max=config.r_max, amp_tol=config.amp_tol,
+            on_batch=write_rows and (
+                lambda batch: write_rows(_trial_rows(batch))))
     _emit_json("monte-carlo", config, {"estimate": {
         "n_trials": estimate.n_trials,
         "n_errors": estimate.n_errors,
@@ -367,11 +372,10 @@ def _cmd_dump_density(config: RunConfig) -> None:
     grid = radial_density_grid(profile, config.t, r_max=config.r_max,
                                n_points=config.n_points,
                                amp_tol=config.amp_tol)
-    lines = _csv_header("dump-density", config, "r,re_amp,im_amp,density")
-    for r, amp, density in zip(grid.r_grid, grid.amp, grid.density):
-        lines.append(",".join(fmt(v) for v in
-                              (r, amp.real, amp.imag, density)))
-    _emit("\n".join(lines) + "\n", config.output)
+    with _csv_writer(config.output, "dump-density", config,
+                     ("r", "re_amp", "im_amp", "density")) as write_rows:
+        write_rows([",".join(map(fmt, row)) for row in zip(
+            grid.r_grid, grid.amp.real, grid.amp.imag, grid.density)])
 
 
 def _cmd_scan_time(config: RunConfig) -> None:
@@ -421,25 +425,22 @@ _RUNNERS = {
     "ruler": _cmd_ruler,
     "amplitude-info": _cmd_amplitude_info,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused: seven subparsers
-    of about thirty flags each cost several milliseconds to build, and
-    ``parse_args`` leaves the parser unchanged."""
+    """The argument parser, built on first use and reused.  The subcommand
+    is a positional choice, so flags may come before or after it."""
     parser = argparse.ArgumentParser(
         prog="lcdisc",
         description="Relativistic limits on distinguishing two orthogonal "
                     "single-photon helicity states.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        sub = subparsers.add_parser(command)
-        sub.add_argument("--config", metavar="FILE",
-                         help="key=value configuration file")
-        for key in _KEY_PARSERS:
-            flag = "--" + key.replace("_", "-")
-            sub.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", metavar="FILE",
+                        help="key=value configuration file")
+    for key in _KEY_PARSERS:
+        parser.add_argument("--" + key.replace("_", "-"), metavar="VALUE")
     return parser
 
 
@@ -449,16 +450,14 @@ def main(argv: list[str] | None = None) -> int:
         file_values: dict[str, Any] = {}
         if args.config is not None:
             try:
-                with open(args.config, encoding="utf-8") as handle:
-                    text = handle.read()
+                text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             file_values = parse_config(text)
         flag_values = {
             key: _convert(key, raw, f"flag --{key.replace('_', '-')}")
             for key in _KEY_PARSERS
-            if (raw := getattr(args, f"cfg_{key}")) is not None
-        }
+            if (raw := getattr(args, key)) is not None}
         config = build_config(file_values, flag_values)
         _RUNNERS[args.command](config)
     except (ConfigError, InvalidParameterError) as exc:

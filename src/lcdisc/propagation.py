@@ -57,6 +57,9 @@ COVERAGE_BOUND = 1e-6
 MAX_EXTENT_DOUBLINGS = 4
 # most radii of a radial grid; 2^20 of them already take tens of seconds
 MAX_GRID_POINTS = 1 << 20
+# most bytes of j0 table one BallQuadrature keeps over all its levels, the
+# size quadrature.MAX_PANELS lets one streamed 256-row block reach
+MAX_KEPT_TABLE_BYTES = 1 << 30
 
 # panels per oscillation period, coarse to fine
 DENSITY_LADDER = (2.0, 4.0, 8.0, 16.0)
@@ -354,12 +357,23 @@ class BallQuadrature:
     finer k rule, so :meth:`p_in` rejects it.
 
     Every level a call reaches stays in memory until the quadrature is
-    dropped, so a wide ball holds the tables of all its levels at once.
-    With ``keep_tables`` False a level keeps its rules but not its table:
-    each call fills, contracts and drops the table one block at a time.  A
-    quadrature called once should pass False: on e2ebench's evaluate
-    workload, whose p_t calls are all single sweeps, keeping the tables
-    raised ``latency_p50_ref`` by about 4%, in 5 of 6 alternating pairs.
+    dropped, up to a bound: a level whose table would take ``kept_bytes``,
+    the bytes of the tables kept so far, past MAX_KEPT_TABLE_BYTES keeps its
+    rules but not its table.  Such a level, and every level with
+    ``keep_tables`` False, fills, contracts and drops its table one block
+    at a time on each call.  The bound caps memory; it is not a speed
+    threshold.
+
+    A quadrature called once should pass False.  Keeping the tables of
+    every quadrature, single sweeps' too, raised e2ebench's evaluate
+    ``latency_p50_ref`` (seed 1, medians) from 0.742 to 0.786, worse in 6
+    of 6 alternating pairs; filling the kept table after the phase
+    coefficients gave 0.749 to 0.781, worse in 6 of 8.  The cost is minor
+    page faults: a median of 730 per evaluate request against 601
+    streaming, with e2ebench's reference timed around each request.  And a
+    single p_t at R=64 (d=0, t=10) would keep 277 MiB (Gaussian k0=5,
+    sigma=1) or 2066 MiB (exponential kappa=2), where streaming holds one
+    block.
 
     Raises
     ------
@@ -386,6 +400,7 @@ class BallQuadrature:
         self.t_max = float(t_max)
         self.prob_tol = prob_tol
         self.keep_tables = keep_tables
+        self.kept_bytes = 0
         self._levels: dict[float, _Level] = {}
 
     def _level(self, panels_per_period: float) -> _Level:
@@ -399,10 +414,14 @@ class BallQuadrature:
             k_rule = _k_rule(profile, float(rho.max()), self.t_max,
                              panels_per_period)
             k = k_rule.nodes
+            table_bytes = rho.nbytes * k.size
+            keep = (self.keep_tables and
+                    self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES)
+            if keep:
+                self.kept_bytes += table_bytes
             level = _Level(
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
-                table=(PanelTable.fill(rule, k) if self.keep_tables
-                       else rule),
+                table=PanelTable.fill(rule, k) if keep else rule,
                 k=k,
                 envelope=_envelope(profile, k_rule))
             self._levels[panels_per_period] = level

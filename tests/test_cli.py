@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lcdisc
+from lcdisc import cli, montecarlo
 from lcdisc.cli import RunConfig, build_config, fmt, main, parse_config
 from lcdisc.errors import ConfigError
 
@@ -274,6 +275,36 @@ def test_configuration_errors_exit_2(capsys, argv):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-time", "--R", "1", "--output"],
+    ["dump-density", *GAUSS_ARGS, "--n-points", "64", "--output"],
+    ["monte-carlo", *GAUSS_ARGS, "--R", "1", "--trials", "1000",
+     "--trials-csv"],
+], ids=["scan-time", "dump-density", "monte-carlo"])
+def test_unwritable_output_exits_2(capsys, tmp_path, monkeypatch, argv):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the trial CSV was opened")
+
+    monkeypatch.setattr(montecarlo, "estimate_error", no_trials)
+    code, out, err = run_cli(capsys, *argv,
+                             str(tmp_path / "missing" / "out.txt"))
+    assert code == 2
+    assert "configuration error" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command,args", [
+    ("scan-time", ["--R", "2.5"]),
+    ("dump-density", [*GAUSS_ARGS, "--r-max", "5", "--n-points", "64"]),
+])
+def test_flags_before_the_subcommand(capsys, command, args):
+    after = run_cli(capsys, command, *args)
+    before = run_cli(capsys, *args, command)
+    split = run_cli(capsys, *args[:2], command, *args[2:])
+    assert after[0] == 0 and after[1]
+    assert before == after == split
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["scan-time", "--bogus", "1"])
@@ -389,6 +420,33 @@ def test_monte_carlo_frozen_digests(case, capsys, tmp_path, monkeypatch):
     digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes())
     assert digest.hexdigest() == csv_digest
     assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+
+def test_trials_csv_is_written_batch_by_batch(capsys, tmp_path, monkeypatch):
+    # the file grows while the trials run, and its bytes do not depend on
+    # the batch size
+    argv = ["monte-carlo", *GAUSS_ARGS, "--R", "1", "--t", "0.5",
+            "--trials", "5000", "--seed", "4", "--trials-csv", "trials.csv"]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    whole = (tmp_path / "trials.csv").read_bytes()
+
+    sizes = []
+    real_rows = cli._trial_rows
+
+    def trial_rows(batch):
+        sizes.append((tmp_path / "trials.csv").stat().st_size)
+        return real_rows(batch)
+
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 1000)
+    monkeypatch.setattr(cli, "_trial_rows", trial_rows)
+    code, chunked_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(sizes) == 5
+    assert sizes == sorted(set(sizes)) and sizes[-1] < len(whole)
+    assert (tmp_path / "trials.csv").read_bytes() == whole
+    assert chunked_out == out
 
 
 EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",

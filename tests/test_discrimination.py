@@ -200,6 +200,43 @@ def test_search_fills_each_table_block_once(monkeypatch):
     assert len(fills) == len(short_fills)
 
 
+def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
+    # a budget with room for level 2's table only: level 2 is filled once
+    # per search, level 4 streams and is filled on every sweep, and the
+    # search returns the bits of one that keeps both
+    profile = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+                                  offset_d=3.5)
+    sizing = propagation.BallQuadrature(profile, 1.0, 6.5)
+    level2 = sizing._level(2.0)
+    budget = sizing.kept_bytes
+    level4 = sizing._level(4.0)
+    assert 0 < budget < sizing.kept_bytes
+    expected = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
+
+    fills, balls = [], []
+    real_fill = _kernels._ACTIVE.j0_table
+    real_p_in = propagation.BallQuadrature.p_in
+
+    def p_in(self, t_values):
+        balls.append(self)
+        return real_p_in(self, t_values)
+
+    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", budget)
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
+                        lambda rule, k: fills.append(k.size) or
+                        real_fill(rule, k))
+    monkeypatch.setattr(propagation.BallQuadrature, "p_in", p_in)
+    got = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
+    assert got == expected
+    assert len(set(map(id, balls))) == 1
+    assert balls[0].kept_bytes == budget
+    # this search reaches levels 2 and 4 only
+    n2, n4 = len(level2.table.blocks), len(level4.table.blocks)
+    assert fills.count(level2.k.size) == n2
+    assert fills.count(level4.k.size) == n4 * len(balls)
+    assert len(fills) == n2 + n4 * len(balls)
+
+
 @pytest.mark.parametrize("family", [
     lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
     lcdisc.ExponentialFamily(kappa=2.0),
