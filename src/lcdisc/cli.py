@@ -6,7 +6,10 @@ flags override the file.  Unknown keys and malformed values are rejected
 with the offending line or field named.  Every emitted artifact echoes the
 full resolved configuration in its header, which is sufficient to re-run
 the identical computation, and all numeric output uses 12 significant
-digits.
+digits.  Each subcommand's runner returns its JSON payload, built from its
+result record, and :func:`main` writes it through the one JSON writer,
+which rounds every float in it; a CSV runner writes its rows and returns
+None.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -18,6 +21,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,16 +44,12 @@ from lcdisc.discrimination import (
     Priors,
     build_report,
     optimal_measurement_time,
-    outside_probability,
-    total_error,
     tradeoff_curve,
 )
 from lcdisc.errors import (
     ConfigError,
     InvalidParameterError,
-    InvalidStateError,
     LcdiscError,
-    NumericFailureError,
     ResourceLimitError,
 )
 from lcdisc.lightcone import ruler_min_time, scan_time_ball
@@ -100,22 +100,18 @@ class RunConfig:
     trials_csv: str | None = None
 
     def echo_items(self) -> list[tuple[str, str]]:
-        """All set fields as re-parseable key=value pairs, in field order."""
+        """All set fields as re-parseable key=value pairs, in field order;
+        floats, listed ones too, go through :func:`fmt`."""
         items = []
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value is None:
-                continue
-            items.append((field.name, _format_value(value)))
+            if isinstance(value, list):
+                value = ",".join(map(fmt, value))
+            elif isinstance(value, float):
+                value = fmt(value)
+            if value is not None:
+                items.append((field.name, str(value)))
         return items
-
-
-def _format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, list):
-        return ",".join(format(v, ".12g") for v in value)
-    return str(value)
 
 
 def fmt(x: float) -> str:
@@ -123,8 +119,16 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _round12(x: float) -> float:
-    return float(fmt(x))
+def _round12(value: Any) -> Any:
+    """``value`` with every float in it, in nested dicts and lists too,
+    rounded to 12 significant digits; ints and bools are left as they are."""
+    if isinstance(value, float):
+        return float(fmt(value))
+    if isinstance(value, dict):
+        return {key: _round12(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_round12(item) for item in value]
+    return value
 
 
 def _float_list(raw: str) -> list[float]:
@@ -193,8 +197,9 @@ def _validate_ranges(config: RunConfig) -> None:
     if config.format not in ("csv", "json"):
         raise ConfigError("field format: must be 'csv' or 'json'")
     for name in ("amp_tol", "prob_tol"):
-        if getattr(config, name) <= 0.0:
-            raise ConfigError(f"field {name}: must be positive")
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"field {name}: must be finite and positive")
     # the seed is the Philox key, a 128-bit unsigned integer
     if not 0 <= config.seed < 2 ** 128:
         raise ConfigError("field seed: must lie in [0, 2**128)")
@@ -272,7 +277,7 @@ def _csv_writer(path: str | None, command: str, config: RunConfig,
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
     document = {"command": command, "config": dict(config.echo_items()),
-                **payload}
+                **_round12(payload)}
     with _open_output(config.output) as handle:
         handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
@@ -282,7 +287,7 @@ _CURVE_FIELDS = {"R": "R", "t_star": "t_meas", "p_t": "p_t", "P_e": "P_e",
                  "scan_T": "scan_T", "total_T": "total_T"}
 
 
-def _cmd_error_curve(config: RunConfig) -> None:
+def _cmd_error_curve(config: RunConfig) -> dict | None:
     profile = _profile(config)
     priors = Priors(pi0=config.pi0)
     reports = tradeoff_curve(
@@ -292,19 +297,14 @@ def _cmd_error_curve(config: RunConfig) -> None:
     rows = [[getattr(rep, field) for field in _CURVE_FIELDS.values()]
             for rep in reports]
     if config.format == "json":
-        _emit_json("error-curve", config, {
-            "priors": {"pi0": _round12(priors.pi0),
-                       "pi1": _round12(priors.pi1)},
-            "points": [dict(zip(_CURVE_FIELDS, map(_round12, row)))
-                       for row in rows],
-        })
-        return
+        return {"priors": {"pi0": priors.pi0, "pi1": priors.pi1},
+                "points": [dict(zip(_CURVE_FIELDS, row)) for row in rows]}
     with _csv_writer(config.output, "error-curve", config,
                      _CURVE_FIELDS) as write_rows:
         write_rows([",".join(map(fmt, row)) for row in rows])
 
 
-def _cmd_optimal_time(config: RunConfig) -> None:
+def _cmd_optimal_time(config: RunConfig) -> dict:
     profile = _profile(config)
     priors = Priors(pi0=config.pi0)
     _require(config, "R")
@@ -312,14 +312,8 @@ def _cmd_optimal_time(config: RunConfig) -> None:
         profile, config.R, (config.t_lo, config.t_hi),
         n_grid=config.t_grid, prob_tol=config.prob_tol)
     report = build_report(priors, config.R, best.t_star, best.p_t_star)
-    _emit_json("optimal-time", config, {"result": {
-        "t_star": _round12(best.t_star),
-        "p_t_star": _round12(best.p_t_star),
-        "on_boundary": best.on_boundary,
-        "P_e": _round12(report.P_e),
-        "scan_T": _round12(report.scan_T),
-        "total_T": _round12(report.total_T),
-    }})
+    return {"result": {**dataclasses.asdict(best), "P_e": report.P_e,
+                       "scan_T": report.scan_T, "total_T": report.total_T}}
 
 
 def _trial_rows(batch: montecarlo.TrialBatch) -> list[str]:
@@ -338,7 +332,7 @@ def _trial_rows(batch: montecarlo.TrialBatch) -> list[str]:
             for index, plus, rho, inside, guess, correct in columns]
 
 
-def _cmd_monte_carlo(config: RunConfig) -> None:
+def _cmd_monte_carlo(config: RunConfig) -> dict:
     profile = _profile(config)
     priors = Priors(pi0=config.pi0)
     _require(config, "R")
@@ -355,16 +349,7 @@ def _cmd_monte_carlo(config: RunConfig) -> None:
             r_max=config.r_max, amp_tol=config.amp_tol,
             on_batch=write_rows and (
                 lambda batch: write_rows(_trial_rows(batch))))
-    _emit_json("monte-carlo", config, {"estimate": {
-        "n_trials": estimate.n_trials,
-        "n_errors": estimate.n_errors,
-        "empirical_rate": _round12(estimate.empirical_rate),
-        "analytic_rate": _round12(estimate.analytic_rate),
-        "std_err": _round12(estimate.std_err),
-        "n_unknown": estimate.n_unknown,
-        "unknown_rate": _round12(estimate.unknown_rate),
-        "p_t": _round12(estimate.p_t),
-    }})
+    return {"estimate": dataclasses.asdict(estimate)}
 
 
 def _cmd_dump_density(config: RunConfig) -> None:
@@ -378,42 +363,35 @@ def _cmd_dump_density(config: RunConfig) -> None:
             grid.r_grid, grid.amp.real, grid.amp.imag, grid.density)])
 
 
-def _cmd_scan_time(config: RunConfig) -> None:
+def _cmd_scan_time(config: RunConfig) -> dict:
     _require(config, "R")
-    _emit_json("scan-time", config, {"result": {
-        "R": _round12(config.R),
-        "scan_T": _round12(scan_time_ball(config.R)),
-    }})
+    return {"result": {"R": config.R, "scan_T": scan_time_ball(config.R)}}
 
 
-def _cmd_ruler(config: RunConfig) -> None:
+def _cmd_ruler(config: RunConfig) -> dict:
     _require(config, "L1", "L2")
     timing = ruler_min_time(config.L1, config.L2, config.observer_x)
-    _emit_json("ruler", config, {"result": {
-        "L1": _round12(config.L1),
-        "L2": _round12(config.L2),
-        "observer_position": _round12(config.observer_x),
-        "min_time": _round12(timing.min_time),
-        "indistinguishable": timing.indistinguishable,
-    }})
+    return {"result": {"L1": config.L1, "L2": config.L2,
+                       "observer_position": config.observer_x,
+                       **dataclasses.asdict(timing)}}
 
 
-def _cmd_amplitude_info(config: RunConfig) -> None:
+def _cmd_amplitude_info(config: RunConfig) -> dict:
     profile = _profile(config)
     grid = radial_density_grid(profile, config.t, r_max=config.r_max,
                                n_points=config.n_points,
                                amp_tol=config.amp_tol)
-    _emit_json("amplitude-info", config, {"result": {
-        "norm_const": _round12(profile.norm_const),
-        "k_max": _round12(profile.k_max),
-        "momentum_norm": _round12(momentum_norm(profile)),
-        "sigma_eff": _round12(profile.sigma_eff),
-        "default_r_max": _round12(default_r_max(profile, config.t)),
-        "grid_r_max": _round12(float(grid.r_grid[-1])),
-        "grid_norm": _round12(grid.grid_norm),
+    return {"result": {
+        "norm_const": profile.norm_const,
+        "k_max": profile.k_max,
+        "momentum_norm": momentum_norm(profile),
+        "sigma_eff": profile.sigma_eff,
+        "default_r_max": default_r_max(profile, config.t),
+        "grid_r_max": grid.r_grid[-1],
+        "grid_norm": grid.grid_norm,
         "coverage_warning": grid.coverage_warning,
-        "r99": _round12(quantile_radius(grid, 0.99)),
-    }})
+        "r99": quantile_radius(grid, 0.99),
+    }}
 
 
 _RUNNERS = {
@@ -459,15 +437,15 @@ def main(argv: list[str] | None = None) -> int:
             for key in _KEY_PARSERS
             if (raw := getattr(args, key)) is not None}
         config = build_config(file_values, flag_values)
-        _RUNNERS[args.command](config)
+        payload = _RUNNERS[args.command](config)
+        if payload is not None:
+            _emit_json(args.command, config, payload)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lcdisc: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, InvalidStateError, ResourceLimitError) as exc:
-        print(f"lcdisc: numeric failure: {exc}", file=sys.stderr)
-        return 3
     except LcdiscError as exc:
-        print(f"lcdisc: error: {exc}", file=sys.stderr)
+        # NumericFailureError, InvalidStateError or ResourceLimitError
+        print(f"lcdisc: numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -151,7 +151,8 @@ def amplitude_on_radii(
     Raises
     ------
     InvalidParameterError
-        If ``t`` is not finite or a radius is negative or not finite.
+        If ``t`` is not finite, ``amp_tol`` is not finite and positive, or
+        a radius is negative or not finite.
     NumericFailureError
         If no two neighbouring densities agree to within ``amp_tol``.
     ResourceLimitError
@@ -161,6 +162,8 @@ def amplitude_on_radii(
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError("time t must be finite")
+    if not (math.isfinite(amp_tol) and amp_tol > 0.0):
+        raise InvalidParameterError("amp_tol must be finite and > 0")
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise InvalidParameterError("radii must be finite and nonnegative")
@@ -315,7 +318,8 @@ def inside_probability_sweep(
     ------
     InvalidParameterError
         If ``R`` or the profile's ``offset_d`` is negative or not finite,
-        or if ``t_values`` is empty or holds a time that is not finite.
+        if ``t_values`` is empty or holds a time that is not finite, or if
+        ``prob_tol`` is not finite and positive.
     NumericFailureError
         If no two neighbouring densities agree to within ``prob_tol``.
     ResourceLimitError
@@ -379,7 +383,7 @@ class BallQuadrature:
     ------
     InvalidParameterError
         If ``R``, the profile's ``offset_d`` or ``t_max`` is negative or not
-        finite.
+        finite, or ``prob_tol`` is not finite and positive.
     """
 
     def __init__(self, profile: MomentumProfile, R: float, t_max: float,
@@ -395,6 +399,8 @@ class BallQuadrature:
         if not (math.isfinite(t_max) and t_max >= 0.0):
             raise InvalidParameterError(
                 "t_max, the largest |t|, must be finite and >= 0")
+        if not (math.isfinite(prob_tol) and prob_tol > 0.0):
+            raise InvalidParameterError("prob_tol must be finite and > 0")
         self.profile = profile
         self.R = float(R)
         self.t_max = float(t_max)

@@ -1,14 +1,16 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-whole gate takes about 150 s on a 2-vCPU Xeon KVM guest, most of it the 3D
+whole gate takes about 14 s on a 2-vCPU Xeon KVM guest, 10 s of it the 3D
 oracle of criterion 3, well under its ten-minute budget.
 """
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from lcdisc import (
     scan_time_ball,
     tradeoff_curve,
 )
+
+
+# the CLI subprocesses import the lcdisc under test, installed or not
+_CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(lcdisc.__file__).resolve().parent.parent),
+    os.environ.get("PYTHONPATH")])))
 
 
 def _report(number: int, message: str) -> None:
@@ -168,7 +176,8 @@ def test_criterion_9_determinism(tmp_path):
             argv += ["--trials-csv", str(trials)]
         artifacts = []
         for _ in (0, 1):
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  env=_CLI_ENV)
             assert proc.returncode == 0, proc.stderr
             artifacts.append(out.read_bytes())
             if command == "monte-carlo":
@@ -187,6 +196,7 @@ def test_criterion_9_json_outputs_parse(tmp_path):
     out = tmp_path / "scan.json"
     proc = subprocess.run(
         [sys.executable, "-m", "lcdisc", "scan-time", "--R", "2",
-         "--output", str(out)], capture_output=True, text=True)
+         "--output", str(out)], capture_output=True, text=True,
+        env=_CLI_ENV)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["result"]["scan_T"] == 2.0

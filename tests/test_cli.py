@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, artifacts, and exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lcdisc
-from lcdisc import cli, montecarlo
+from lcdisc import cli, discrimination, lightcone, montecarlo
 from lcdisc.cli import RunConfig, build_config, fmt, main, parse_config
 from lcdisc.errors import ConfigError
 
@@ -268,6 +269,12 @@ def test_config_file_with_flag_override(capsys, tmp_path):
      "--seed", "-1"],
     ["scan-time", "--R", "nope"],
     ["scan-time", "--config", "/nonexistent/path.cfg", "--R", "1"],
+    # a NaN tolerance once exited 3 and an infinite one switched off the guard
+    ["error-curve", *GAUSS_ARGS, "--R-list", "1", "--fixed-t", "0",
+     "--prob-tol", "nan"],
+    ["error-curve", *GAUSS_ARGS, "--R-list", "1", "--fixed-t", "0",
+     "--prob-tol", "inf"],
+    ["amplitude-info", *GAUSS_ARGS, "--n-points", "256", "--amp-tol", "nan"],
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -377,6 +384,55 @@ def test_help_is_independent_of_hash_seed():
             env=env, capture_output=True, text=True, check=True).stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].index("--family") < outputs[0].index("--trials-csv")
+
+
+def _floats(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _floats(item)]
+    return [node] if isinstance(node, float) else []
+
+
+# each JSON subcommand: its argv, the key of its result, the record whose
+# fields the result holds and the extra keys beside them
+_JSON_COMMANDS = {
+    "scan-time": (["--R", "2.5"], "result", None, {"R", "scan_T"}),
+    "ruler": (["--L1", "2", "--L2", "3.3", "--observer-x", "0.3"],
+              "result", lightcone.RulerTiming,
+              {"L1", "L2", "observer_position"}),
+    "amplitude-info": ([*GAUSS_ARGS, "--t", "1.3", "--n-points", "256"],
+                       "result", None,
+                       {"norm_const", "k_max", "momentum_norm", "sigma_eff",
+                        "default_r_max", "grid_r_max", "grid_norm",
+                        "coverage_warning", "r99"}),
+    "optimal-time": ([*GAUSS_ARGS, "--d", "3", "--R", "1", "--t-hi", "6",
+                      "--t-grid", "12", "--pi0", "0.3"],
+                     "result", discrimination.OptimalTime,
+                     {"P_e", "scan_T", "total_T"}),
+    "error-curve": ([*GAUSS_ARGS, "--R-list", "0.5,1.7", "--fixed-t", "0.9",
+                     "--pi0", "0.3", "--format", "json"],
+                    "points", None,
+                    {"R", "t_star", "p_t", "P_e", "scan_T", "total_T"}),
+    "monte-carlo": ([*GAUSS_ARGS, "--R", "1", "--t", "0.7", "--trials",
+                     "1000"], "estimate", montecarlo.ErrorEstimate, set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_COMMANDS))
+def test_json_floats_have_12_digits_and_record_fields(capsys, command):
+    args, key, record, extras = _JSON_COMMANDS[command]
+    code, out, _ = run_cli(capsys, command, *args)
+    assert code == 0
+    doc = json.loads(out)
+    floats = _floats(doc)
+    assert floats and all(x == float(fmt(x)) for x in floats)
+    fields = {f.name for f in dataclasses.fields(record)} if record else set()
+    results = doc[key] if isinstance(doc[key], list) else [doc[key]]
+    for result in results:
+        assert set(result) == fields | extras
+    assert set(doc) == {"command", "config", key} | (
+        {"priors"} if command == "error-curve" else set())
 
 
 def test_fmt_significant_digits():

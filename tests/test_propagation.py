@@ -367,6 +367,16 @@ def test_non_finite_or_empty_input_raises(gauss_profile, call):
         call(gauss_profile)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_not_finite_and_positive_raises(gauss_profile, tol):
+    # R = 0 takes no quadrature, so the check sits with the argument checks
+    for R in (0.0, 1.0):
+        with pytest.raises(InvalidParameterError, match="prob_tol"):
+            inside_probability(gauss_profile, R, 0.0, prob_tol=tol)
+    with pytest.raises(InvalidParameterError, match="amp_tol"):
+        amplitude_on_radii(gauss_profile, np.array([1.0]), 0.0, amp_tol=tol)
+
+
 @pytest.mark.parametrize("call", [
     lambda g: inside_probability(g, 1.0, 1e15),
     lambda g: amplitude_on_radii(g, np.array([1e15]), 0.0),
