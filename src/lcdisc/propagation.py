@@ -19,7 +19,9 @@ densities, coarse to fine, and the first density whose result agrees with
 the one below it to within the tolerance is returned.  The largest
 difference between those two levels is the error estimate; if no two
 neighbouring levels agree, :class:`NumericFailureError` is raised with the
-last estimate instead of returning a doubtful number.
+last estimate instead of returning a doubtful number.  Ball probabilities
+climb the whole ladder, from 1 panel per period; amplitudes on radii start
+at its second level, 2 panels per period.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -61,8 +63,9 @@ MAX_GRID_POINTS = 1 << 20
 # size quadrature.MAX_PANELS lets one streamed 256-row block reach
 MAX_KEPT_TABLE_BYTES = 1 << 30
 
-# panels per oscillation period, coarse to fine
-DENSITY_LADDER = (2.0, 4.0, 8.0, 16.0)
+# panels per oscillation period, coarse to fine; amplitude_on_radii climbs
+# it from its second level
+DENSITY_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 # halvings of the first k panel toward the k^{3/2} branch point at k = 0;
 # the innermost panel, 2^-12 of the first, holds a negligible share
 _K_GRADE = 12
@@ -109,19 +112,25 @@ def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
 
 
 def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
-               what: str) -> np.ndarray:
-    """Run ``evaluate(panels_per_period)`` up DENSITY_LADDER until converged.
+               what: str, ladder: tuple[float, ...],
+               ) -> tuple[np.ndarray, float, float]:
+    """Run ``evaluate(panels_per_period)`` up ``ladder`` until converged.
 
     Returns the finer result of the first two neighbouring densities whose
-    largest difference is at most ``tol``.  Each level's result is reused as
-    the coarse side of the next comparison.  A NaN estimate never passes.
+    largest difference is at most ``tol``, that difference (the error
+    estimate) and the finer density.  Each level's result is reused as the
+    coarse side of the next comparison.  The estimate is never below the
+    spacing of the finer result's floats, where two converged levels can
+    agree to the bit by chance, so a tolerance under it is unreachable.  A
+    NaN estimate never passes.
     """
-    coarse = evaluate(DENSITY_LADDER[0])
-    for panels_per_period in DENSITY_LADDER[1:]:
+    coarse = evaluate(ladder[0])
+    for panels_per_period in ladder[1:]:
         fine = evaluate(panels_per_period)
-        estimate = float(np.max(np.abs(fine - coarse)))
+        estimate = float(np.max(np.maximum(np.abs(fine - coarse),
+                                           np.spacing(np.abs(fine)))))
         if estimate <= tol:
-            return fine
+            return fine, estimate, panels_per_period
         coarse = fine
     raise NumericFailureError(f"{what} quadrature did not converge",
                               estimate=estimate)
@@ -177,7 +186,11 @@ def amplitude_on_radii(
                                np.array([t])).ravel()
         return weighted_j0_sum(r, rule.nodes, coeffs)
 
-    return _converged(evaluate, amp_tol, "amplitude")
+    # the sampler's radii go to the trial CSV, whose bytes the Monte Carlo
+    # digests freeze, so this path keeps its 2-panel start
+    amp, _, _ = _converged(evaluate, amp_tol, "amplitude",
+                           DENSITY_LADDER[1:])
+    return amp
 
 
 def default_r_max(profile: MomentumProfile, t: float) -> float:
@@ -273,7 +286,15 @@ def _rho_rule(profile: MomentumProfile, R: float, d: float,
               panels_per_period: float) -> PanelRule:
     """Radial panels over the support [max(0, d-R), d+R] of the cap weight.
 
-    Panels never cross the kink of the weight at rho = |R - d|.
+    Panels never cross the kink of the weight at rho = |R - d|.  rho A is a
+    sine transform of k^{1/2} g(k) e^{-ikt} over [0, k_max], so it is
+    band-limited to k_max, and the panel width resolves that band.  The
+    density |A|^2 reaches 2 k_max, but only through products of the
+    profile's values near k_max, below its cut tail.  At 2 panels per
+    period of k_max that top frequency turns by pi over a half-panel, where
+    the 8-point rule integrates e^{i theta x} on [-1, 1] to 1.7e-10 (4e-15
+    at pi/2, 7.5e-6 at 2 pi, the 1-panel level, which the guard compares
+    against the 2-panel one).
     """
     lo = max(0.0, d - R)
     hi = d + R
@@ -281,7 +302,7 @@ def _rho_rule(profile: MomentumProfile, R: float, d: float,
     kink = abs(R - d)
     if lo < kink < hi:
         breaks.insert(1, kink)
-    width = panel_width(2.0 * profile.k_max, panels_per_period)
+    width = panel_width(profile.k_max, panels_per_period)
     return piecewise_gauss_panels(np.array(breaks), width)
 
 
@@ -356,7 +377,9 @@ class BallQuadrature:
     Each DENSITY_LADDER level's rho rule, cap weights, k rule and j0 table
     are built on first use and kept, so every :meth:`p_in` call after the
     first costs only the phase coefficients, one gemm per level and the
-    reduction.  The k rule resolves oscillations up to max(rho_max, t_max),
+    reduction.  A level's k rule is the coarsest level's k rule with every
+    panel, graded ones too, split into density / DENSITY_LADDER[0] equal
+    parts.  The k rule resolves oscillations up to max(rho_max, t_max),
     which covers every time up to ``t_max``; a later time would need a
     finer k rule, so :meth:`p_in` rejects it.
 
@@ -370,14 +393,13 @@ class BallQuadrature:
 
     A quadrature called once should pass False.  Keeping the tables of
     every quadrature, single sweeps' too, raised e2ebench's evaluate
-    ``latency_p50_ref`` (seed 1, medians) from 0.742 to 0.786, worse in 6
-    of 6 alternating pairs; filling the kept table after the phase
-    coefficients gave 0.749 to 0.781, worse in 6 of 8.  The cost is minor
-    page faults: a median of 730 per evaluate request against 601
-    streaming, with e2ebench's reference timed around each request.  And a
-    single p_t at R=64 (d=0, t=10) would keep 277 MiB (Gaussian k0=5,
-    sigma=1) or 2066 MiB (exponential kappa=2), where streaming holds one
-    block.
+    ``latency_p50_ref`` (seed 1, medians) from 0.379 to 0.392, worse in 4
+    of 4 alternating pairs (0.742 to 0.786 at the denser rules this ladder
+    replaced).  The cost is minor page faults: a median of 730 per
+    evaluate request against 601 streaming at those rules, with e2ebench's
+    reference timed around each request.  And a single p_t at R=64 (d=0,
+    t=10) would keep 37 MiB (Gaussian k0=5, sigma=1) or 265 MiB
+    (exponential kappa=2), where streaming holds one block.
 
     Raises
     ------
@@ -417,8 +439,12 @@ class BallQuadrature:
             rule = _rho_rule(profile, R, d, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
+            # every panel of the coarsest k rule split alike, so that no
+            # level shares a graded panel with the next, and the guard sees
+            # the first panel's error too
             k_rule = _k_rule(profile, float(rho.max()), self.t_max,
-                             panels_per_period)
+                             DENSITY_LADDER[0]).subdivide(
+                                 round(panels_per_period / DENSITY_LADDER[0]))
             k = k_rule.nodes
             table_bytes = rho.nbytes * k.size
             keep = (self.keep_tables and
@@ -470,7 +496,9 @@ class BallQuadrature:
             density = amp.real ** 2 + amp.imag ** 2
             return level.weights @ density
 
-        return _converged(evaluate, self.prob_tol, "ball-probability")
+        p, _, _ = _converged(evaluate, self.prob_tol, "ball-probability",
+                             DENSITY_LADDER)
+        return p
 
 
 # boundary cells are subdivided this many times per axis to measure the

@@ -1,7 +1,8 @@
 """Composite Gauss-Legendre rules for oscillatory radial integrals.
 
 The integrands here look like smooth envelopes times oscillations of a known
-maximum frequency (k r, k t, or 2 k_max rho).  A fixed-order Gauss rule is
+maximum frequency (k r and k t in k; in rho, the amplitude's band k_max,
+see propagation._rho_rule).  A fixed-order Gauss rule is
 exact for polynomials up to degree 2n-1, so capping the panel width at a
 fraction of the local oscillation period keeps every panel in the regime
 where Gauss-Legendre converges spectrally.  How small a fraction is needed
@@ -12,7 +13,12 @@ The k integrands carry a factor k^{3/2}, a branch point at k = 0 that no
 polynomial resolves; uniform panels then converge only algebraically.
 Halving the first panel repeatedly toward the branch point (``grade``)
 leaves every panel but the innermost, tiny one a full panel width away from
-the singularity, which restores spectral convergence.
+the singularity, which restores spectral convergence.  Halving the panel
+width of such a rule, though, keeps every graded panel: the new first panel
+grades into the old graded panels shifted by one, and the old top one
+becomes a uniform panel.  Two such rules agree on the first panel whatever
+its error, so a caller comparing densities to estimate that error refines
+with :meth:`PanelRule.subdivide` instead, which splits every panel.
 
 Both rule builders return a :class:`PanelRule`.  On one interval of
 :func:`piecewise_gauss_panels` every panel has the same half-width h, so
@@ -62,6 +68,21 @@ class PanelRule:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    def subdivide(self, parts: int) -> PanelRule:
+        """The rule with every panel split into ``parts`` equal panels.
+
+        Raises :class:`ResourceLimitError` when the result would hold more
+        than MAX_PANELS panels, before anything is allocated.
+        """
+        if self.centres.size * parts > MAX_PANELS:
+            raise ResourceLimitError(
+                f"splitting {self.centres.size} panels {parts} ways passes "
+                f"the cap of {MAX_PANELS} panels")
+        offsets = np.arange(1.0 - parts, parts, 2.0) / parts
+        centres = self.centres[:, None] + self.half_widths[:, None] * offsets
+        return PanelRule(centres.ravel(),
+                         np.repeat(self.half_widths / parts, parts))
 
 
 def panel_width(frequency: float, panels_per_period: float) -> float:

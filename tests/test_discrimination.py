@@ -201,15 +201,16 @@ def test_search_fills_each_table_block_once(monkeypatch):
 
 
 def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
-    # a budget with room for level 2's table only: level 2 is filled once
-    # per search, level 4 streams and is filled on every sweep, and the
-    # search returns the bits of one that keeps both
+    # a budget with room for the first ladder level's table only: that level
+    # is filled once per search, the second streams and is filled on every
+    # sweep, and the search returns the bits of one that keeps both
     profile = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
                                   offset_d=3.5)
+    first, second = propagation.DENSITY_LADDER[:2]
     sizing = propagation.BallQuadrature(profile, 1.0, 6.5)
-    level2 = sizing._level(2.0)
+    level1 = sizing._level(first)
     budget = sizing.kept_bytes
-    level4 = sizing._level(4.0)
+    level2 = sizing._level(second)
     assert 0 < budget < sizing.kept_bytes
     expected = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
 
@@ -230,11 +231,11 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     assert got == expected
     assert len(set(map(id, balls))) == 1
     assert balls[0].kept_bytes == budget
-    # this search reaches levels 2 and 4 only
-    n2, n4 = len(level2.table.blocks), len(level4.table.blocks)
-    assert fills.count(level2.k.size) == n2
-    assert fills.count(level4.k.size) == n4 * len(balls)
-    assert len(fills) == n2 + n4 * len(balls)
+    # this search reaches the first two levels only
+    n1, n2 = len(level1.table.blocks), len(level2.table.blocks)
+    assert fills.count(level1.k.size) == n1
+    assert fills.count(level2.k.size) == n2 * len(balls)
+    assert len(fills) == n1 + n2 * len(balls)
 
 
 @pytest.mark.parametrize("family", [

@@ -145,8 +145,9 @@ def _sin_over_z(z):
 
 
 def _panel_run(draw, level):
-    """Centres of one run of panels with the half-width of a ladder level."""
-    half = 0.5 * panel_width(2.0 * _K_MAX, level)
+    """Centres of one run of panels with the half-width of a ladder level's
+    rho rule."""
+    half = 0.5 * panel_width(_K_MAX, level)
     centres = draw(st.lists(st.floats(half, 50.0), min_size=1, max_size=24))
     return centres, [half] * len(centres)
 

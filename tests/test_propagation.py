@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcdisc import (
     ExponentialFamily,
@@ -25,7 +25,13 @@ from lcdisc import (
 )
 from lcdisc import _kernels, propagation
 from lcdisc._kernels import j0_table, weighted_j0_sum
-from lcdisc.quadrature import gauss_panels, panel_width, piecewise_gauss_panels
+from lcdisc.quadrature import (
+    MAX_PANELS,
+    PanelRule,
+    gauss_panels,
+    panel_width,
+    piecewise_gauss_panels,
+)
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
 # The amplitude values integrate over the stored [0, k_max] interval, so they
@@ -270,15 +276,17 @@ def test_inside_sweep_matches_scalar(gauss_d3):
 
 
 # inside_probability_sweep at t = 0, 1.7 and 13 on the standard Gaussian
-# profile, as float.hex, from the sweep before BallQuadrature existed:
-# constructing the quadrature once per call must not move a bit
+# profile, as float.hex, with rho panels resolving k_max and the ladder
+# from 1 panel per period.  Each value sits within 6e-16 of
+# _dense_inside_probability; a change that moves a bit must show that it
+# stays as close.
 SWEEP_BITS = {
-    (0.0, 1.5): ["0x1.fdc711bf97a23p-1", "0x1.6422d0b69ec68p-2",
-                 "0x1.6d2c9a1f5a36bp-39"],
-    (1.0, 2.0): ["0x1.fcf2a95a97222p-1", "0x1.15a5ca2eedb9cp-1",
-                 "0x1.37b12946e98c0p-38"],
-    (6.0, 2.0): ["0x1.8be677babc1e0p-40", "0x1.80fe14cef77fdp-27",
-                 "0x1.44cf3e8c65bc2p-38"],
+    (0.0, 1.5): ["0x1.fdc711bf97a1dp-1", "0x1.6422d0b69ec69p-2",
+                 "0x1.6d2c9a1f002fdp-39"],
+    (1.0, 2.0): ["0x1.fcf2a95a97228p-1", "0x1.15a5ca2eedb9fp-1",
+                 "0x1.37b12946e8390p-38"],
+    (6.0, 2.0): ["0x1.8be677babb7d0p-40", "0x1.80fe14cef6d7bp-27",
+                 "0x1.44cf3e8c7a7b9p-38"],
 }
 
 
@@ -429,6 +437,53 @@ def test_inside_probability_matches_dense_reference(fixture, R, t, request):
     assert abs(got - _dense_inside_probability(profile, R, t)) <= 1e-13
 
 
+_FAMILIES = (
+    st.builds(GaussianFamily, k0=st.floats(0.5, 8.0),
+              sigma=st.floats(0.1, 1.5)) |
+    st.builds(ExponentialFamily, kappa=st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_FAMILIES,
+       d=st.just(0.0) | st.floats(0.0, 8.0),
+       R=st.floats(1e-3, 0.05) | st.floats(0.05, 6.0),
+       t=st.just(0.0) | st.floats(0.0, 30.0))
+# tiny balls that one rho panel covers at the first two levels: while the k
+# rule halved its width, the levels agreed to the bit and to 5e-10 and the
+# errors were 1.7e-13 and 2.3e-12
+@example(family=GaussianFamily(k0=2.70077, sigma=0.51578), d=0.0,
+         R=0.007194, t=0.0)
+@example(family=GaussianFamily(k0=6.68836, sigma=0.41126), d=1.15,
+         R=0.0267, t=0.0)
+# a narrow profile inside the first k panel, whose graded panels the k rule
+# at half the width kept: the error was 6.6e-6 with levels 2 and 4 agreeing
+# to the bit
+@example(family=GaussianFamily(k0=1.63506, sigma=0.11172), d=0.0,
+         R=0.3231, t=0.0)
+def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
+    # wide balls, late times and tiny balls of both families.  Where the
+    # ball and time are short the profile, not the oscillation, sets the
+    # width of the reference's k panels, so it runs at 32 panels per
+    # period there and at 8 elsewhere
+    profile = make_profile(family, offset_d=d)
+    ball = propagation.BallQuadrature(profile, R, t)
+    estimates = []
+    real = propagation._converged
+
+    def recording(*args):
+        result = real(*args)
+        estimates.append(result[1])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "_converged", recording)
+        got = ball.p_in(np.array([t]))[0]
+    density = 32.0 if max(d + R, t) < 4.0 else 8.0
+    error = abs(got - _dense_inside_probability(profile, R, t, density))
+    assert error <= ball.prob_tol
+    assert error <= estimates[0] + 1e-12
+
+
 def test_oracle_agrees_on_coarse_grid(gauss_profile):
     exact = inside_probability(gauss_profile, 2.0, 0.0)
     brute = oracle_inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=64)
@@ -473,6 +528,31 @@ def test_piecewise_rule_shares_one_half_width_per_interval():
     # the 8-point rule integrates degree-15 polynomials exactly
     assert rule.weights @ rule.nodes ** 15 == pytest.approx(9.0 ** 16 / 16,
                                                             rel=1e-13)
+
+
+def test_subdivide_splits_every_panel():
+    # halving the width of a graded rule keeps all of its graded panels;
+    # subdividing splits each one, the innermost too
+    rule = gauss_panels(0.0, 3.0, 3.0, grade=4)
+    halved = gauss_panels(0.0, 3.0, 1.5, grade=4)
+    assert np.isin(rule.centres, halved.centres).sum() == 4
+    split = rule.subdivide(2)
+    assert split.centres.size == 2 * rule.centres.size
+    assert not np.any(np.isin(rule.centres, split.centres))
+    lo = split.centres - split.half_widths
+    hi = split.centres + split.half_widths
+    assert np.allclose(lo[1::2], hi[::2], rtol=0.0, atol=1e-15)
+    assert np.allclose((lo[::2] + hi[1::2]) / 2, rule.centres,
+                       rtol=0.0, atol=1e-15)
+    assert split.weights @ split.nodes ** 15 == pytest.approx(3.0 ** 16 / 16,
+                                                              rel=1e-13)
+    same = rule.subdivide(1)
+    assert np.all(same.nodes == rule.nodes)
+    assert np.all(same.weights == rule.weights)
+    n = MAX_PANELS // 2 + 1
+    wide = PanelRule(np.arange(float(n)), np.full(n, 0.5))
+    with pytest.raises(ResourceLimitError):
+        wide.subdivide(2)
 
 
 def _direct_gemm(rule, k, coeffs):
