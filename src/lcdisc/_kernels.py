@@ -4,17 +4,22 @@ j0 takes the series 1 - z^2/6 below ``SMALL_Z``, which is where sin(z)/z
 starts losing digits to cancellation and where z = 0 would divide by zero.
 Every summation order is fixed, so results are deterministic.
 
-:func:`weighted_j0_sum` takes arbitrary radii and fills the j0 table
-directly, one np.sin per entry.  :func:`weighted_j0_gemm` takes the nodes of
-a :class:`~lcdisc.quadrature.PanelRule`, as time sweeps do, and fills the
-table by angle addition from the panel geometry (:func:`panel_j0_table`),
-which needs far fewer np.sin calls.  A :class:`PanelTable` keeps such a
-table, so repeated gemms at the same k nodes only contract.
+Radii with structure fill their j0 table by angle addition: each radius is
+a centre plus one of a few offsets that many centres share, so sin and cos
+run on the centres and on the offsets, not once per table entry
+(:func:`_angle_sum`).  The nodes of a :class:`~lcdisc.quadrature.PanelRule`
+are panel centres plus h x_g (:func:`panel_j0_table`, which
+:func:`weighted_j0_gemm` uses, as time sweeps do); a :class:`UniformRadii`
+grid is block bases plus step * arange(rows), which
+:func:`weighted_j0_sum` uses.  Only arbitrary radii, as users and the 3D
+oracle pass, fill the table directly, one np.sin per entry.  A
+:class:`PanelTable` keeps a panel table, so repeated gemms at the same k
+nodes only contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -23,8 +28,11 @@ import numpy as np
 from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, PanelRule
 
 SMALL_Z = 1e-4
+# rows per table block of weighted_j0_sum.  On a uniform grid the offsets'
+# sin and cos grow with it and the bases' shrink; 128 rows filled 4097-radius
+# sampler grids faster than 256 and with 2 MiB less peak RSS
 _CHUNK_ROWS = 128
-# panels per table block: 256 rows of 8 Gauss nodes each
+# panels per table block of weighted_j0_gemm: 256 rows of 8 Gauss nodes each
 _GEMM_CHUNK_PANELS = 32
 
 
@@ -56,30 +64,38 @@ def _sin_cos(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _angle_sum(centre: np.ndarray, offset: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """sin(k (c + s)) / k on the centres x offsets x k grid.
+
+    ``centre`` and ``offset`` are the :func:`_sin_cos` stacks of the
+    centres c and of the offsets s, and by angle addition
+
+        sin(k (c + s)) / k = (sin(k c) / k) cos(k s) + cos(k c) (sin(k s) / k).
+
+    Dividing by c + s gives j0(k (c + s)).  One einsum sums both products
+    without a temporary.
+    """
+    return np.einsum("apk,agk->pgk", centre, offset[::-1], out=out)
+
+
 def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     """j0 table on the nodes of ``rule``, built by angle addition.
 
-    Each node is rho = c + s, a panel centre c plus an offset s = h x_g that
-    all panels of half-width h share, so
-
-        sin(k rho) / k = (sin(k c) / k) cos(k s) + cos(k c) (sin(k s) / k),
-
-    and dividing a row by its rho gives j0(k rho).  sin and cos run on the
-    panels x k grid and, for each run of panels with one half-width, on the
-    GAUSS_ORDER x k grid, not once per table entry.  Gauss nodes of a panel
-    of positive width are never 0, so the table entries need no
-    small-argument branch; only the sin(k x) / k factors on those small
-    grids take one.
+    Each node is a panel centre plus an offset h x_g that all panels of
+    half-width h share, so sin and cos run on the panels x k grid and, for
+    each run of panels with one half-width, on the GAUSS_ORDER x k grid.
+    Gauss nodes of a panel of positive width are never 0, so the table
+    entries need no small-argument branch; only the sin(k x) / k factors on
+    those small grids take one.
     """
     centre = _sin_cos(rule.centres, k)
     half = rule.half_widths
     out = np.empty((half.size, GAUSS_ORDER, k.size))
     starts = np.flatnonzero(np.diff(half, prepend=np.nan)).tolist()
     for lo, hi in zip(starts, [*starts[1:], half.size]):
-        # [cos, sin / k] of the offsets, to pair with [sin / k, cos] of
-        # the centres; one einsum sums both products without a temporary
-        offset = _sin_cos(half[lo] * GAUSS_X, k)[::-1]
-        np.einsum("apk,agk->pgk", centre[:, lo:hi], offset, out=out[lo:hi])
+        _angle_sum(centre[:, lo:hi], _sin_cos(half[lo] * GAUSS_X, k),
+                   out=out[lo:hi])
     table = out.reshape(rule.size, k.size)
     table /= rule.nodes[:, None]
     return table
@@ -96,6 +112,45 @@ def backend_name() -> str:
 
 def available_backends() -> tuple[str, ...]:
     return ("numpy",)
+
+
+@dataclass(frozen=True)
+class UniformRadii:
+    """The ``size`` radii ``np.linspace(0, r_max, size)``, ``nodes``, with
+    their spacing ``step``; ``size`` is at least 2."""
+
+    r_max: float
+    size: int
+    nodes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes",
+                           np.linspace(0.0, self.r_max, self.size))
+
+    @property
+    def step(self) -> float:
+        return self.r_max / (self.size - 1)
+
+
+def _uniform_blocks(grid: UniformRadii, k: np.ndarray) -> Iterator[np.ndarray]:
+    """Tables of sin(k r) / k = r j0(k r) on consecutive blocks of
+    _CHUNK_ROWS radii of ``grid``, each filled when it is asked for; the
+    row r = 0 holds j0(0) = 1 instead.
+
+    Block b's radii are its base b * _CHUNK_ROWS * step plus the offsets
+    step * arange(_CHUNK_ROWS) that every block shares, so sin and cos run
+    once on the offsets and once per block on its base.
+    """
+    rows = min(_CHUNK_ROWS, grid.size)
+    bases = np.arange(0, grid.size, rows)
+    centre = _sin_cos(bases * grid.step, k)
+    offset = _sin_cos(np.arange(rows) * grid.step, k)
+    for b, lo in enumerate(bases.tolist()):
+        table = _angle_sum(centre[:, b:b + 1],
+                           offset[:, :min(rows, grid.size - lo)])[0]
+        if lo == 0:
+            table[0] = 1.0
+        yield table
 
 
 def _as_vec(a: np.ndarray) -> np.ndarray:
@@ -130,19 +185,28 @@ def _contract(tables: Iterator[np.ndarray], n_rows: int,
     return out.view(np.complex128)
 
 
-def weighted_j0_sum(r: np.ndarray, k: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def weighted_j0_sum(r: np.ndarray | UniformRadii, k: np.ndarray,
+                    coeffs: np.ndarray) -> np.ndarray:
     """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]) as complex128.
 
-    The j0 table is filled directly, one block of rows at a time.
+    The j0 table is filled and contracted one block of at most _CHUNK_ROWS
+    rows at a time: by angle addition for the radii of a
+    :class:`UniformRadii` ``r``, directly for an array of radii.
     """
-    r = _as_vec(r)
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
+    if isinstance(r, UniformRadii):
+        # the tables hold r j0(k r), so each row of the sum, but the one at
+        # r = 0, is divided by its r once, not each table entry
+        out = _contract(_uniform_blocks(r, k), r.size, coeffs[:, None]).ravel()
+        out[1:] /= r.nodes[1:]
+        return out
+    r = _as_vec(r)
     tables = (j0_table(r[lo:lo + _CHUNK_ROWS], k)
-              for lo in range(0, r.shape[0], _CHUNK_ROWS))
-    return _contract(tables, r.shape[0], coeffs[:, None]).ravel()
+              for lo in range(0, r.size, _CHUNK_ROWS))
+    return _contract(tables, r.size, coeffs[:, None]).ravel()
 
 
 def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:

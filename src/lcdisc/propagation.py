@@ -20,8 +20,11 @@ the one below it to within the tolerance is returned.  The largest
 difference between those two levels is the error estimate; if no two
 neighbouring levels agree, :class:`NumericFailureError` is raised with the
 last estimate instead of returning a doubtful number.  Ball probabilities
-climb the whole ladder, from 1 panel per period; amplitudes on radii start
-at its second level, 2 panels per period.
+and amplitudes on radii both climb the whole ladder, from 1 panel per
+period, on k rules that split every panel of the 1-panel rule (see
+:func:`_k_rule`).  The amplitude on a uniform radial grid, as the Monte
+Carlo sampler and ``dump-density`` use, fills its j0 table by angle
+addition, as the ball's rho nodes do.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -38,7 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from lcdisc._kernels import PanelTable, weighted_j0_gemm, weighted_j0_sum
+from lcdisc._kernels import (
+    PanelTable,
+    UniformRadii,
+    weighted_j0_gemm,
+    weighted_j0_sum,
+)
 from lcdisc.amplitude import MomentumProfile
 from lcdisc.errors import (
     InvalidParameterError,
@@ -63,8 +71,8 @@ MAX_GRID_POINTS = 1 << 20
 # size quadrature.MAX_PANELS lets one streamed 256-row block reach
 MAX_KEPT_TABLE_BYTES = 1 << 30
 
-# panels per oscillation period, coarse to fine; amplitude_on_radii climbs
-# it from its second level
+# panels per oscillation period, coarse to fine; ball probabilities and
+# amplitudes climb it from its first level
 DENSITY_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 # halvings of the first k panel toward the k^{3/2} branch point at k = 0;
 # the innermost panel, 2^-12 of the first, holds a negligible share
@@ -106,9 +114,17 @@ class RadialAmplitude:
 
 def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
             panels_per_period: float) -> PanelRule:
-    """Quadrature rule in k resolving oscillations up to radius ``r_peak``."""
-    width = panel_width(max(r_peak, abs(t)), panels_per_period)
-    return gauss_panels(0.0, profile.k_max, width, grade=_K_GRADE)
+    """Quadrature rule in k resolving oscillations up to radius ``r_peak``.
+
+    The rule at the coarsest density, DENSITY_LADDER[0], with every panel,
+    graded ones too, split into panels_per_period / DENSITY_LADDER[0] equal
+    parts.  So no level shares a graded panel with the next, and the guard
+    comparing them sees the first panel's error too (see
+    :mod:`lcdisc.quadrature`).
+    """
+    width = panel_width(max(r_peak, abs(t)), DENSITY_LADDER[0])
+    coarsest = gauss_panels(0.0, profile.k_max, width, grade=_K_GRADE)
+    return coarsest.subdivide(round(panels_per_period / DENSITY_LADDER[0]))
 
 
 def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
@@ -151,11 +167,15 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
 
 def amplitude_on_radii(
     profile: MomentumProfile,
-    r: np.ndarray,
+    r: np.ndarray | UniformRadii,
     t: float,
     amp_tol: float = DEFAULT_AMP_TOL,
 ) -> np.ndarray:
     """Evaluate A(r, t) at many radii sharing one quadrature rule.
+
+    The radii ``r`` are an array or, for a uniform grid from the origin,
+    the :class:`~lcdisc._kernels.UniformRadii` whose j0 table is filled by
+    angle addition.
 
     Raises
     ------
@@ -173,12 +193,15 @@ def amplitude_on_radii(
         raise InvalidParameterError("time t must be finite")
     if not (math.isfinite(amp_tol) and amp_tol > 0.0):
         raise InvalidParameterError("amp_tol must be finite and > 0")
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r) & (r >= 0.0)):
+    if isinstance(r, UniformRadii):
+        radii = r.nodes
+    else:
+        r = radii = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(radii) & (radii >= 0.0)):
         raise InvalidParameterError("radii must be finite and nonnegative")
-    if r.size == 0:
+    if radii.size == 0:
         return np.empty(0, dtype=np.complex128)
-    r_peak = float(r.max())
+    r_peak = float(radii.max())
 
     def evaluate(panels_per_period: float) -> np.ndarray:
         rule = _k_rule(profile, r_peak, t, panels_per_period)
@@ -186,10 +209,10 @@ def amplitude_on_radii(
                                np.array([t])).ravel()
         return weighted_j0_sum(r, rule.nodes, coeffs)
 
-    # the sampler's radii go to the trial CSV, whose bytes the Monte Carlo
-    # digests freeze, so this path keeps its 2-panel start
-    amp, _, _ = _converged(evaluate, amp_tol, "amplitude",
-                           DENSITY_LADDER[1:])
+    # the sampler's amplitudes set the radii of the trial CSV, so a change
+    # to this ladder or to the j0 fill can move a radius's twelfth digit
+    # there, and with it the CSV digest that tests/test_cli.py freezes
+    amp, _, _ = _converged(evaluate, amp_tol, "amplitude", DENSITY_LADDER)
     return amp
 
 
@@ -223,8 +246,9 @@ def radial_density_grid(
         raise ResourceLimitError(
             f"n_points exceeds the cap of {MAX_GRID_POINTS}")
     for _ in range(1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)):
-        r_grid = np.linspace(0.0, extent, int(n_points))
-        amp = amplitude_on_radii(profile, r_grid, t, amp_tol)
+        radii = UniformRadii(extent, int(n_points))
+        r_grid = radii.nodes
+        amp = amplitude_on_radii(profile, radii, t, amp_tol)
         density = np.abs(amp) ** 2
         grid_norm = float(4.0 * math.pi *
                           np.trapezoid(r_grid * r_grid * density, r_grid))
@@ -439,12 +463,8 @@ class BallQuadrature:
             rule = _rho_rule(profile, R, d, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
-            # every panel of the coarsest k rule split alike, so that no
-            # level shares a graded panel with the next, and the guard sees
-            # the first panel's error too
             k_rule = _k_rule(profile, float(rho.max()), self.t_max,
-                             DENSITY_LADDER[0]).subdivide(
-                                 round(panels_per_period / DENSITY_LADDER[0]))
+                             panels_per_period)
             k = k_rule.nodes
             table_bytes = rho.nbytes * k.size
             keep = (self.keep_tables and

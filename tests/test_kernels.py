@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lcdisc
-from lcdisc import _kernels
+from lcdisc import _kernels, propagation
 from lcdisc._kernels import (
+    UniformRadii,
     available_backends,
     backend_name,
     j0_table,
@@ -196,3 +197,35 @@ def test_panel_table_through_gemm():
     expected = _reference_j0(np.outer(rule.nodes, k)) @ coeffs
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("size", [16, 257, 1000, 4097])
+@pytest.mark.parametrize("t", [0.0, 2.0, 13.0, 40.0])
+@pytest.mark.parametrize("family", [
+    lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+    lcdisc.ExponentialFamily(kappa=2.0),
+], ids=["gauss", "expo"])
+def test_uniform_grid_sum_matches_direct(family, t, size):
+    # the angle-addition sum on a uniform grid from r = 0 against the direct
+    # sum on the same radii, at the k nodes and coefficients of an
+    # amplitude's first two levels, graded tiny k nodes included; sizes
+    # below, at and past one block, with a last block of one row
+    profile = lcdisc.make_profile(family)
+    r_max = propagation.default_r_max(profile, t)
+    grid = UniformRadii(r_max, size)
+    assert np.array_equal(grid.nodes, np.linspace(0.0, r_max, size))
+    # e2ebench counts a sum's rows as np.size of its radii
+    assert np.size(grid) == size
+    for level in DENSITY_LADDER[:2]:
+        rule = propagation._k_rule(profile, grid.r_max, t, level)
+        assert rule.nodes[0] < 1e-5
+        coeffs = propagation._phase_coeffs(
+            propagation._envelope(profile, rule), rule.nodes,
+            np.array([t])).ravel()
+        got = weighted_j0_sum(grid, rule.nodes, coeffs)
+        direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+        assert got.shape == (size,)
+        scale = np.sum(np.abs(coeffs))
+        assert np.max(np.abs(got - direct)) <= 1e-13 * scale
+        # j0(0) = 1: the sum at r = 0 is the sum of the coefficients
+        assert got[0] == pytest.approx(np.sum(coeffs), rel=1e-14)

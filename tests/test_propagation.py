@@ -484,6 +484,68 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
     assert error <= estimates[0] + 1e-12
 
 
+def _dense_amplitude(profile, r, t):
+    """A(r, t) over the profile's own [0, k_max] on graded Gauss panels far
+    denser than the library ever uses, summed on the direct j0 table."""
+    width = min(panel_width(max(float(np.max(r)), abs(t)), 16.0), 0.02)
+    rule = gauss_panels(0.0, profile.k_max, width, grade=24)
+    k = rule.nodes
+    coeffs = (rule.weights * k ** 1.5 * profile.magnitude(k) *
+              np.exp(-1j * k * t) / math.sqrt(math.pi))
+    return weighted_j0_sum(r, k, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_FAMILIES,
+       r=st.lists(st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 20.0),
+                  min_size=1, max_size=4),
+       t=st.just(0.0) | st.floats(-10.0, 10.0))
+# a narrow profile inside the first k panel, whose graded panels the k rule
+# at half the width kept: A(0) was 8.8e-5 off with levels 2 and 4 agreeing
+# to within amp_tol
+@example(family=GaussianFamily(k0=1.63506, sigma=0.11172), r=[0.0, 0.3],
+         t=0.0)
+def test_amplitude_within_tolerance_and_estimate(family, r, t):
+    profile = make_profile(family)
+    r = np.array(r)
+    estimates = []
+    real = propagation._converged
+
+    def recording(*args):
+        result = real(*args)
+        estimates.append(result[1])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "_converged", recording)
+        try:
+            got = amplitude_on_radii(profile, r, t)
+        except NumericFailureError as exc:
+            # the k rule's panels follow the oscillation, not the profile,
+            # so a Gaussian narrower than sigma = 0.15 can outrun the
+            # ladder's top density at small r and t (seen from k0 = 7 up);
+            # refusing it is within the contract, returning a value past
+            # the tolerance is not
+            assert isinstance(family, GaussianFamily) and family.sigma < 0.15
+            assert exc.estimate > propagation.DEFAULT_AMP_TOL
+            return
+    error = np.max(np.abs(got - _dense_amplitude(profile, r, t)))
+    assert error <= propagation.DEFAULT_AMP_TOL
+    assert error <= estimates[0] + 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, 2.0, 13.0, 40.0])
+@pytest.mark.parametrize("fixture", ["gauss_profile", "gauss_d3",
+                                     "expo_profile"])
+def test_grid_centre_matches_amplitude_at_origin(fixture, t, request):
+    # the grid's angle-addition row r = 0 against the direct sum at r = 0,
+    # each on its own k rule
+    profile = request.getfixturevalue(fixture)
+    grid = radial_density_grid(profile, t, n_points=4097)
+    at_origin = amplitude_on_radii(profile, [0.0], t)[0]
+    assert abs(grid.amp[0] - at_origin) <= 1e-13
+
+
 def test_oracle_agrees_on_coarse_grid(gauss_profile):
     exact = inside_probability(gauss_profile, 2.0, 0.0)
     brute = oracle_inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=64)
