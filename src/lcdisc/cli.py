@@ -20,12 +20,13 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -117,6 +118,10 @@ class RunConfig:
 def fmt(x: float) -> str:
     """Render a float with 12 significant digits."""
     return format(float(x), ".12g")
+
+
+# fmt as a field of a %-template: the same conversion, so the same text
+_FMT_FIELD = "%.12g"
 
 
 def _round12(value: Any) -> Any:
@@ -263,16 +268,26 @@ def _open_output(path: str | None) -> Iterator[TextIO]:
         raise ConfigError(f"cannot write output file: {exc}")
 
 
+def _format_rows(templates: Sequence[str], *columns: Sequence) -> str:
+    """Row i as ``templates[i] % (columns[0][i], columns[1][i], ...)``, one
+    line per row, filled by one ``%`` over the interleaved columns."""
+    values = [None] * (len(templates) * len(columns))
+    for j, column in enumerate(columns):
+        values[j::len(columns)] = column
+    return "\n".join([*templates, ""]) % tuple(values)
+
+
 @contextlib.contextmanager
 def _csv_writer(path: str | None, command: str, config: RunConfig,
                 columns: Iterable[str]) -> Iterator[Callable]:
     """Write the CSV header that echoes the config to ``path`` (stdout if
-    None), and yield a function that writes a list of rows as it arrives."""
+    None), and yield a function that writes rows as they arrive: a row
+    template per row and the columns that fill them (:func:`_format_rows`)."""
     with _open_output(path) as handle:
         echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
         handle.write(f"# lcdisc {command}\n# config: {echo}\n"
                      f"{','.join(columns)}\n")
-        yield lambda rows: handle.write("\n".join([*rows, ""]))
+        yield lambda *rows: handle.write(_format_rows(*rows))
 
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
@@ -294,14 +309,16 @@ def _cmd_error_curve(config: RunConfig) -> dict | None:
         profile, priors, _radii(config), (config.t_lo, config.t_hi),
         n_grid=config.t_grid, fixed_t=config.fixed_t,
         prob_tol=config.prob_tol)
-    rows = [[getattr(rep, field) for field in _CURVE_FIELDS.values()]
-            for rep in reports]
+    columns = [[getattr(rep, field) for rep in reports]
+               for field in _CURVE_FIELDS.values()]
     if config.format == "json":
         return {"priors": {"pi0": priors.pi0, "pi1": priors.pi1},
-                "points": [dict(zip(_CURVE_FIELDS, row)) for row in rows]}
+                "points": [dict(zip(_CURVE_FIELDS, row))
+                           for row in zip(*columns)]}
+    template = ",".join([_FMT_FIELD] * len(columns))
     with _csv_writer(config.output, "error-curve", config,
                      _CURVE_FIELDS) as write_rows:
-        write_rows([",".join(map(fmt, row)) for row in rows])
+        write_rows([template] * len(reports), *columns)
 
 
 def _cmd_optimal_time(config: RunConfig) -> dict:
@@ -316,20 +333,27 @@ def _cmd_optimal_time(config: RunConfig) -> dict:
                        "scan_T": report.scan_T, "total_T": report.total_T}}
 
 
-def _trial_rows(batch: montecarlo.TrialBatch) -> list[str]:
-    # channel names indexed by "is PLUS"; outside the ball the outcome is
-    # unknown, inside it is the true channel
-    channel = (HelicityChannel.MINUS.name.lower(),
-               HelicityChannel.PLUS.name.lower())
-    unknown = montecarlo.Outcome.UNKNOWN.value
-    columns = zip(range(batch.start, batch.start + batch.rho.size),
-                  batch.true_plus.tolist(), batch.rho.tolist(),
-                  batch.inside.tolist(), batch.guess_plus.tolist(),
-                  batch.correct.tolist())
-    return [f"{index},{channel[plus]},{fmt(rho)},{int(inside)},"
-            f"{channel[plus] if inside else unknown},{channel[guess]},"
-            f"{int(correct)}"
-            for index, plus, rho, inside, guess, correct in columns]
+# channel names indexed by "is PLUS"
+_CHANNELS = (HelicityChannel.MINUS.name.lower(),
+             HelicityChannel.PLUS.name.lower())
+# the trial CSV's row template of each code 4 true_plus + 2 inside +
+# guess_plus, filled by the trial index and rho; outside the ball the
+# outcome is unknown, inside it is the true channel
+_TRIAL_TEMPLATES = tuple(
+    f"%d,{_CHANNELS[plus]},{_FMT_FIELD},{inside},"
+    f"{_CHANNELS[plus] if inside else montecarlo.Outcome.UNKNOWN.value},"
+    f"{_CHANNELS[guess]},{int(plus == guess)}"
+    for plus, inside, guess in itertools.product((0, 1), repeat=3))
+
+
+def _trial_rows(batch: montecarlo.TrialBatch) -> tuple[list[str], range,
+                                                         list[float]]:
+    """The trial CSV rows of ``batch``: a row template per trial, then the
+    trial indices and radii that fill them."""
+    code = 4 * batch.true_plus + 2 * batch.inside + batch.guess_plus
+    return (list(map(_TRIAL_TEMPLATES.__getitem__, code.tolist())),
+            range(batch.start, batch.start + batch.rho.size),
+            batch.rho.tolist())
 
 
 def _cmd_monte_carlo(config: RunConfig) -> dict:
@@ -348,7 +372,7 @@ def _cmd_monte_carlo(config: RunConfig) -> dict:
             strategy=config.strategy, prob_tol=config.prob_tol,
             r_max=config.r_max, amp_tol=config.amp_tol,
             on_batch=write_rows and (
-                lambda batch: write_rows(_trial_rows(batch))))
+                lambda batch: write_rows(*_trial_rows(batch))))
     return {"estimate": dataclasses.asdict(estimate)}
 
 
@@ -359,8 +383,9 @@ def _cmd_dump_density(config: RunConfig) -> None:
                                amp_tol=config.amp_tol)
     with _csv_writer(config.output, "dump-density", config,
                      ("r", "re_amp", "im_amp", "density")) as write_rows:
-        write_rows([",".join(map(fmt, row)) for row in zip(
-            grid.r_grid, grid.amp.real, grid.amp.imag, grid.density)])
+        write_rows([",".join([_FMT_FIELD] * 4)] * grid.r_grid.size,
+                   grid.r_grid.tolist(), grid.amp.real.tolist(),
+                   grid.amp.imag.tolist(), grid.density.tolist())
 
 
 def _cmd_scan_time(config: RunConfig) -> dict:

@@ -26,6 +26,11 @@ uniforms are consumed in a fixed order:
 5. block 2, word 0: only when the outcome is unknown under probability
    matching, the guess (state PLUS when u < pi0).
 
+Block 2 is generated only for the trials that read it: under probability
+matching the trials outside the ball, under MAP none.  A block depends only
+on the seed, the block number and the trial index, so skipping it for the
+other trials changes no draw.
+
 Trials are simulated as arrays, in batches of at most ``CHUNK_TRIALS``, so
 memory does not grow with the number of trials.  A trial's draws depend only
 on the seed and its index, and the array code does each trial's arithmetic
@@ -124,18 +129,12 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
-def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
-    """Uniforms 1-5 of the trials ``index``, shape ``(5, len(index))``.
-
-    Row j holds uniform j + 1 of the randomness contract; it equals
-    ``Generator(Philox(key=seed, counter=i << 64)).random(5)[j]``.
-    """
+def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
+    """Uniforms of counter block ``block`` of the trials ``index``, shape
+    ``(4, len(index))``: row j is word j of the block ``(block, i, 0, 0)``."""
     index = np.asarray(index, dtype=np.uint64)
-    n = index.size
-    # blocks 1 and 2 of every trial run through the rounds side by side
-    zeros = np.zeros(2 * n, dtype=np.uint64)
-    ctr = [np.repeat(np.array([1, 2], dtype=np.uint64), n),
-           np.tile(index, 2), zeros, zeros]
+    zeros = np.zeros_like(index)
+    ctr = [np.full_like(index, block), index, zeros, zeros]
     k0, k1 = seed & _MASK64, seed >> 64
     for _ in range(_PHILOX_ROUNDS):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
@@ -144,9 +143,17 @@ def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
                hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
         k0 = (k0 + _PHILOX_W[0]) & _MASK64
         k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    words = np.stack([ctr[0][:n], ctr[1][:n], ctr[2][:n], ctr[3][:n],
-                      ctr[0][n:]])
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return (np.stack(ctr) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
+    """Uniforms 1-5 of the trials ``index``, shape ``(5, len(index))``.
+
+    Row j holds uniform j + 1 of the randomness contract; it equals
+    ``Generator(Philox(key=seed, counter=i << 64)).random(5)[j]``.
+    """
+    return np.concatenate([_philox_block(seed, index, 1),
+                           _philox_block(seed, index, 2)[:1]])
 
 
 class DetectionSampler:
@@ -213,7 +220,8 @@ def _simulate(
     firing at radius rho about that center lands inside the origin ball of
     radius R iff d^2 + rho^2 + 2 d rho cos(theta) <= R^2.
     """
-    u = philox_uniforms(seed, np.arange(start, stop, dtype=np.uint64))
+    index = np.arange(start, stop, dtype=np.uint64)
+    u = _philox_block(seed, index, 1)
     true_plus = u[0] < priors.pi0
     rho = sampler.radii(u[1])
     cos_theta = 2.0 * u[2] - 1.0
@@ -221,11 +229,14 @@ def _simulate(
         2.0 * offset_d * rho * cos_theta
     inside = dist_sq <= R * R
     if strategy == STRATEGY_PAPER:
-        guess_outside = u[4] < priors.pi0
+        # only the trials outside the ball read block 2
+        outside = ~inside
+        guess_plus = true_plus.copy()
+        guess_plus[outside] = \
+            _philox_block(seed, index[outside], 2)[0] < priors.pi0
     else:
         # MAP: larger prior wins, tie broken toward PLUS (state 0)
-        guess_outside = priors.pi0 >= priors.pi1
-    guess_plus = np.where(inside, true_plus, guess_outside)
+        guess_plus = np.where(inside, true_plus, priors.pi0 >= priors.pi1)
     return TrialBatch(start=start, true_plus=true_plus, rho=rho,
                       cos_theta=cos_theta, inside=inside,
                       guess_plus=guess_plus, correct=guess_plus == true_plus)

@@ -11,8 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import lcdisc
 from lcdisc import cli, discrimination, lightcone, montecarlo
@@ -526,6 +528,64 @@ def test_trials_csv_is_written_batch_by_batch(capsys, tmp_path, monkeypatch):
     assert sizes == sorted(set(sizes)) and sizes[-1] < len(whole)
     assert (tmp_path / "trials.csv").read_bytes() == whole
     assert chunked_out == out
+
+
+def _trial_rows_oracle(batch):
+    """The trial CSV rows of ``batch``, one f-string per row; the reference
+    for the row templates of ``cli._trial_rows``."""
+    channel = ("minus", "plus")
+    columns = zip(range(batch.start, batch.start + batch.rho.size),
+                  batch.true_plus.tolist(), batch.rho.tolist(),
+                  batch.inside.tolist(), batch.guess_plus.tolist(),
+                  batch.correct.tolist())
+    return [f"{index},{channel[plus]},{fmt(rho)},{int(inside)},"
+            f"{channel[plus] if inside else 'unknown'},{channel[guess]},"
+            f"{int(correct)}"
+            for index, plus, rho, inside, guess, correct in columns]
+
+
+def _float_steps(x, steps):
+    """The float ``steps`` floats above ``x`` (below if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# trial 445 of the offset-map case: its radius sits on a 12-digit rounding
+# boundary, and one float apart it prints ...094 instead of ...093
+_BOUNDARY = 0.8047052240935
+# a decimal halfway between two 12-digit numbers, give or take a few floats
+_HALFWAY = st.builds(
+    lambda digits, exponent, steps: _float_steps(
+        float(f"{digits}5e{exponent}"), steps),
+    st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-320, 290),
+    st.integers(-2, 2))
+_RHO = (st.sampled_from([0.0, 1e-300, 1e300, _BOUNDARY,
+                         _float_steps(_BOUNDARY, -1),
+                         _float_steps(_BOUNDARY, 1)])
+        | _HALFWAY | st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 2 ** 64),
+       rows=st.lists(st.tuples(st.integers(0, 7), _RHO), min_size=1,
+                     max_size=40))
+@example(start=0, rows=list(zip(range(8), [
+    0.0, 1e-300, 1e300, _BOUNDARY, _float_steps(_BOUNDARY, -1),
+    _float_steps(_BOUNDARY, 1), -0.0, 2.0])))
+def test_trial_rows_match_per_row_oracle(start, rows):
+    # code 4 true_plus + 2 inside + guess_plus; every code is formatted,
+    # the ones a simulation never makes (inside, guess wrong) too
+    code = np.array([c for c, _ in rows])
+    true_plus, inside, guess_plus = (code & 4) > 0, (code & 2) > 0, \
+        (code & 1) > 0
+    batch = montecarlo.TrialBatch(
+        start=start, true_plus=true_plus,
+        rho=np.array([rho for _, rho in rows]),
+        cos_theta=np.zeros(code.size), inside=inside, guess_plus=guess_plus,
+        correct=guess_plus == true_plus)
+    expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
+    assert cli._format_rows(*cli._trial_rows(batch)) == expected
 
 
 EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",

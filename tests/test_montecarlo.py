@@ -273,6 +273,32 @@ def test_chunk_size_does_not_change_trials(gauss_d3, monkeypatch):
     assert _same(_concat(chunked), whole[0])
 
 
+@pytest.mark.parametrize("strategy", ["paper", "map"])
+def test_block_2_only_for_the_trials_that_read_it(gauss_d3, monkeypatch,
+                                                 strategy):
+    block_2_index = []
+    real_block = montecarlo._philox_block
+
+    def counting_block(seed, index, block):
+        if block == 2:
+            block_2_index.append(np.array(index))
+        return real_block(seed, index, block)
+
+    monkeypatch.setattr(montecarlo, "_philox_block", counting_block)
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 700)
+    batches = list(run_trials(gauss_d3, Priors(0.4), 2.5, 1.0, 3000, 6,
+                              strategy))
+    if strategy == "map":
+        assert block_2_index == []
+        return
+    # one call per batch, on exactly the trials outside the ball
+    assert len(block_2_index) == len(batches) == 5
+    for index, batch in zip(block_2_index, batches):
+        assert 0 < index.size < batch.rho.size
+        outside = batch.start + np.flatnonzero(~batch.inside)
+        assert np.array_equal(index, outside)
+
+
 def test_seed_outside_key_range_rejected(gauss_profile):
     for seed in (-1, 2 ** 128):
         with pytest.raises(InvalidParameterError):
