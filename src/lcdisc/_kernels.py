@@ -4,15 +4,17 @@ j0 takes the series 1 - z^2/6 below ``SMALL_Z``, which is where sin(z)/z
 starts losing digits to cancellation and where z = 0 would divide by zero.
 Every summation order is fixed, so results are deterministic.
 
-Radii with structure fill their j0 table by angle addition: each radius is
-a centre plus one of a few offsets that many centres share, so sin and cos
-run on the centres and on the offsets, not once per table entry
-(:func:`_angle_sum`).  The nodes of a :class:`~lcdisc.quadrature.PanelRule`
-are panel centres plus h x_g (:func:`panel_j0_table`, which
-:func:`weighted_j0_gemm` uses, as time sweeps do); a :class:`UniformRadii`
-grid is block bases plus step * arange(rows), which
-:func:`weighted_j0_sum` uses.  Only arbitrary radii, as users and the 3D
-oracle pass, fill the table directly, one np.sin per entry.  A
+Radii with structure use angle addition: each radius is a centre plus one
+of a few offsets that many centres share, so sin and cos run on the
+centres and on the offsets, not once per radius and k node.  The nodes of
+a :class:`~lcdisc.quadrature.PanelRule` are panel centres plus h x_g, and
+their j0 table is filled so (:func:`_angle_sum`, :func:`panel_j0_table`,
+which :func:`weighted_j0_gemm` uses, as time sweeps do).  A
+:class:`UniformRadii` grid is block bases plus shared offsets, and
+:func:`weighted_j0_sum` builds no table for it: angle addition splits each
+sum into one real product of a per-base and a per-offset factor
+(:func:`_uniform_sum`).  Only arbitrary radii, as users and the 3D oracle
+pass, fill the table directly, one np.sin per entry.  A
 :class:`PanelTable` keeps a panel table, so repeated gemms at the same k
 nodes only contract.
 """
@@ -28,10 +30,16 @@ import numpy as np
 from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, PanelRule
 
 SMALL_Z = 1e-4
-# rows per table block of weighted_j0_sum.  On a uniform grid the offsets'
-# sin and cos grow with it and the bases' shrink; 128 rows filled 4097-radius
-# sampler grids faster than 256 and with 2 MiB less peak RSS
+# rows per table block of weighted_j0_sum on arbitrary radii
 _CHUNK_ROWS = 128
+# a uniform grid's block of radii as (coarse, fine) offset steps, see
+# _offset_terms; on 4097-radius sampler grids 16 x 8 summed faster than
+# 8 x 8, 16 x 16 and 32 x 8, and within 3% of 8 x 16
+_BLOCK_SHAPE = (16, 8)
+_BLOCK_ROWS = _BLOCK_SHAPE[0] * _BLOCK_SHAPE[1]
+# block bases per gemm of a uniform grid: a 4097-radius grid is one gemm,
+# and larger grids keep their temporaries bounded
+_CHUNK_BASES = 64
 # panels per table block of weighted_j0_gemm: 256 rows of 8 Gauss nodes each
 _GEMM_CHUNK_PANELS = 32
 
@@ -132,25 +140,57 @@ class UniformRadii:
         return self.r_max / (self.size - 1)
 
 
-def _uniform_blocks(grid: UniformRadii, k: np.ndarray) -> Iterator[np.ndarray]:
-    """Tables of sin(k r) / k = r j0(k r) on consecutive blocks of
-    _CHUNK_ROWS radii of ``grid``, each filled when it is asked for; the
-    row r = 0 holds j0(0) = 1 instead.
+def _offset_terms(step: float, k: np.ndarray) -> np.ndarray:
+    """The right factor of a uniform grid's product, shape
+    (2 len(k), _BLOCK_ROWS): cos(k s) over sin(k s) / k, one column per
+    offset s = step * arange(_BLOCK_ROWS) of a block.
 
-    Block b's radii are its base b * _CHUNK_ROWS * step plus the offsets
-    step * arange(_CHUNK_ROWS) that every block shares, so sin and cos run
-    once on the offsets and once per block on its base.
+    With (coarse, fine) = _BLOCK_SHAPE, offset fine * i + j steps is a
+    coarse offset u = fine * i steps plus a fine one v = j steps, so sin
+    and cos run on the coarse + fine offsets only, and by angle addition,
+    with S(x) = sin(k x) / k and C(x) = cos(k x),
+
+        S(u + v) = S(u) C(v) + C(u) S(v),
+        C(u + v) = C(u) C(v) - k^2 S(u) S(v).
     """
-    rows = min(_CHUNK_ROWS, grid.size)
-    bases = np.arange(0, grid.size, rows)
-    centre = _sin_cos(bases * grid.step, k)
-    offset = _sin_cos(np.arange(rows) * grid.step, k)
-    for b, lo in enumerate(bases.tolist()):
-        table = _angle_sum(centre[:, b:b + 1],
-                           offset[:, :min(rows, grid.size - lo)])[0]
-        if lo == 0:
-            table[0] = 1.0
-        yield table
+    coarse, fine = _BLOCK_SHAPE
+    u = _sin_cos(np.arange(coarse) * (fine * step), k)
+    v = _sin_cos(np.arange(fine) * step, k)
+    out = np.empty((coarse, fine, 2, k.size))
+    _angle_sum(u, v, out=out[:, :, 1])
+    u[0] *= -k * k  # [-k^2 S(u), C(u)] against [S(v), C(v)]
+    np.einsum("apk,agk->pgk", u, v, out=out[:, :, 0])
+    return out.reshape(_BLOCK_ROWS, 2 * k.size).T
+
+
+def _uniform_sum(grid: UniformRadii, k: np.ndarray,
+                 coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] sin(k[j] r) / k[j] at the radii r of ``grid``.
+
+    Each radius is a block base b plus one of the block offsets s, and
+
+        sin(k (b + s)) / k = (sin(k b) / k) cos(k s) + cos(k b) (sin(k s) / k),
+
+    so the sums of a block are one real product: a row [sin(k b) / k |
+    cos(k b)] times the coefficients' real parts and one times their
+    imaginary parts, against :func:`_offset_terms`.  One product covers
+    _CHUNK_BASES bases, and no j0 table is built.
+    """
+    n_bases = -(-grid.size // _BLOCK_ROWS)
+    right = _offset_terms(grid.step, k)
+    parts = np.stack([coeffs.real, coeffs.imag])[:, None, :]
+    out = np.empty((n_bases, _BLOCK_ROWS, 2))
+    for lo in range(0, n_bases, _CHUNK_BASES):
+        bases = np.arange(lo, min(lo + _CHUNK_BASES, n_bases))
+        centre = _sin_cos(bases * (_BLOCK_ROWS * grid.step), k)
+        # C order, so the reshape below is a view, not a copy
+        left = np.empty((bases.size, 2, 2, k.size))
+        np.multiply(centre.transpose(1, 0, 2)[:, None], parts, out=left)
+        prod = left.reshape(2 * bases.size, 2 * k.size) @ right
+        # rows (base, re/im) x offset columns to radius-major complex
+        out[lo:lo + bases.size] = \
+            prod.reshape(bases.size, 2, _BLOCK_ROWS).transpose(0, 2, 1)
+    return out.view(np.complex128).reshape(-1)[:grid.size]
 
 
 def _as_vec(a: np.ndarray) -> np.ndarray:
@@ -189,18 +229,20 @@ def weighted_j0_sum(r: np.ndarray | UniformRadii, k: np.ndarray,
                     coeffs: np.ndarray) -> np.ndarray:
     """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]) as complex128.
 
-    The j0 table is filled and contracted one block of at most _CHUNK_ROWS
-    rows at a time: by angle addition for the radii of a
-    :class:`UniformRadii` ``r``, directly for an array of radii.
+    For the radii of a :class:`UniformRadii` ``r`` the sums come from
+    real products by angle addition, with no j0 table
+    (:func:`_uniform_sum`).  For an array of radii the j0 table is filled
+    directly and contracted one block of _CHUNK_ROWS rows at a time.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
     if isinstance(r, UniformRadii):
-        # the tables hold r j0(k r), so each row of the sum, but the one at
-        # r = 0, is divided by its r once, not each table entry
-        out = _contract(_uniform_blocks(r, k), r.size, coeffs[:, None]).ravel()
+        # sums of sin(k r) / k = r j0(k r): each, but the one at r = 0,
+        # is divided by its r once; at r = 0 every j0 is 1
+        out = _uniform_sum(r, k, coeffs)
+        out[0] = coeffs.sum()
         out[1:] /= r.nodes[1:]
         return out
     r = _as_vec(r)

@@ -133,8 +133,11 @@ def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
     """Uniforms of counter block ``block`` of the trials ``index``, shape
     ``(4, len(index))``: row j is word j of the block ``(block, i, 0, 0)``."""
     index = np.asarray(index, dtype=np.uint64)
-    zeros = np.zeros_like(index)
-    ctr = [np.full_like(index, block), index, zeros, zeros]
+    # the words that no trial changes stay length-1 arrays, which broadcast,
+    # so the first rounds multiply them once, not once per trial; arrays,
+    # not scalars, since uint64 scalar arithmetic warns on overflow
+    zero = np.zeros(1, dtype=np.uint64)
+    ctr = [np.full(1, block, dtype=np.uint64), index, zero, zero]
     k0, k1 = seed & _MASK64, seed >> 64
     for _ in range(_PHILOX_ROUNDS):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
@@ -143,7 +146,8 @@ def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
                hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
         k0 = (k0 + _PHILOX_W[0]) & _MASK64
         k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return (np.stack(ctr) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return ((np.stack(np.broadcast_arrays(*ctr)) >> np.uint64(11))
+            .astype(np.float64) * 2.0 ** -53)
 
 
 def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:

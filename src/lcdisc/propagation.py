@@ -23,8 +23,9 @@ last estimate instead of returning a doubtful number.  Ball probabilities
 and amplitudes on radii both climb the whole ladder, from 1 panel per
 period, on k rules that split every panel of the 1-panel rule (see
 :func:`_k_rule`).  The amplitude on a uniform radial grid, as the Monte
-Carlo sampler and ``dump-density`` use, fills its j0 table by angle
-addition, as the ball's rho nodes do.
+Carlo sampler and ``dump-density`` use, builds no j0 table: angle addition,
+which also fills the ball's rho tables, turns its sums into one real
+product per ladder level.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -161,8 +162,16 @@ def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
 def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
                   t: np.ndarray) -> np.ndarray:
     """Coefficients envelope(k) exp(-i k t), one row per k node and one
-    column per time of ``t``."""
-    return envelope[:, None] * np.exp(-1j * np.multiply.outer(k, t))
+    column per time of ``t``.
+
+    cos(k t) and sin(-k t) fill the real and imaginary parts: real np.cos
+    and np.sin cost less than a complex np.exp, and give its bits.
+    """
+    kt = np.multiply.outer(k, np.negative(t))
+    out = np.empty(kt.shape, dtype=np.complex128)
+    np.cos(kt, out=out.real)
+    np.sin(kt, out=out.imag)
+    return np.multiply(envelope[:, None], out, out=out)
 
 
 def amplitude_on_radii(
@@ -174,7 +183,7 @@ def amplitude_on_radii(
     """Evaluate A(r, t) at many radii sharing one quadrature rule.
 
     The radii ``r`` are an array or, for a uniform grid from the origin,
-    the :class:`~lcdisc._kernels.UniformRadii` whose j0 table is filled by
+    the :class:`~lcdisc._kernels.UniformRadii` whose sums are factored by
     angle addition.
 
     Raises
@@ -210,7 +219,7 @@ def amplitude_on_radii(
         return weighted_j0_sum(r, rule.nodes, coeffs)
 
     # the sampler's amplitudes set the radii of the trial CSV, so a change
-    # to this ladder or to the j0 fill can move a radius's twelfth digit
+    # to this ladder or to the j0 sums can move a radius's twelfth digit
     # there, and with it the CSV digest that tests/test_cli.py freezes
     amp, _, _ = _converged(evaluate, amp_tol, "amplitude", DENSITY_LADDER)
     return amp

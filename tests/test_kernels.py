@@ -1,5 +1,7 @@
 """The j0 kernels: accuracy, validation and the table-fill lookup."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,3 +231,51 @@ def test_uniform_grid_sum_matches_direct(family, t, size):
         assert np.max(np.abs(got - direct)) <= 1e-13 * scale
         # j0(0) = 1: the sum at r = 0 is the sum of the coefficients
         assert got[0] == pytest.approx(np.sum(coeffs), rel=1e-14)
+
+
+_UNIFORM_FAMILIES = [lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+                     lcdisc.ExponentialFamily(kappa=2.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(_UNIFORM_FAMILIES),
+       size=st.integers(2, 5000),
+       r_max=st.floats(1e-3, 200.0),
+       t=st.floats(-40.0, 40.0),
+       level=st.sampled_from(DENSITY_LADDER[:2]))
+def test_uniform_grid_sum_matches_direct_drawn(family, size, r_max, t, level):
+    # the factorized sum on drawn grids, sizes off the block edges too,
+    # against the direct sum on the same radii
+    profile = lcdisc.make_profile(family)
+    grid = UniformRadii(r_max, size)
+    rule = propagation._k_rule(profile, r_max, t, level)
+    coeffs = propagation._phase_coeffs(
+        propagation._envelope(profile, rule), rule.nodes,
+        np.array([t])).ravel()
+    got = weighted_j0_sum(grid, rule.nodes, coeffs)
+    direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+    assert got.shape == (size,)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(coeffs))
+    assert got[0] == pytest.approx(np.sum(coeffs), rel=1e-14)
+
+
+def test_uniform_grid_sum_memory_is_bounded():
+    # one 2^18-radius sum at 840 k nodes, in products of _CHUNK_BASES block
+    # bases, stays under the 58.2 MiB that j0 table blocks of 128 rows
+    # peaked at; one product over all 2048 bases peaks at 141 MiB
+    k = np.linspace(0.0, 12.0, 840)
+    coeffs = np.exp(-0.5 * (k - 5.0) ** 2 - 1j * k)
+    grid = UniformRadii(200.0, 1 << 18)
+    tracemalloc.start()
+    try:
+        got = weighted_j0_sum(grid, k, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 58 * 2 ** 20
+    # rows around the edges of blocks and of products, against the direct sum
+    chunk = _kernels._CHUNK_BASES * _kernels._BLOCK_ROWS
+    rows = np.array([1, 127, 128, 129, chunk - 1, chunk, chunk + 1,
+                     5 * chunk + 300, grid.size - 1])
+    direct = weighted_j0_sum(grid.nodes[rows], k, coeffs)
+    assert np.max(np.abs(got[rows] - direct)) <= 1e-13 * np.sum(np.abs(coeffs))

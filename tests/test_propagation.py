@@ -298,6 +298,26 @@ def test_inside_sweep_bits_frozen(d, R):
     assert [float(p).hex() for p in got] == SWEEP_BITS[d, R]
 
 
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.lists(st.floats(0.0, 1e3) | _SIGNED_ZEROS, min_size=1,
+                  max_size=16),
+       t=st.lists(st.floats(-1e4, 1e4) | _SIGNED_ZEROS, min_size=1,
+                  max_size=8),
+       data=st.data())
+def test_phase_coeffs_bit_equal_complex_exp(k, t, data):
+    # cos and sin into the real and imaginary parts give the bits of the
+    # complex exp they replace, signed zeros included
+    k, t = np.array(k), np.array(t)
+    envelope = np.array(data.draw(st.lists(
+        st.floats(0.0, 10.0), min_size=k.size, max_size=k.size)))
+    got = propagation._phase_coeffs(envelope, k, t)
+    expected = envelope[:, None] * np.exp(-1j * np.multiply.outer(k, t))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_ball_quadrature_rejects_times_past_t_max(gauss_d3):
     ball = propagation.BallQuadrature(gauss_d3, 1.0, 6.5)
     assert ball.p_in(np.array([-6.5, 0.0, 6.5])).shape == (3,)
