@@ -33,6 +33,9 @@ TAIL_MASS_BOUND = 1e-10
 # candidates for k_max live on a geometric grid with this many segments
 _TAIL_GRID_SEGMENTS = 4096
 _TAIL_GRID_SPAN = 1e4
+# blocks of about 1024 segments, whose (GAUSS_ORDER, block) temporaries
+# stay in cache
+_TAIL_BLOCKS = 4
 
 
 class HelicityChannel(enum.Enum):
@@ -145,11 +148,20 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
 
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * GAUSS_X[None, :]
-    # mass of each segment under k |g|^2, unnormalized and without 2 pi
-    s = family.shape(nodes)
-    segment_mass = (half[:, None] * GAUSS_W[None, :] *
-                    (nodes * s * s)).sum(axis=1)
+    # mass of each segment under k |g|^2, unnormalized and without 2 pi,
+    # with the nodes node-major, (GAUSS_ORDER, segments), a block of
+    # segments at a time
+    segment_mass = np.empty(half.size)
+    block = -(-half.size // _TAIL_BLOCKS)
+    for lo in range(0, half.size, block):
+        h, m = half[lo:lo + block], mid[lo:lo + block]
+        nodes = m + h * GAUSS_X[:, None]
+        s = family.shape(nodes)
+        terms = h * GAUSS_W[:, None] * (nodes * s * s)
+        # pairwise, the order in which NumPy sums 8 terms
+        while len(terms) > 1:
+            terms = terms[0::2] + terms[1::2]
+        segment_mass[lo:lo + block] = terms[0]
 
     total = float(segment_mass.sum())
     if not (math.isfinite(total) and total > 0.0):

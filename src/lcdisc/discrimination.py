@@ -37,6 +37,7 @@ from lcdisc.lightcone import scan_time_ball
 from lcdisc.propagation import (
     DEFAULT_PROB_TOL,
     BallQuadrature,
+    EvenTimes,
     inside_probability_sweep,
 )
 
@@ -197,7 +198,9 @@ def optimal_measurement_time(
     the minimum between the neighbours of the best grid time.  Each zoom
     step then sweeps ZOOM_POINTS times spread evenly inside the bracket, in
     one batched call, and brackets the best time of that finer grid the
-    same way, until the bracket is at most TIME_TOL wide.  Among all
+    same way, until the bracket is at most TIME_TOL wide.  Every sweep is
+    evenly spaced, an :class:`~lcdisc.propagation.EvenTimes`, so its
+    phase coefficients come by doubling.  Among all
     evaluated candidates whose p_t ties the minimum (to 1e-12), the
     earliest time wins.  A minimum sitting on a window boundary triggers a
     warning, since the window may be cutting the true optimum off.
@@ -213,16 +216,18 @@ def optimal_measurement_time(
     # one quadrature for the whole search: its tables are built once and
     # every sweep below only contracts them
     ball = BallQuadrature(profile, R, max(abs(t_lo), abs(t_hi)), prob_tol)
-    ts = np.linspace(t_lo, t_hi, int(n_grid))
-    ps = _clipped_outside(ball.p_in(ts))
+    coarse = EvenTimes.linspace(t_lo, t_hi, int(n_grid))
+    ts = coarse.nodes
+    ps = _clipped_outside(ball.p_in(coarse))
     candidates = list(zip(ts.tolist(), ps.tolist()))
     while True:
         i_min = int(np.argmin(ps))
         lo, hi = max(i_min - 1, 0), min(i_min + 1, len(ts) - 1)
         if ts[hi] - ts[lo] <= TIME_TOL:
             break
-        inner = np.linspace(ts[lo], ts[hi], ZOOM_POINTS + 2)[1:-1]
-        inner_ps = _clipped_outside(ball.p_in(inner))
+        zoom = EvenTimes.between(ts[lo], ts[hi], ZOOM_POINTS)
+        inner = zoom.nodes
+        inner_ps = _clipped_outside(ball.p_in(zoom))
         candidates.extend(zip(inner.tolist(), inner_ps.tolist()))
         ts = np.concatenate(([ts[lo]], inner, [ts[hi]]))
         ps = np.concatenate(([ps[lo]], inner_ps, [ps[hi]]))

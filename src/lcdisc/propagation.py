@@ -25,7 +25,9 @@ period, on k rules that split every panel of the 1-panel rule (see
 :func:`_k_rule`).  The amplitude on a uniform radial grid, as the Monte
 Carlo sampler and ``dump-density`` use, builds no j0 table: angle addition,
 which also fills the ball's rho tables, turns its sums into one real
-product per ladder level.
+product per ladder level.  An evenly spaced time sweep, as the optimizer's
+(:class:`EvenTimes`), takes its phase coefficients exp(-i k t) by
+doubling from two rows of cos and sin.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -159,10 +161,37 @@ def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
     return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
 
 
-def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
-                  t: np.ndarray) -> np.ndarray:
-    """Coefficients envelope(k) exp(-i k t), one row per k node and one
-    column per time of ``t``.
+@dataclass(frozen=True)
+class EvenTimes:
+    """Evenly spaced times ``nodes``, bit for bit the np.linspace values
+    that :meth:`linspace` and :meth:`between` build, with their spacing
+    ``step``.  A sweep over them takes its phase coefficients by doubling
+    (:func:`_phase_coeffs`)."""
+
+    nodes: np.ndarray
+    step: float
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The times, for NumPy callers that take them as an array."""
+        return np.array(self.nodes, dtype=dtype, copy=copy)
+
+    @classmethod
+    def linspace(cls, start: float, stop: float, size: int) -> "EvenTimes":
+        """The times ``np.linspace(start, stop, size)``, size >= 2."""
+        return cls(np.linspace(start, stop, size),
+                   (stop - start) / (size - 1))
+
+    @classmethod
+    def between(cls, start: float, stop: float, size: int) -> "EvenTimes":
+        """The ``size`` times strictly inside [start, stop] that split it
+        into size + 1 equal steps, ``np.linspace(start, stop, size + 2)``
+        without its ends."""
+        return cls(np.linspace(start, stop, size + 2)[1:-1],
+                   (stop - start) / (size + 1))
+
+
+def _unit_phases(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i k t), one row per k node and one column per time of ``t``.
 
     cos(k t) and sin(-k t) fill the real and imaginary parts: real np.cos
     and np.sin cost less than a complex np.exp, and give its bits.
@@ -171,7 +200,37 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
     out = np.empty(kt.shape, dtype=np.complex128)
     np.cos(kt, out=out.real)
     np.sin(kt, out=out.imag)
-    return np.multiply(envelope[:, None], out, out=out)
+    return out
+
+
+def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
+                  t: np.ndarray | EvenTimes) -> np.ndarray:
+    """Coefficients envelope(k) exp(-i k t), one row per k node and one
+    column per time of ``t``.
+
+    For :class:`EvenTimes` cos and sin run on two rows only: the first
+    time's coefficients, as an array holding that time gives them, and
+    the step w = exp(-i k step).  The other columns are products, filled
+    by doubling: each pass multiplies the columns filled so far by w^(2^j),
+    then squares w.  Rows of the time-major fill are contiguous; the
+    transpose is copied once, by the contraction.  The squares carry
+    |w|'s rounding along, so column i can be off by i eps/2 where the
+    direct path is off by eps |k t|.
+    """
+    if not isinstance(t, EvenTimes):
+        out = _unit_phases(k, t)
+        return np.multiply(envelope[:, None], out, out=out)
+    n = t.nodes.size
+    out = np.empty((n, k.size), dtype=np.complex128)
+    out[0] = _phase_coeffs(envelope, k, t.nodes[:1])[:, 0]
+    w = _unit_phases(k, np.array([t.step]))[:, 0]
+    filled = 1
+    while filled < n:
+        m = min(filled, n - filled)
+        np.multiply(out[:m], w, out=out[filled:filled + m])
+        filled += m
+        w = w * w
+    return out.T
 
 
 def amplitude_on_radii(
@@ -488,8 +547,11 @@ class BallQuadrature:
             self._levels[panels_per_period] = level
         return level
 
-    def p_in(self, t_values: np.ndarray) -> np.ndarray:
+    def p_in(self, t_values: np.ndarray | EvenTimes) -> np.ndarray:
         """Probability that a detection at each time falls inside the ball.
+
+        ``t_values`` is an array of times or an :class:`EvenTimes` sweep,
+        whose phase coefficients come by doubling.
 
         Raises
         ------
@@ -503,7 +565,9 @@ class BallQuadrature:
             would need more than :data:`~lcdisc.quadrature.MAX_PANELS`
             panels.
         """
-        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+        times = (t_values if isinstance(t_values, EvenTimes)
+                 else np.atleast_1d(np.asarray(t_values, dtype=float)))
+        t_values = np.asarray(times)
         if t_values.size == 0:
             raise InvalidParameterError("t_values must hold at least one time")
         if not np.all(np.isfinite(t_values)):
@@ -520,7 +584,7 @@ class BallQuadrature:
 
         def evaluate(panels_per_period: float) -> np.ndarray:
             level = self._level(panels_per_period)
-            coeffs = _phase_coeffs(level.envelope, level.k, t_values)
+            coeffs = _phase_coeffs(level.envelope, level.k, times)
             amp = weighted_j0_gemm(level.table, level.k, coeffs)
             density = amp.real ** 2 + amp.imag ** 2
             return level.weights @ density

@@ -1,5 +1,7 @@
 """Momentum-profile construction, normalization, and cutoff selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from lcdisc import (
     make_profile,
     momentum_norm,
 )
+from lcdisc import amplitude
+from lcdisc.quadrature import GAUSS_W, GAUSS_X
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
 GAUSS_NORM_CONST = 0.11268862875671706
@@ -157,3 +161,32 @@ def test_gaussian_norm_property(k0, sigma):
 def test_exponential_norm_property(kappa):
     profile = make_profile(ExponentialFamily(kappa=kappa))
     assert momentum_norm(profile) == pytest.approx(1.0, abs=1e-8)
+
+
+def _segment_major_profile(family):
+    """(norm_const, k_max) of make_profile's sums laid out segment-major,
+    (segments, GAUSS_ORDER), and summed by .sum(axis=1)."""
+    k_far = family.far_cutoff()
+    edges = np.geomspace(k_far / amplitude._TAIL_GRID_SPAN, k_far,
+                         amplitude._TAIL_GRID_SEGMENTS + 1)
+    edges = np.concatenate(([0.0], edges))
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = mid[:, None] + half[:, None] * GAUSS_X[None, :]
+    s = family.shape(nodes)
+    segment_mass = (half[:, None] * GAUSS_W[None, :] *
+                    (nodes * s * s)).sum(axis=1)
+    total = float(segment_mass.sum())
+    tail = np.concatenate((np.cumsum(segment_mass[::-1])[::-1], [0.0]))
+    covered = np.nonzero(tail / total < amplitude.TAIL_MASS_BOUND)[0]
+    return 1.0 / math.sqrt(2.0 * math.pi * total), float(edges[covered[0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.builds(GaussianFamily, k0=st.floats(0.05, 50.0),
+                        sigma=st.floats(0.01, 10.0)) |
+       st.builds(ExponentialFamily, kappa=st.floats(0.01, 20.0)))
+def test_node_major_sums_give_segment_major_bits(family):
+    profile = make_profile(family)
+    assert (profile.norm_const, profile.k_max) == \
+        _segment_major_profile(family)

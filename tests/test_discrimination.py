@@ -254,6 +254,27 @@ def test_search_quadrature_matches_fresh_sweeps(monkeypatch, family):
             propagation.DEFAULT_PROB_TOL
 
 
+@pytest.mark.parametrize("family", [
+    lcdisc.GaussianFamily(k0=4.0, sigma=0.8),
+    lcdisc.ExponentialFamily(kappa=0.5),
+], ids=["gauss", "expo"])
+def test_search_on_even_times_matches_search_on_arrays(monkeypatch, family):
+    # the sweeps' coefficients by doubling against cos and sin at each time
+    profile = lcdisc.make_profile(family, offset_d=3.5)
+    got = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
+    real_p_in = propagation.BallQuadrature.p_in
+
+    def p_in(self, t_values):
+        assert isinstance(t_values, propagation.EvenTimes)
+        return real_p_in(self, t_values.nodes)
+
+    monkeypatch.setattr(propagation.BallQuadrature, "p_in", p_in)
+    expected = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
+    assert got.t_star == expected.t_star
+    assert abs(got.p_t_star - expected.p_t_star) <= 1e-15
+    assert got.on_boundary == expected.on_boundary
+
+
 def test_optimal_time_validation(gauss_profile):
     with pytest.raises(InvalidParameterError):
         optimal_measurement_time(gauss_profile, 2.0, (1.0, 1.0))

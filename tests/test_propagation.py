@@ -25,6 +25,7 @@ from lcdisc import (
 )
 from lcdisc import _kernels, propagation
 from lcdisc._kernels import j0_table, weighted_j0_sum
+from lcdisc.discrimination import MAX_TIME_GRID
 from lcdisc.quadrature import (
     MAX_PANELS,
     PanelRule,
@@ -318,6 +319,48 @@ def test_phase_coeffs_bit_equal_complex_exp(k, t, data):
     assert got.tobytes() == expected.tobytes()
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=16),
+       start=st.floats(-50.0, 50.0),
+       span=st.floats(1e-6, 100.0),
+       n=st.integers(2, MAX_TIME_GRID),
+       form=st.sampled_from([propagation.EvenTimes.linspace,
+                             propagation.EvenTimes.between]),
+       data=st.data())
+def test_even_times_coeffs_match_direct(k, start, span, n, form, data):
+    # coefficients by doubling against cos and sin at every time.  The
+    # direct path is off by about eps |k t|; the squares of the step carry
+    # its rounding along, so column i can be off by i eps / 2 more
+    k = np.array(k)
+    # a subnormal envelope rounds by more than eps times itself
+    envelope = np.array(data.draw(st.lists(
+        st.floats(0.0, 10.0, allow_subnormal=False), min_size=k.size,
+        max_size=k.size)))
+    times = form(start, start + span, n)
+    got = propagation._phase_coeffs(envelope, k, times)
+    expected = propagation._phase_coeffs(envelope, k, times.nodes)
+    assert got.shape == expected.shape == (k.size, times.nodes.size)
+    max_kt = k * np.max(np.abs(times.nodes))
+    bound = 4.0 * _EPS * (n + max_kt) * envelope
+    assert np.all(np.abs(got - expected) <= bound[:, None])
+
+
+@pytest.mark.parametrize("family", [GaussianFamily(k0=5.0, sigma=1.0),
+                                    ExponentialFamily(kappa=2.0)],
+                         ids=["gauss", "expo"])
+@pytest.mark.parametrize("t", [0.0, -1.25, 3.7])
+def test_one_time_grid_gives_array_bits(family, t):
+    profile = make_profile(family, offset_d=1.0)
+    ball = propagation.BallQuadrature(profile, 2.0, 8.0)
+    # the one inner time of [t - 1, t + 1] is t itself
+    times = propagation.EvenTimes.between(t - 1.0, t + 1.0, 1)
+    assert times.nodes.tolist() == [t]
+    assert ball.p_in(times).tobytes() == ball.p_in(np.array([t])).tobytes()
+
+
 def test_ball_quadrature_rejects_times_past_t_max(gauss_d3):
     ball = propagation.BallQuadrature(gauss_d3, 1.0, 6.5)
     assert ball.p_in(np.array([-6.5, 0.0, 6.5])).shape == (3,)
@@ -502,6 +545,20 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
     error = abs(got - _dense_inside_probability(profile, R, t, density))
     assert error <= ball.prob_tol
     assert error <= estimates[0] + 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a tiny ball on a narrow Gaussian passes its guard 10x past prob_tol; "
+    "the k panel width capped at a fraction of the profile's width "
+    "(ROADMAP item 2) would mend it"))
+def test_tiny_ball_on_narrow_gaussian_within_tolerance():
+    # p_in gives 1.8491930594e-06 against 1.7509249217e-06 from the dense
+    # reference, 9.8e-8 apart
+    profile = make_profile(GaussianFamily(k0=5.875, sigma=0.1))
+    R = 0.0078125
+    got = inside_probability(profile, R, 0.0)
+    assert abs(got - _dense_inside_probability(profile, R, 0.0)) <= \
+        propagation.DEFAULT_PROB_TOL
 
 
 def _dense_amplitude(profile, r, t):
