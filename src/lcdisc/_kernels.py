@@ -9,35 +9,35 @@ of a few offsets that many centres share, so sin and cos run on the
 centres and on the offsets, not once per radius and k node.  The nodes of
 a :class:`~lcdisc.quadrature.PanelRule` are panel centres plus h x_g, and
 their j0 table is filled so (:func:`_angle_sum`, :func:`panel_j0_table`,
-which :func:`weighted_j0_gemm` uses, as time sweeps do).  A
-:class:`UniformRadii` grid is block bases plus shared offsets, and
-:func:`weighted_j0_sum` builds no table for it: angle addition splits each
-sum into one real product of a per-base and a per-offset factor
-(:func:`_uniform_sum`).  Only arbitrary radii, as users and the 3D oracle
-pass, fill the table directly, one np.sin per entry.  A
-:class:`PanelTable` keeps a panel table, so repeated gemms at the same k
-nodes only contract.
+which :func:`weighted_j0_gemm` uses, as time sweeps do).  The radii of
+an :class:`~lcdisc.quadrature.EvenGrid`, from any nonnegative start, are
+block bases plus shared offsets, and :func:`weighted_j0_sum` builds no
+table for them: angle addition splits each sum into one real product of a
+per-base and a per-offset factor (:func:`_uniform_sum`).  Only arbitrary
+radii, as users and the 3D oracle pass, fill the table directly, one
+np.sin per entry.  A :class:`PanelTable` keeps a panel table, so repeated
+gemms at the same k nodes only contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
 
-from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, PanelRule
+from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, EvenGrid, PanelRule
 
 SMALL_Z = 1e-4
 # rows per table block of weighted_j0_sum on arbitrary radii
 _CHUNK_ROWS = 128
-# a uniform grid's block of radii as (coarse, fine) offset steps, see
+# an even grid's block of radii as (coarse, fine) offset steps, see
 # _offset_terms; on 4097-radius sampler grids 16 x 8 summed faster than
 # 8 x 8, 16 x 16 and 32 x 8, and within 3% of 8 x 16
 _BLOCK_SHAPE = (16, 8)
 _BLOCK_ROWS = _BLOCK_SHAPE[0] * _BLOCK_SHAPE[1]
-# block bases per gemm of a uniform grid: a 4097-radius grid is one gemm,
+# block bases per gemm of an even grid: a 4097-radius grid is one gemm,
 # and larger grids keep their temporaries bounded
 _CHUNK_BASES = 64
 # panels per table block of weighted_j0_gemm: 256 rows of 8 Gauss nodes each
@@ -73,8 +73,8 @@ def _sin_cos(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _angle_sum(centre: np.ndarray, offset: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """sin(k (c + s)) / k on the centres x offsets x k grid.
+               out: np.ndarray) -> np.ndarray:
+    """sin(k (c + s)) / k on the centres x offsets x k grid, into ``out``.
 
     ``centre`` and ``offset`` are the :func:`_sin_cos` stacks of the
     centres c and of the offsets s, and by angle addition
@@ -122,26 +122,8 @@ def available_backends() -> tuple[str, ...]:
     return ("numpy",)
 
 
-@dataclass(frozen=True)
-class UniformRadii:
-    """The ``size`` radii ``np.linspace(0, r_max, size)``, ``nodes``, with
-    their spacing ``step``; ``size`` is at least 2."""
-
-    r_max: float
-    size: int
-    nodes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes",
-                           np.linspace(0.0, self.r_max, self.size))
-
-    @property
-    def step(self) -> float:
-        return self.r_max / (self.size - 1)
-
-
 def _offset_terms(step: float, k: np.ndarray) -> np.ndarray:
-    """The right factor of a uniform grid's product, shape
+    """The right factor of an even grid's product, shape
     (2 len(k), _BLOCK_ROWS): cos(k s) over sin(k s) / k, one column per
     offset s = step * arange(_BLOCK_ROWS) of a block.
 
@@ -163,11 +145,12 @@ def _offset_terms(step: float, k: np.ndarray) -> np.ndarray:
     return out.reshape(_BLOCK_ROWS, 2 * k.size).T
 
 
-def _uniform_sum(grid: UniformRadii, k: np.ndarray,
+def _uniform_sum(grid: EvenGrid, k: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] sin(k[j] r) / k[j] at the radii r of ``grid``.
 
-    Each radius is a block base b plus one of the block offsets s, and
+    Each radius is a block base b, the first node plus a whole number of
+    blocks, plus one of the block offsets s, and
 
         sin(k (b + s)) / k = (sin(k b) / k) cos(k s) + cos(k b) (sin(k s) / k),
 
@@ -180,9 +163,10 @@ def _uniform_sum(grid: UniformRadii, k: np.ndarray,
     right = _offset_terms(grid.step, k)
     parts = np.stack([coeffs.real, coeffs.imag])[:, None, :]
     out = np.empty((n_bases, _BLOCK_ROWS, 2))
+    start, stride = grid.nodes[0], _BLOCK_ROWS * grid.step
     for lo in range(0, n_bases, _CHUNK_BASES):
         bases = np.arange(lo, min(lo + _CHUNK_BASES, n_bases))
-        centre = _sin_cos(bases * (_BLOCK_ROWS * grid.step), k)
+        centre = _sin_cos(start + bases * stride, k)
         # C order, so the reshape below is a view, not a copy
         left = np.empty((bases.size, 2, 2, k.size))
         np.multiply(centre.transpose(1, 0, 2)[:, None], parts, out=left)
@@ -225,25 +209,26 @@ def _contract(tables: Iterator[np.ndarray], n_rows: int,
     return out.view(np.complex128)
 
 
-def weighted_j0_sum(r: np.ndarray | UniformRadii, k: np.ndarray,
+def weighted_j0_sum(r: np.ndarray | EvenGrid, k: np.ndarray,
                     coeffs: np.ndarray) -> np.ndarray:
     """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]) as complex128.
 
-    For the radii of a :class:`UniformRadii` ``r`` the sums come from
-    real products by angle addition, with no j0 table
-    (:func:`_uniform_sum`).  For an array of radii the j0 table is filled
-    directly and contracted one block of _CHUNK_ROWS rows at a time.
+    For the nonnegative radii of an :class:`~lcdisc.quadrature.EvenGrid`
+    ``r`` the sums come from real products by angle addition, with no j0
+    table (:func:`_uniform_sum`).  For an array of radii the j0 table is
+    filled directly and contracted one block of _CHUNK_ROWS rows at a time.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
-    if isinstance(r, UniformRadii):
-        # sums of sin(k r) / k = r j0(k r): each, but the one at r = 0,
-        # is divided by its r once; at r = 0 every j0 is 1
+    if isinstance(r, EvenGrid):
+        # sums of sin(k r) / k = r j0(k r): each, but one at r = 0, is
+        # divided by its r once; at r = 0 every j0 is 1
         out = _uniform_sum(r, k, coeffs)
-        out[0] = coeffs.sum()
-        out[1:] /= r.nodes[1:]
+        at_0 = r.nodes == 0.0
+        np.divide(out, r.nodes, out=out, where=~at_0)
+        out[at_0] = coeffs.sum()
         return out
     r = _as_vec(r)
     tables = (j0_table(r[lo:lo + _CHUNK_ROWS], k)

@@ -10,8 +10,11 @@ condition in the measure d^3k / 2|k|).  Two families are provided:
 Each profile also records a rigid displacement ``offset_d`` of the packet
 center from the origin and a truncation wavenumber ``k_max`` beyond which the
 profile carries less than ``TAIL_MASS_BOUND`` of its mass.  All downstream
-quadratures integrate over [0, k_max] only, so the truncation error is bounded
-uniformly at construction time.
+quadratures integrate over [0, k_max] only.  The bound is on the dropped
+momentum mass, not on the results: the amplitude error the cut leaves grows
+like the square root of that mass, up to 1.56e-4 for exponential kappa = 2
+against ``amp_tol`` 1e-9, and no density ladder at one k_max sees it.
+Deriving the cut from the tolerance is ROADMAP item 1.
 
 The two helicity states share one profile and are exactly orthogonal; their
 overlap is a Kronecker delta in the helicity sign.

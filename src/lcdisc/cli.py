@@ -259,13 +259,20 @@ def _radii(config: RunConfig) -> list[float]:
 
 @contextlib.contextmanager
 def _open_output(path: str | None) -> Iterator[TextIO]:
-    """Yield stdout, or ``path`` opened for writing; OSError is ConfigError."""
+    """Yield stdout, or ``path`` opened for writing; OSError is ConfigError.
+    A file that a failing command leaves unfinished is removed."""
+    opened = finished = False
     try:
         with (contextlib.nullcontext(sys.stdout) if path is None
               else open(path, "w", encoding="utf-8")) as handle:
+            opened = path is not None
             yield handle
+        finished = True
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}")
+    finally:
+        if opened and not finished:
+            Path(path).unlink(missing_ok=True)
 
 
 def _format_rows(templates: Sequence[str], *columns: Sequence) -> str:

@@ -37,9 +37,9 @@ from lcdisc.lightcone import scan_time_ball
 from lcdisc.propagation import (
     DEFAULT_PROB_TOL,
     BallQuadrature,
-    EvenTimes,
     inside_probability_sweep,
 )
+from lcdisc.quadrature import EvenGrid
 
 TIME_TOL = 1e-4
 _CLIP_WARN = 1e-6
@@ -199,7 +199,7 @@ def optimal_measurement_time(
     step then sweeps ZOOM_POINTS times spread evenly inside the bracket, in
     one batched call, and brackets the best time of that finer grid the
     same way, until the bracket is at most TIME_TOL wide.  Every sweep is
-    evenly spaced, an :class:`~lcdisc.propagation.EvenTimes`, so its
+    evenly spaced, an :class:`~lcdisc.quadrature.EvenGrid`, so its
     phase coefficients come by doubling.  Among all
     evaluated candidates whose p_t ties the minimum (to 1e-12), the
     earliest time wins.  A minimum sitting on a window boundary triggers a
@@ -216,7 +216,7 @@ def optimal_measurement_time(
     # one quadrature for the whole search: its tables are built once and
     # every sweep below only contracts them
     ball = BallQuadrature(profile, R, max(abs(t_lo), abs(t_hi)), prob_tol)
-    coarse = EvenTimes.linspace(t_lo, t_hi, int(n_grid))
+    coarse = EvenGrid.linspace(t_lo, t_hi, int(n_grid))
     ts = coarse.nodes
     ps = _clipped_outside(ball.p_in(coarse))
     candidates = list(zip(ts.tolist(), ps.tolist()))
@@ -225,7 +225,7 @@ def optimal_measurement_time(
         lo, hi = max(i_min - 1, 0), min(i_min + 1, len(ts) - 1)
         if ts[hi] - ts[lo] <= TIME_TOL:
             break
-        zoom = EvenTimes.between(ts[lo], ts[hi], ZOOM_POINTS)
+        zoom = EvenGrid.between(ts[lo], ts[hi], ZOOM_POINTS)
         inner = zoom.nodes
         inner_ps = _clipped_outside(ball.p_in(zoom))
         candidates.extend(zip(inner.tolist(), inner_ps.tolist()))

@@ -22,12 +22,12 @@ neighbouring levels agree, :class:`NumericFailureError` is raised with the
 last estimate instead of returning a doubtful number.  Ball probabilities
 and amplitudes on radii both climb the whole ladder, from 1 panel per
 period, on k rules that split every panel of the 1-panel rule (see
-:func:`_k_rule`).  The amplitude on a uniform radial grid, as the Monte
-Carlo sampler and ``dump-density`` use, builds no j0 table: angle addition,
-which also fills the ball's rho tables, turns its sums into one real
-product per ladder level.  An evenly spaced time sweep, as the optimizer's
-(:class:`EvenTimes`), takes its phase coefficients exp(-i k t) by
-doubling from two rows of cos and sin.
+:func:`_k_rule`).  Radii and times may come as an evenly spaced
+:class:`~lcdisc.quadrature.EvenGrid`.  On a grid of radii, as the Monte
+Carlo sampler and ``dump-density`` use, the amplitude builds no j0 table:
+angle addition, which also fills the ball's rho tables, turns its sums into
+one real product per ladder level.  A sweep over a grid of times, as the
+optimizer's, takes its phase coefficients exp(-i k t) by doubling.
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -44,12 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from lcdisc._kernels import (
-    PanelTable,
-    UniformRadii,
-    weighted_j0_gemm,
-    weighted_j0_sum,
-)
+from lcdisc._kernels import PanelTable, weighted_j0_gemm, weighted_j0_sum
 from lcdisc.amplitude import MomentumProfile
 from lcdisc.errors import (
     InvalidParameterError,
@@ -57,6 +52,7 @@ from lcdisc.errors import (
     ResourceLimitError,
 )
 from lcdisc.quadrature import (
+    EvenGrid,
     PanelRule,
     gauss_panels,
     panel_width,
@@ -131,9 +127,8 @@ def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
 
 
 def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
-               what: str, ladder: tuple[float, ...],
-               ) -> tuple[np.ndarray, float, float]:
-    """Run ``evaluate(panels_per_period)`` up ``ladder`` until converged.
+               what: str) -> tuple[np.ndarray, float, float]:
+    """Run ``evaluate(panels_per_period)`` up DENSITY_LADDER to converge.
 
     Returns the finer result of the first two neighbouring densities whose
     largest difference is at most ``tol``, that difference (the error
@@ -143,8 +138,8 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
     agree to the bit by chance, so a tolerance under it is unreachable.  A
     NaN estimate never passes.
     """
-    coarse = evaluate(ladder[0])
-    for panels_per_period in ladder[1:]:
+    coarse = evaluate(DENSITY_LADDER[0])
+    for panels_per_period in DENSITY_LADDER[1:]:
         fine = evaluate(panels_per_period)
         estimate = float(np.max(np.maximum(np.abs(fine - coarse),
                                            np.spacing(np.abs(fine)))))
@@ -161,35 +156,6 @@ def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
     return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
 
 
-@dataclass(frozen=True)
-class EvenTimes:
-    """Evenly spaced times ``nodes``, bit for bit the np.linspace values
-    that :meth:`linspace` and :meth:`between` build, with their spacing
-    ``step``.  A sweep over them takes its phase coefficients by doubling
-    (:func:`_phase_coeffs`)."""
-
-    nodes: np.ndarray
-    step: float
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The times, for NumPy callers that take them as an array."""
-        return np.array(self.nodes, dtype=dtype, copy=copy)
-
-    @classmethod
-    def linspace(cls, start: float, stop: float, size: int) -> "EvenTimes":
-        """The times ``np.linspace(start, stop, size)``, size >= 2."""
-        return cls(np.linspace(start, stop, size),
-                   (stop - start) / (size - 1))
-
-    @classmethod
-    def between(cls, start: float, stop: float, size: int) -> "EvenTimes":
-        """The ``size`` times strictly inside [start, stop] that split it
-        into size + 1 equal steps, ``np.linspace(start, stop, size + 2)``
-        without its ends."""
-        return cls(np.linspace(start, stop, size + 2)[1:-1],
-                   (stop - start) / (size + 1))
-
-
 def _unit_phases(k: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-i k t), one row per k node and one column per time of ``t``.
 
@@ -204,11 +170,11 @@ def _unit_phases(k: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
-                  t: np.ndarray | EvenTimes) -> np.ndarray:
+                  t: np.ndarray | EvenGrid) -> np.ndarray:
     """Coefficients envelope(k) exp(-i k t), one row per k node and one
     column per time of ``t``.
 
-    For :class:`EvenTimes` cos and sin run on two rows only: the first
+    For an :class:`EvenGrid` cos and sin run on two rows only: the first
     time's coefficients, as an array holding that time gives them, and
     the step w = exp(-i k step).  The other columns are products, filled
     by doubling: each pass multiplies the columns filled so far by w^(2^j),
@@ -217,10 +183,10 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
     |w|'s rounding along, so column i can be off by i eps/2 where the
     direct path is off by eps |k t|.
     """
-    if not isinstance(t, EvenTimes):
+    if not isinstance(t, EvenGrid):
         out = _unit_phases(k, t)
         return np.multiply(envelope[:, None], out, out=out)
-    n = t.nodes.size
+    n = t.size
     out = np.empty((n, k.size), dtype=np.complex128)
     out[0] = _phase_coeffs(envelope, k, t.nodes[:1])[:, 0]
     w = _unit_phases(k, np.array([t.step]))[:, 0]
@@ -235,15 +201,14 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
 
 def amplitude_on_radii(
     profile: MomentumProfile,
-    r: np.ndarray | UniformRadii,
+    r: np.ndarray | EvenGrid,
     t: float,
     amp_tol: float = DEFAULT_AMP_TOL,
 ) -> np.ndarray:
     """Evaluate A(r, t) at many radii sharing one quadrature rule.
 
-    The radii ``r`` are an array or, for a uniform grid from the origin,
-    the :class:`~lcdisc._kernels.UniformRadii` whose sums are factored by
-    angle addition.
+    The radii ``r`` are an array or an :class:`EvenGrid`, whose sums are
+    factored by angle addition.
 
     Raises
     ------
@@ -261,10 +226,8 @@ def amplitude_on_radii(
         raise InvalidParameterError("time t must be finite")
     if not (math.isfinite(amp_tol) and amp_tol > 0.0):
         raise InvalidParameterError("amp_tol must be finite and > 0")
-    if isinstance(r, UniformRadii):
-        radii = r.nodes
-    else:
-        r = radii = np.asarray(r, dtype=float)
+    radii = np.asarray(r, dtype=float)
+    r = r if isinstance(r, EvenGrid) else radii
     if not np.all(np.isfinite(radii) & (radii >= 0.0)):
         raise InvalidParameterError("radii must be finite and nonnegative")
     if radii.size == 0:
@@ -280,7 +243,7 @@ def amplitude_on_radii(
     # the sampler's amplitudes set the radii of the trial CSV, so a change
     # to this ladder or to the j0 sums can move a radius's twelfth digit
     # there, and with it the CSV digest that tests/test_cli.py freezes
-    amp, _, _ = _converged(evaluate, amp_tol, "amplitude", DENSITY_LADDER)
+    amp, _, _ = _converged(evaluate, amp_tol, "amplitude")
     return amp
 
 
@@ -314,7 +277,7 @@ def radial_density_grid(
         raise ResourceLimitError(
             f"n_points exceeds the cap of {MAX_GRID_POINTS}")
     for _ in range(1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)):
-        radii = UniformRadii(extent, int(n_points))
+        radii = EvenGrid.linspace(0.0, extent, int(n_points))
         r_grid = radii.nodes
         amp = amplitude_on_radii(profile, radii, t, amp_tol)
         density = np.abs(amp) ** 2
@@ -374,7 +337,7 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     return w
 
 
-def _rho_rule(profile: MomentumProfile, R: float, d: float,
+def _rho_rule(profile: MomentumProfile, R: float,
               panels_per_period: float) -> PanelRule:
     """Radial panels over the support [max(0, d-R), d+R] of the cap weight.
 
@@ -388,6 +351,7 @@ def _rho_rule(profile: MomentumProfile, R: float, d: float,
     at pi/2, 7.5e-6 at 2 pi, the 1-panel level, which the guard compares
     against the 2-panel one).
     """
+    d = profile.offset_d
     lo = max(0.0, d - R)
     hi = d + R
     breaks = [lo, hi]
@@ -528,7 +492,7 @@ class BallQuadrature:
         if level is None:
             profile, R = self.profile, self.R
             d = profile.offset_d
-            rule = _rho_rule(profile, R, d, panels_per_period)
+            rule = _rho_rule(profile, R, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
             k_rule = _k_rule(profile, float(rho.max()), self.t_max,
@@ -547,10 +511,10 @@ class BallQuadrature:
             self._levels[panels_per_period] = level
         return level
 
-    def p_in(self, t_values: np.ndarray | EvenTimes) -> np.ndarray:
+    def p_in(self, t_values: np.ndarray | EvenGrid) -> np.ndarray:
         """Probability that a detection at each time falls inside the ball.
 
-        ``t_values`` is an array of times or an :class:`EvenTimes` sweep,
+        ``t_values`` is an array of times or an :class:`EvenGrid` sweep,
         whose phase coefficients come by doubling.
 
         Raises
@@ -565,7 +529,7 @@ class BallQuadrature:
             would need more than :data:`~lcdisc.quadrature.MAX_PANELS`
             panels.
         """
-        times = (t_values if isinstance(t_values, EvenTimes)
+        times = (t_values if isinstance(t_values, EvenGrid)
                  else np.atleast_1d(np.asarray(t_values, dtype=float)))
         t_values = np.asarray(times)
         if t_values.size == 0:
@@ -589,8 +553,7 @@ class BallQuadrature:
             density = amp.real ** 2 + amp.imag ** 2
             return level.weights @ density
 
-        p, _, _ = _converged(evaluate, self.prob_tol, "ball-probability",
-                             DENSITY_LADDER)
+        p, _, _ = _converged(evaluate, self.prob_tol, "ball-probability")
         return p
 
 

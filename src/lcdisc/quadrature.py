@@ -85,6 +85,38 @@ class PanelRule:
                          np.repeat(self.half_widths / parts, parts))
 
 
+@dataclass(frozen=True)
+class EvenGrid:
+    """Evenly spaced radii or times ``nodes``, bit for bit the np.linspace
+    values that :meth:`linspace` and :meth:`between` build, with their
+    spacing ``step``, which the j0 sums and the phase coefficients use."""
+
+    nodes: np.ndarray
+    step: float
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The points, for NumPy callers that take them as an array."""
+        return np.array(self.nodes, dtype=dtype, copy=copy)
+
+    @property
+    def size(self) -> int:
+        return self.nodes.size
+
+    @classmethod
+    def linspace(cls, start: float, stop: float, size: int) -> EvenGrid:
+        """The points ``np.linspace(start, stop, size)``, size >= 2."""
+        return cls(np.linspace(start, stop, size),
+                   (stop - start) / (size - 1))
+
+    @classmethod
+    def between(cls, start: float, stop: float, size: int) -> EvenGrid:
+        """The ``size`` points strictly inside [start, stop] that split it
+        into size + 1 equal steps, ``np.linspace(start, stop, size + 2)``
+        without its ends."""
+        return cls(np.linspace(start, stop, size + 2)[1:-1],
+                   (stop - start) / (size + 1))
+
+
 def panel_width(frequency: float, panels_per_period: float) -> float:
     """Largest allowed panel width for a phase frequency (radians per unit).
 

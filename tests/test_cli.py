@@ -530,6 +530,22 @@ def test_trials_csv_is_written_batch_by_batch(capsys, tmp_path, monkeypatch):
     assert chunked_out == out
 
 
+@pytest.mark.parametrize("args,exit_code", [
+    (["--R", "1", "--trials", "10"], 2),
+    (["--R", "-1"], 2),
+    (["--R", "1", "--amp-tol", "1e-30"], 3),
+], ids=["few-trials", "negative-R", "amp-tol"])
+def test_failed_monte_carlo_leaves_no_trial_csv(capsys, tmp_path,
+                                                monkeypatch, args, exit_code):
+    # a header-only file would read as a finished run with no trials
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "monte-carlo", *GAUSS_ARGS, *args,
+                           "--trials-csv", "trials.csv")
+    assert code == exit_code
+    assert out == ""
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def _trial_rows_oracle(batch):
     """The trial CSV rows of ``batch``, one f-string per row; the reference
     for the row templates of ``cli._trial_rows``."""

@@ -24,6 +24,7 @@ from lcdisc import (
     total_error,
     tradeoff_curve,
 )
+from lcdisc.quadrature import EvenGrid
 
 probs = st.floats(0.0, 1.0)
 
@@ -265,7 +266,7 @@ def test_search_on_even_times_matches_search_on_arrays(monkeypatch, family):
     real_p_in = propagation.BallQuadrature.p_in
 
     def p_in(self, t_values):
-        assert isinstance(t_values, propagation.EvenTimes)
+        assert isinstance(t_values, EvenGrid)
         return real_p_in(self, t_values.nodes)
 
     monkeypatch.setattr(propagation.BallQuadrature, "p_in", p_in)

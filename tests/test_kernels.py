@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import lcdisc
 from lcdisc import _kernels, propagation
 from lcdisc._kernels import (
-    UniformRadii,
     available_backends,
     backend_name,
     j0_table,
@@ -18,7 +17,12 @@ from lcdisc._kernels import (
     weighted_j0_sum,
 )
 from lcdisc.propagation import DENSITY_LADDER
-from lcdisc.quadrature import PanelRule, panel_width, piecewise_gauss_panels
+from lcdisc.quadrature import (
+    EvenGrid,
+    PanelRule,
+    panel_width,
+    piecewise_gauss_panels,
+)
 
 # largest k node of the standard Gaussian profile, about 11.7
 _K_MAX = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0)).k_max
@@ -214,12 +218,12 @@ def test_uniform_grid_sum_matches_direct(family, t, size):
     # below, at and past one block, with a last block of one row
     profile = lcdisc.make_profile(family)
     r_max = propagation.default_r_max(profile, t)
-    grid = UniformRadii(r_max, size)
+    grid = EvenGrid.linspace(0.0, r_max, size)
     assert np.array_equal(grid.nodes, np.linspace(0.0, r_max, size))
     # e2ebench counts a sum's rows as np.size of its radii
     assert np.size(grid) == size
     for level in DENSITY_LADDER[:2]:
-        rule = propagation._k_rule(profile, grid.r_max, t, level)
+        rule = propagation._k_rule(profile, r_max, t, level)
         assert rule.nodes[0] < 1e-5
         coeffs = propagation._phase_coeffs(
             propagation._envelope(profile, rule), rule.nodes,
@@ -247,7 +251,7 @@ def test_uniform_grid_sum_matches_direct_drawn(family, size, r_max, t, level):
     # the factorized sum on drawn grids, sizes off the block edges too,
     # against the direct sum on the same radii
     profile = lcdisc.make_profile(family)
-    grid = UniformRadii(r_max, size)
+    grid = EvenGrid.linspace(0.0, r_max, size)
     rule = propagation._k_rule(profile, r_max, t, level)
     coeffs = propagation._phase_coeffs(
         propagation._envelope(profile, rule), rule.nodes,
@@ -259,13 +263,30 @@ def test_uniform_grid_sum_matches_direct_drawn(family, size, r_max, t, level):
     assert got[0] == pytest.approx(np.sum(coeffs), rel=1e-14)
 
 
+@pytest.mark.parametrize("start", [0.5, 3.0])
+@pytest.mark.parametrize("family", _UNIFORM_FAMILIES, ids=["gauss", "expo"])
+def test_even_grid_sum_from_any_start(family, start):
+    # a grid of radii away from r = 0 has no row that skips the division
+    profile = lcdisc.make_profile(family)
+    r_max = propagation.default_r_max(profile, 3.0)
+    grid = EvenGrid.linspace(start, r_max, 1000)
+    for level in DENSITY_LADDER[:2]:
+        rule = propagation._k_rule(profile, r_max, 3.0, level)
+        coeffs = propagation._phase_coeffs(
+            propagation._envelope(profile, rule), rule.nodes,
+            np.array([3.0])).ravel()
+        got = weighted_j0_sum(grid, rule.nodes, coeffs)
+        direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
 def test_uniform_grid_sum_memory_is_bounded():
     # one 2^18-radius sum at 840 k nodes, in products of _CHUNK_BASES block
     # bases, stays under the 58.2 MiB that j0 table blocks of 128 rows
     # peaked at; one product over all 2048 bases peaks at 141 MiB
     k = np.linspace(0.0, 12.0, 840)
     coeffs = np.exp(-0.5 * (k - 5.0) ** 2 - 1j * k)
-    grid = UniformRadii(200.0, 1 << 18)
+    grid = EvenGrid.linspace(0.0, 200.0, 1 << 18)
     tracemalloc.start()
     try:
         got = weighted_j0_sum(grid, k, coeffs)

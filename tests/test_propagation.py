@@ -28,6 +28,7 @@ from lcdisc._kernels import j0_table, weighted_j0_sum
 from lcdisc.discrimination import MAX_TIME_GRID
 from lcdisc.quadrature import (
     MAX_PANELS,
+    EvenGrid,
     PanelRule,
     gauss_panels,
     panel_width,
@@ -327,8 +328,8 @@ _EPS = float(np.finfo(float).eps)
        start=st.floats(-50.0, 50.0),
        span=st.floats(1e-6, 100.0),
        n=st.integers(2, MAX_TIME_GRID),
-       form=st.sampled_from([propagation.EvenTimes.linspace,
-                             propagation.EvenTimes.between]),
+       form=st.sampled_from([EvenGrid.linspace,
+                             EvenGrid.between]),
        data=st.data())
 def test_even_times_coeffs_match_direct(k, start, span, n, form, data):
     # coefficients by doubling against cos and sin at every time.  The
@@ -356,7 +357,7 @@ def test_one_time_grid_gives_array_bits(family, t):
     profile = make_profile(family, offset_d=1.0)
     ball = propagation.BallQuadrature(profile, 2.0, 8.0)
     # the one inner time of [t - 1, t + 1] is t itself
-    times = propagation.EvenTimes.between(t - 1.0, t + 1.0, 1)
+    times = EvenGrid.between(t - 1.0, t + 1.0, 1)
     assert times.nodes.tolist() == [t]
     assert ball.p_in(times).tobytes() == ball.p_in(np.array([t])).tobytes()
 
@@ -388,28 +389,39 @@ def test_ball_quadrature_reuses_its_tables(monkeypatch, gauss_d3):
     assert len(fills) == first
 
 
-def test_single_sweep_streams_its_tables(monkeypatch, gauss_d3):
+@pytest.mark.parametrize("family,d", [
+    (GaussianFamily(k0=5.0, sigma=1.0), 3.0),
+    # level 2's rho rule spans two blocks of 32 panels
+    (ExponentialFamily(kappa=2.0), 0.0),
+], ids=["gauss", "expo"])
+def test_single_sweep_streams_its_tables(monkeypatch, family, d):
     # a quadrature that keeps no table, as a single sweep's, fills every
-    # block again on each call, to the bits of one that keeps them
+    # block again on each call, to the bits of one that keeps them, whose
+    # blocks are contracted one at a time too
+    profile = make_profile(family, offset_d=d)
     ts = np.array([0.0, 2.5, 7.0])
-    kept = propagation.BallQuadrature(gauss_d3, 6.0, 7.0)
+    kept = propagation.BallQuadrature(profile, 6.0, 7.0)
     expected = [kept.p_in(ts), kept.p_in(ts[:2])]
     fills = []
     real = _kernels._ACTIVE.j0_table
     monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
                         lambda rule, k: fills.append(1) or real(rule, k))
-    ball = propagation.BallQuadrature(gauss_d3, 6.0, 7.0, keep_tables=False)
+    ball = propagation.BallQuadrature(profile, 6.0, 7.0, keep_tables=False)
     assert ball.p_in(ts).tobytes() == expected[0].tobytes()
     first = len(fills)
-    assert first > 2  # more than one block per level
+    assert first > 2  # more blocks than levels
     assert ball.p_in(ts[:2]).tobytes() == expected[1].tobytes()
-    assert len(fills) == 2 * first
+    second = len(fills) - first
+    # every block again, as many as a quadrature that keeps them fills once
+    fills.clear()
+    propagation.BallQuadrature(profile, 6.0, 7.0).p_in(ts[:2])
+    assert second == len(fills)
 
     def no_keep(*args):
         raise AssertionError("a single sweep kept a table")
 
     monkeypatch.setattr(propagation.PanelTable, "fill", no_keep)
-    inside_probability_sweep(gauss_d3, 6.0, ts)
+    inside_probability_sweep(profile, 6.0, ts)
 
 
 def test_inside_probability_validation(gauss_profile):
@@ -550,7 +562,7 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a tiny ball on a narrow Gaussian passes its guard 10x past prob_tol; "
     "the k panel width capped at a fraction of the profile's width "
-    "(ROADMAP item 2) would mend it"))
+    "(ROADMAP item 5) would mend it"))
 def test_tiny_ball_on_narrow_gaussian_within_tolerance():
     # p_in gives 1.8491930594e-06 against 1.7509249217e-06 from the dense
     # reference, 9.8e-8 apart
