@@ -62,7 +62,8 @@ from lcdisc.propagation import (
     radial_density_grid,
 )
 
-# most radii R_min/R_max/R_count may list; each costs a p_t search
+# most radii one error-curve may list, by R_list or R_min/R_max/R_count;
+# each is a p_t search, or with fixed_t a row of one batched sweep
 MAX_R_COUNT = 4096
 
 
@@ -244,6 +245,9 @@ def _radii(config: RunConfig) -> list[float]:
         raise ConfigError("fields R_list and R_min/R_max/R_count: "
                           "give only one way of listing radii")
     if config.R_list is not None:
+        if len(config.R_list) > MAX_R_COUNT:
+            raise ResourceLimitError(
+                f"field R_list: exceeds the cap of {MAX_R_COUNT}")
         return list(config.R_list)
     if config.R_min is not None:
         _require(config, "R_max", "R_count")

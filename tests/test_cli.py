@@ -347,7 +347,9 @@ def test_huge_fixed_time_exits_3(capsys):
     ["optimal-time", *GAUSS_ARGS, "--R", "1", "--t-grid", "1000000000"],
     ["error-curve", *GAUSS_ARGS, "--R-min", "1", "--R-max", "2",
      "--R-count", "1000000000"],
-], ids=["n_points", "t_grid", "R_count"])
+    ["error-curve", *GAUSS_ARGS, "--fixed-t", "1", "--R-list",
+     ",".join(str(0.001 * (i + 1)) for i in range(cli.MAX_R_COUNT + 1))],
+], ids=["n_points", "t_grid", "R_count", "R_list"])
 def test_huge_grid_sizes_exit_3(capsys, argv):
     # refused before the grid is allocated
     code, out, err = run_cli(capsys, *argv)
