@@ -63,7 +63,7 @@ from lcdisc.propagation import (
 )
 
 # most radii one error-curve may list, by R_list or R_min/R_max/R_count;
-# each is a p_t search, or with fixed_t a row of one batched sweep
+# each costs a p_t search, or with fixed_t one p_t
 MAX_R_COUNT = 4096
 
 

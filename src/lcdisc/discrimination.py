@@ -274,25 +274,24 @@ def tradeoff_curve(
 ) -> list[DiscriminationReport]:
     """Error report for each ball radius.
 
-    With ``fixed_t`` every radius is measured at that time, and all of them
-    take one :func:`outside_probability_sweep`.  Otherwise t is optimized
-    per radius: nothing in the protocol forces one shared t, and any
-    measurement feasible at radius R stays feasible at a larger radius,
-    which is what makes the resulting curve non-increasing.
+    Unless ``fixed_t`` pins the measurement time, t is optimized per radius:
+    nothing in the protocol forces one shared t, and any measurement feasible
+    at radius R stays feasible at a larger radius, which is what makes the
+    resulting curve non-increasing.
     """
     radii = [float(R) for R in R_list]
     if not radii:
         raise InvalidParameterError("R_list must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParameterError("R_list must be strictly increasing")
-    if fixed_t is not None:
-        p_ts = outside_probability_sweep(profile, np.array(radii),
-                                         np.array([float(fixed_t)]), prob_tol)
-        return [build_report(priors, R, fixed_t, p_t)
-                for R, p_t in zip(radii, p_ts[:, 0].tolist())]
     reports = []
     for R in radii:
-        best = optimal_measurement_time(profile, R, t_window, n_grid,
-                                        prob_tol)
-        reports.append(build_report(priors, R, best.t_star, best.p_t_star))
+        if fixed_t is not None:
+            t_meas = float(fixed_t)
+            p_t = outside_probability(profile, R, t_meas, prob_tol)
+        else:
+            best = optimal_measurement_time(profile, R, t_window, n_grid,
+                                            prob_tol)
+            t_meas, p_t = best.t_star, best.p_t_star
+        reports.append(build_report(priors, R, t_meas, p_t))
     return reports
