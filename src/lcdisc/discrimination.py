@@ -111,14 +111,12 @@ def outside_probability(
 
 def outside_probability_sweep(
     profile: MomentumProfile,
-    R: float | np.ndarray,
+    R: float,
     t_values: np.ndarray,
     prob_tol: float = DEFAULT_PROB_TOL,
 ) -> np.ndarray:
-    """Vectorized :func:`outside_probability` over times and radii, sharing
-    quadrature tables, of shape ``np.shape(R) + (len(t_values),)`` (see
-    :func:`~lcdisc.propagation.inside_probability_sweep`); p_t is clipped
-    at 0, with one warning if it is below -_CLIP_WARN."""
+    """Vectorized :func:`outside_probability` sharing quadrature tables;
+    p_t is clipped at 0, with one warning if it is below -_CLIP_WARN."""
     return _clipped_outside(
         inside_probability_sweep(profile, R, t_values, prob_tol))
 

@@ -69,11 +69,6 @@ MAX_GRID_POINTS = 1 << 20
 # most bytes of j0 table one BallQuadrature keeps over all its levels, the
 # size quadrature.MAX_PANELS lets one streamed 256-row block reach
 MAX_KEPT_TABLE_BYTES = 1 << 30
-# most radii one BallQuadrature serves.  Its rho rule gains panels with
-# every radius and its cap weights hold a row per radius on that rule, so
-# they grow as the square of the count: 4096 radii in [0.1, 8] at d=3 put
-# 65536 rho nodes in level 2 alone, 2 GiB of weights
-MAX_BALL_RADII = 64
 
 # panels per oscillation period, coarse to fine; ball probabilities and
 # amplitudes climb it from its first level
@@ -317,13 +312,9 @@ def quantile_radius(grid: RadialAmplitude, q: float) -> float:
     return float(np.interp(q * cum[-1], cum, grid.r_grid))
 
 
-def sphere_cap_weight(rho: np.ndarray, R: float | np.ndarray,
-                      d: float) -> np.ndarray:
+def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     """Fraction of the sphere of radius rho about the packet center that lies
     inside the ball of radius R centered a distance d away.
-
-    ``rho`` and ``R`` broadcast against each other, so radii R[:, None]
-    give one row of weights per radius.
 
     Derivation: points on the rho-sphere at polar angle theta from the axis
     joining the two centers sit at distance sqrt(d^2 + rho^2 + 2 d rho u)
@@ -336,37 +327,39 @@ def sphere_cap_weight(rho: np.ndarray, R: float | np.ndarray,
     first two cases alone leave the indicator of rho < R.
     """
     rho = np.asarray(rho, dtype=float)
-    R = np.asarray(R, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_star = (R * R - d * d - rho * rho) / (2.0 * d * rho)
         w = np.clip(0.5 * (1.0 + u_star), 0.0, 1.0)
     w = np.where(rho <= R - d, 1.0, w)
     w = np.where(rho >= R + d, 0.0, w)
-    return np.where((d > R) & (rho <= d - R), 0.0, w)
+    if d > R:
+        w = np.where(rho <= d - R, 0.0, w)
+    return w
 
 
-def _rho_rule(profile: MomentumProfile, radii: np.ndarray,
+def _rho_rule(profile: MomentumProfile, R: float,
               panels_per_period: float) -> PanelRule:
-    """Radial panels over the supports [max(0, d-R), d+R] of the cap
-    weights of the ball radii ``radii``.
+    """Radial panels over the support [max(0, d-R), d+R] of the cap weight.
 
-    Panels never cross a breakpoint of any radius's weight, the ends of its
-    support and its kink at rho = |R - d|, so every weight is smooth on
-    every panel.  The supports all hold rho = d, so their union is one
-    interval.  rho A is a sine transform of k^{1/2} g(k) e^{-ikt} over
-    [0, k_max], so it is band-limited to k_max, and the panel width
-    resolves that band.  The density |A|^2 reaches 2 k_max, but only
-    through products of the profile's values near k_max, below its cut
-    tail.  At 2 panels per period of k_max that top frequency turns by pi
-    over a half-panel, where the 8-point rule integrates e^{i theta x} on
-    [-1, 1] to 1.7e-10 (4e-15 at pi/2, 7.5e-6 at 2 pi, the 1-panel level,
-    which the guard compares against the 2-panel one).
+    Panels never cross the kink of the weight at rho = |R - d|.  rho A is a
+    sine transform of k^{1/2} g(k) e^{-ikt} over [0, k_max], so it is
+    band-limited to k_max, and the panel width resolves that band.  The
+    density |A|^2 reaches 2 k_max, but only through products of the
+    profile's values near k_max, below its cut tail.  At 2 panels per
+    period of k_max that top frequency turns by pi over a half-panel, where
+    the 8-point rule integrates e^{i theta x} on [-1, 1] to 1.7e-10 (4e-15
+    at pi/2, 7.5e-6 at 2 pi, the 1-panel level, which the guard compares
+    against the 2-panel one).
     """
     d = profile.offset_d
-    breaks = sorted({b for R in radii.tolist()
-                     for b in (max(0.0, d - R), abs(R - d), d + R)})
+    lo = max(0.0, d - R)
+    hi = d + R
+    breaks = [lo, hi]
+    kink = abs(R - d)
+    if lo < kink < hi:
+        breaks.insert(1, kink)
     width = panel_width(profile.k_max, panels_per_period)
-    return piecewise_gauss_panels(breaks, width)
+    return piecewise_gauss_panels(np.array(breaks), width)
 
 
 def inside_probability(
@@ -387,26 +380,23 @@ def inside_probability(
 
 def inside_probability_sweep(
     profile: MomentumProfile,
-    R: float | np.ndarray,
+    R: float,
     t_values: np.ndarray,
     prob_tol: float = DEFAULT_PROB_TOL,
 ) -> np.ndarray:
-    """Vectorized :func:`inside_probability` over many times and radii.
+    """Vectorized :func:`inside_probability` over many times.
 
-    ``R`` is one radius or a 1-D array of radii, and the result has shape
-    ``np.shape(R) + (len(t_values),)``.  All times share one j0 table per
-    density, which makes optimizer sweeps far cheaper than repeated scalar
-    calls.  Each run of at most MAX_BALL_RADII consecutive radii is one
+    All times share one j0 table per density, which makes optimizer
+    sweeps far cheaper than repeated scalar calls.  This is one
     :meth:`BallQuadrature.p_in` call on a quadrature whose ``t_max`` is the
-    largest ``|t|``, so its radii share that table too.
+    largest ``|t|``.
 
     Raises
     ------
     InvalidParameterError
-        If a radius or the profile's ``offset_d`` is negative or not
-        finite, if ``R`` has more than one dimension, if ``t_values`` is
-        empty or holds a time that is not finite, or if ``prob_tol`` is not
-        finite and positive.
+        If ``R`` or the profile's ``offset_d`` is negative or not finite,
+        if ``t_values`` is empty or holds a time that is not finite, or if
+        ``prob_tol`` is not finite and positive.
     NumericFailureError
         If no two neighbouring densities agree to within ``prob_tol``.
     ResourceLimitError
@@ -417,23 +407,16 @@ def inside_probability_sweep(
     # time a NaN t_max, which the constructor rejects
     t_max = float(np.max(np.abs(np.asarray(t_values, dtype=float)),
                          initial=0.0))
-    radii = np.asarray(R, dtype=float)
-    groups = np.split(np.atleast_1d(radii),
-                      range(MAX_BALL_RADII, radii.size, MAX_BALL_RADII))
-    p = np.concatenate([
-        BallQuadrature(profile, group, t_max, prob_tol,
-                       keep_tables=False).p_in(t_values)
-        for group in groups])
-    return p.reshape(radii.shape + p.shape[1:])
+    return BallQuadrature(profile, R, t_max, prob_tol,
+                          keep_tables=False).p_in(t_values)
 
 
 @dataclass(frozen=True)
 class _Level:
     """What one density of a :class:`BallQuadrature` keeps."""
 
-    # 4 pi w rho^2 cap on the nodes of the rho rule, one array per radius,
-    # zero for a radius no wider than _TINY
-    weights: tuple[np.ndarray, ...]
+    # 4 pi w rho^2 cap on the nodes of the rho rule
+    weights: np.ndarray
     # j0 on the rho nodes x the k nodes, kept, or the rho rule that the
     # gemm fills it from block by block on every call
     table: PanelTable | PanelRule
@@ -444,13 +427,9 @@ class _Level:
 
 
 class BallQuadrature:
-    """Ball probabilities of one profile and one ball radius ``R``, or a
-    1-D array of at most MAX_BALL_RADII radii, at any times with
+    """Ball probabilities of one (profile, R) at any times with
     ``|t| <= t_max``.
 
-    All radii share one rho rule, whose panels break at every radius's
-    support ends and kink (:func:`_rho_rule`), and so one k rule and one j0
-    table per level; a radius's row of cap weights is zero off its support.
     Each DENSITY_LADDER level's rho rule, cap weights, k rule and j0 table
     are built on first use and kept, so every :meth:`p_in` call after the
     first costs only the phase coefficients, one gemm per level and the
@@ -459,9 +438,6 @@ class BallQuadrature:
     parts.  The k rule resolves oscillations up to max(rho_max, t_max),
     which covers every time up to ``t_max``; a later time would need a
     finer k rule, so :meth:`p_in` rejects it.
-
-    A ball too thin to widen its support in floating point adds no
-    breakpoint and gets an exact 0.
 
     Every level a call reaches stays in memory until the quadrature is
     dropped, up to a bound: a level whose table would take ``kept_bytes``,
@@ -484,27 +460,16 @@ class BallQuadrature:
     Raises
     ------
     InvalidParameterError
-        If a radius, the profile's ``offset_d`` or ``t_max`` is negative or
-        not finite, ``R`` has more than one dimension, or ``prob_tol`` is
-        not finite and positive.
-    ResourceLimitError
-        If ``R`` holds more than MAX_BALL_RADII radii.
+        If ``R``, the profile's ``offset_d`` or ``t_max`` is negative or not
+        finite, or ``prob_tol`` is not finite and positive.
     """
 
-    def __init__(self, profile: MomentumProfile, R: float | np.ndarray,
-                 t_max: float, prob_tol: float = DEFAULT_PROB_TOL,
+    def __init__(self, profile: MomentumProfile, R: float, t_max: float,
+                 prob_tol: float = DEFAULT_PROB_TOL,
                  keep_tables: bool = True):
-        R = np.array(R, dtype=float)
-        if R.ndim > 1:
-            raise InvalidParameterError(
-                "ball radii R must be one radius or a 1-D array")
-        if not (np.isfinite(R) & (R >= 0.0)).all():
+        if not (math.isfinite(R) and R >= 0.0):
             raise InvalidParameterError(
                 "ball radius R must be finite and >= 0")
-        if R.size > MAX_BALL_RADII:
-            raise ResourceLimitError(
-                f"{R.size} ball radii pass the cap of {MAX_BALL_RADII} "
-                "per quadrature")
         # a MomentumProfile built without make_profile skips its offset check
         d = profile.offset_d
         if not (math.isfinite(d) and d >= 0.0):
@@ -515,12 +480,7 @@ class BallQuadrature:
         if not (math.isfinite(prob_tol) and prob_tol > 0.0):
             raise InvalidParameterError("prob_tol must be finite and > 0")
         self.profile = profile
-        self.R = R
-        # R = 0, or a ball too small to widen [d - R, d + R] in floating
-        # point, or narrower than the smallest normal float, where the
-        # probability, of order R^3, underflows: no probability inside
-        radii = R.reshape(-1)
-        self._wide = d + radii - np.maximum(0.0, d - radii) >= _TINY
+        self.R = float(R)
         self.t_max = float(t_max)
         self.prob_tol = prob_tol
         self.keep_tables = keep_tables
@@ -530,12 +490,11 @@ class BallQuadrature:
     def _level(self, panels_per_period: float) -> _Level:
         level = self._levels.get(panels_per_period)
         if level is None:
-            profile = self.profile
-            radii, wide = self.R.reshape(-1, 1), self._wide[:, None]
-            rule = _rho_rule(profile, radii[wide], panels_per_period)
+            profile, R = self.profile, self.R
+            d = profile.offset_d
+            rule = _rho_rule(profile, R, panels_per_period)
             rho = rule.nodes
-            cap = np.where(wide, sphere_cap_weight(rho, radii,
-                                                   profile.offset_d), 0.0)
+            cap = sphere_cap_weight(rho, R, d)
             k_rule = _k_rule(profile, float(rho.max()), self.t_max,
                              panels_per_period)
             k = k_rule.nodes
@@ -545,7 +504,7 @@ class BallQuadrature:
             if keep:
                 self.kept_bytes += table_bytes
             level = _Level(
-                weights=tuple(4.0 * math.pi * rule.weights * rho * rho * cap),
+                weights=4.0 * math.pi * rule.weights * rho * rho * cap,
                 table=PanelTable.fill(rule, k) if keep else rule,
                 k=k,
                 envelope=_envelope(profile, k_rule))
@@ -553,12 +512,10 @@ class BallQuadrature:
         return level
 
     def p_in(self, t_values: np.ndarray | EvenGrid) -> np.ndarray:
-        """Probability that a detection at each time falls inside the ball
-        of each radius, of shape ``np.shape(R) + (len(t_values),)``.
+        """Probability that a detection at each time falls inside the ball.
 
         ``t_values`` is an array of times or an :class:`EvenGrid` sweep,
-        whose phase coefficients come by doubling.  The guard compares
-        every radius and time at once.
+        whose phase coefficients come by doubling.
 
         Raises
         ------
@@ -582,21 +539,22 @@ class BallQuadrature:
         if np.max(np.abs(t_values)) > self.t_max:
             raise InvalidParameterError(
                 f"times must satisfy |t| <= t_max = {self.t_max:.6g}")
-        if not self._wide.any():
-            return np.zeros(self.R.shape + t_values.shape)
+        d = self.profile.offset_d
+        if d + self.R - max(0.0, d - self.R) < _TINY:
+            # R = 0, or a ball too small to widen [d - R, d + R] in floating
+            # point, or narrower than the smallest normal float, where the
+            # probability, of order R^3, underflows: no probability inside
+            return np.zeros(t_values.shape)
 
         def evaluate(panels_per_period: float) -> np.ndarray:
             level = self._level(panels_per_period)
             coeffs = _phase_coeffs(level.envelope, level.k, times)
             amp = weighted_j0_gemm(level.table, level.k, coeffs)
             density = amp.real ** 2 + amp.imag ** 2
-            # one BLAS call per radius: a matrix product may sum its rows
-            # in different orders, so a larger ball could come out an ulp
-            # lower; one row's call is the single radius's, bit for bit
-            return np.array([weights @ density for weights in level.weights])
+            return level.weights @ density
 
         p, _, _ = _converged(evaluate, self.prob_tol, "ball-probability")
-        return p.reshape(self.R.shape + t_values.shape)
+        return p
 
 
 # boundary cells are subdivided this many times per axis to measure the

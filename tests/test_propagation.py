@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,99 +557,6 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
     error = abs(got - _dense_inside_probability(profile, R, t, density))
     assert error <= ball.prob_tol
     assert error <= estimates[0] + 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(family=_FAMILIES,
-       d=st.just(0.0) | st.floats(0.0, 8.0),
-       n=st.integers(0, propagation.MAX_BALL_RADII - 2),
-       ts=st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1,
-                   max_size=3),
-       data=st.data())
-def test_multi_radius_quadrature_matches_per_radius(family, d, n, ts, data):
-    # one quadrature for a radius of 0, one under _TINY and n more: each
-    # row within prob_tol of that radius's own quadrature, exact zeros for
-    # balls with no probability, and every time's column non-decreasing in
-    # R, to the bit
-    drawn = data.draw(st.lists(st.floats(1e-3, 0.05) | st.floats(0.05, 6.0),
-                               min_size=n, max_size=n))
-    profile = make_profile(family, offset_d=d)
-    radii = np.array([0.0, 1e-310, *sorted(drawn)])
-    ts = np.array(ts)
-    ball = propagation.BallQuadrature(profile, radii, float(ts.max()))
-    got = ball.p_in(ts)
-    assert got.shape == (radii.size, ts.size)
-    assert not np.any(got[:2])
-    for R, row in zip(radii[2:], got[2:]):
-        alone = propagation.BallQuadrature(profile, R, float(ts.max()))
-        assert np.max(np.abs(row - alone.p_in(ts))) <= ball.prob_tol
-    assert np.all(np.diff(got, axis=0) >= 0.0)
-
-
-@pytest.mark.parametrize("ts", [[0.0], [0.0, 1.7, 13.0]],
-                         ids=["one_time", "three_times"])
-@pytest.mark.parametrize("family", [GaussianFamily(k0=5.0, sigma=1.0),
-                                    ExponentialFamily(kappa=2.0)],
-                         ids=["gauss", "expo"])
-def test_equal_radii_give_equal_rows(family, ts):
-    # one matrix product over every row of weights gave six equal radii
-    # results an ulp apart, some of them below the row before, in each of
-    # these cases
-    profile = make_profile(family)
-    ts = np.array(ts)
-    for R in (0.03125, 0.5, 2.0):
-        radii = np.array([0.001] + [R] * 6)
-        got = propagation.BallQuadrature(profile, radii, ts.max()).p_in(ts)
-        assert np.all(got[1:] == got[1])
-        assert np.all(got[1] >= got[0])
-
-
-@pytest.mark.parametrize("family,d,R", [
-    (GaussianFamily(k0=5.0, sigma=1.0), 1.0, 2.0),
-    (ExponentialFamily(kappa=2.0), 6.0, 2.0),
-], ids=["gauss-kink", "expo-far"])
-def test_one_radius_array_gives_scalar_bits(family, d, R):
-    profile = make_profile(family, offset_d=d)
-    ts = np.array([0.0, 1.7, 13.0])
-    scalar = inside_probability_sweep(profile, R, ts)
-    assert scalar.shape == (3,)
-    row = inside_probability_sweep(profile, np.array([R]), ts)
-    assert row.shape == (1, 3)
-    assert row[0].tobytes() == scalar.tobytes()
-
-
-def test_sweep_over_radii_bounds_its_weights():
-    # 2000 radii go to quadratures of MAX_BALL_RADII consecutive radii
-    # each, whose cap weights peak at 2.5 MiB; 128 radii per quadrature
-    # peak at 9 MiB, and every radius at once would need some 2 GiB
-    profile = make_profile(GaussianFamily(k0=5.0, sigma=1.0), offset_d=3.0)
-    radii = np.linspace(0.1, 4.0, 2000)
-    tracemalloc.start()
-    try:
-        got = inside_probability_sweep(profile, radii, np.array([3.0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
-    assert got.shape == (2000, 1)
-    # rows on both sides of a group edge, against their own quadratures
-    for i in (0, 63, 64, 1999):
-        assert got[i, 0] == pytest.approx(
-            inside_probability(profile, radii[i], 3.0),
-            abs=propagation.DEFAULT_PROB_TOL)
-
-
-def test_ball_quadrature_radii_validation(gauss_profile):
-    with pytest.raises(InvalidParameterError, match="1-D"):
-        propagation.BallQuadrature(gauss_profile, np.ones((2, 2)), 1.0)
-    with pytest.raises(InvalidParameterError):
-        propagation.BallQuadrature(gauss_profile, np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(ResourceLimitError, match="cap"):
-        propagation.BallQuadrature(
-            gauss_profile, np.ones(propagation.MAX_BALL_RADII + 1), 1.0)
-    empty = inside_probability_sweep(gauss_profile, np.array([]),
-                                     np.array([0.0, 1.0]))
-    assert empty.shape == (0, 2)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
