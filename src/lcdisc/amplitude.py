@@ -9,12 +9,12 @@ condition in the measure d^3k / 2|k|).  Two families are provided:
 
 Each profile also records a rigid displacement ``offset_d`` of the packet
 center from the origin and a truncation wavenumber ``k_max`` beyond which the
-profile carries less than ``TAIL_MASS_BOUND`` of its mass.  All downstream
-quadratures integrate over [0, k_max] only.  The bound is on the dropped
-momentum mass, not on the results: the amplitude error the cut leaves grows
-like the square root of that mass, up to 1.56e-4 for exponential kappa = 2
-against ``amp_tol`` 1e-9, and no density ladder at one k_max sees it.
-Deriving the cut from the tolerance is ROADMAP item 1.
+profile carries less than ``TAIL_MASS_BOUND`` of its closed-form mass.  All
+downstream quadratures integrate over [0, k_max] only.  The bound is on the
+dropped momentum mass, not on the results: the amplitude error the cut
+leaves grows like the square root of that mass, up to 1.56e-4 for
+exponential kappa = 2 against ``amp_tol`` 1e-9, and no density ladder at
+one k_max sees it.  Deriving the cut from the tolerance is ROADMAP item 1.
 
 The two helicity states share one profile and are exactly orthogonal; their
 overlap is a Kronecker delta in the helicity sign.
@@ -22,6 +22,7 @@ overlap is a Kronecker delta in the helicity sign.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -29,16 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcdisc.errors import InvalidParameterError, NumericFailureError
-from lcdisc.quadrature import GAUSS_W, GAUSS_X, gauss_panels
+from lcdisc.quadrature import gauss_panels
 
 TAIL_MASS_BOUND = 1e-10
 
 # candidates for k_max live on a geometric grid with this many segments
 _TAIL_GRID_SEGMENTS = 4096
 _TAIL_GRID_SPAN = 1e4
-# blocks of about 1024 segments, whose (GAUSS_ORDER, block) temporaries
-# stay in cache
-_TAIL_BLOCKS = 4
 
 
 class HelicityChannel(enum.Enum):
@@ -58,6 +56,13 @@ class GaussianFamily:
     def shape(self, k: np.ndarray) -> np.ndarray:
         u = (np.asarray(k, dtype=float) - self.k0) / (2.0 * self.sigma)
         return np.exp(-u * u)
+
+    def tail_mass(self, k: float) -> float:
+        """integral_k^inf k' shape(k')^2 dk', in closed form (erfc)."""
+        u = (k - self.k0) / self.sigma
+        return (self.sigma * (self.sigma * math.exp(-0.5 * u * u))
+                + self.k0 * self.sigma * math.sqrt(0.5 * math.pi)
+                * math.erfc(u * math.sqrt(0.5)))
 
     def far_cutoff(self) -> float:
         # exp(-(k-k0)^2/(4 sigma^2)) is below 1e-40 past 30 sigma
@@ -83,6 +88,12 @@ class ExponentialFamily:
     def shape(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
         return k * np.exp(-k / self.kappa)
+
+    def tail_mass(self, k: float) -> float:
+        """integral_k^inf k' shape(k')^2 dk', (kappa/2)^4 Gamma(4, x)."""
+        x, h = 2.0 * k / self.kappa, 0.5 * self.kappa
+        return (h * h * (h * h) * math.exp(-x)
+                * (6.0 + x * (6.0 + x * (3.0 + x))))
 
     def far_cutoff(self) -> float:
         # integrand k^3 exp(-2k/kappa) is below 1e-26 of its peak past 40 kappa
@@ -137,47 +148,34 @@ class MomentumProfile:
 def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     """Construct a normalized profile and its truncation point.
 
-    The norm integral is accumulated segment by segment on a geometric grid up
-    to the family's far cutoff; ``k_max`` is the smallest grid point whose
-    remaining tail mass falls below ``TAIL_MASS_BOUND`` of the total.
+    The norm integral and its tails are the family's closed-form
+    ``tail_mass``; ``k_max`` is the smallest point of a geometric grid up to
+    the far cutoff whose tail is below ``TAIL_MASS_BOUND`` of the total.  A
+    norm integral that overflows or underflows raises ``NumericFailureError``.
     """
     family._validate()
     if not (math.isfinite(offset_d) and offset_d >= 0.0):
         raise InvalidParameterError("offset_d must be finite and >= 0")
 
+    total = family.tail_mass(0.0)
+    mass = 2.0 * math.pi * total
+    if not 0.0 < mass < math.inf:
+        raise NumericFailureError("normalization integral is not finite "
+                                  "and positive", estimate=math.inf)
+
+    # bisect for the first grid edge whose tail is below the bound; the mass
+    # past the far cutoff counts as none, so the last edge always qualifies
     k_far = family.far_cutoff()
-    edges = np.geomspace(k_far / _TAIL_GRID_SPAN, k_far, _TAIL_GRID_SEGMENTS + 1)
-    edges = np.concatenate(([0.0], edges))
-
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # mass of each segment under k |g|^2, unnormalized and without 2 pi,
-    # with the nodes node-major, (GAUSS_ORDER, segments), a block of
-    # segments at a time
-    segment_mass = np.empty(half.size)
-    block = -(-half.size // _TAIL_BLOCKS)
-    for lo in range(0, half.size, block):
-        h, m = half[lo:lo + block], mid[lo:lo + block]
-        nodes = m + h * GAUSS_X[:, None]
-        s = family.shape(nodes)
-        terms = h * GAUSS_W[:, None] * (nodes * s * s)
-        # pairwise, the order in which NumPy sums 8 terms
-        while len(terms) > 1:
-            terms = terms[0::2] + terms[1::2]
-        segment_mass[lo:lo + block] = terms[0]
-
-    total = float(segment_mass.sum())
-    if not (math.isfinite(total) and total > 0.0):
-        raise NumericFailureError("normalization integral is not finite",
-                                  estimate=math.inf)
-
-    tail = np.concatenate((np.cumsum(segment_mass[::-1])[::-1], [0.0]))
-    covered = np.nonzero(tail / total < TAIL_MASS_BOUND)[0]
-    k_max = float(edges[covered[0]])
+    edges = np.geomspace(k_far / _TAIL_GRID_SPAN, k_far,
+                         _TAIL_GRID_SEGMENTS + 1).tolist()
+    bound = TAIL_MASS_BOUND * total
+    k_max = edges[bisect.bisect_left(
+        edges, True, 0, len(edges) - 1,
+        key=lambda k: family.tail_mass(k) < bound)]
 
     return MomentumProfile(
         family=family,
-        norm_const=1.0 / math.sqrt(2.0 * math.pi * total),
+        norm_const=1.0 / math.sqrt(mass),
         offset_d=float(offset_d),
         k_max=k_max,
     )

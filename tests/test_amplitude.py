@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lcdisc
 from lcdisc import (
@@ -12,6 +12,7 @@ from lcdisc import (
     GaussianFamily,
     HelicityChannel,
     InvalidParameterError,
+    NumericFailureError,
     channel_overlap,
     make_profile,
     momentum_norm,
@@ -163,9 +164,9 @@ def test_exponential_norm_property(kappa):
     assert momentum_norm(profile) == pytest.approx(1.0, abs=1e-8)
 
 
-def _segment_major_profile(family):
-    """(norm_const, k_max) of make_profile's sums laid out segment-major,
-    (segments, GAUSS_ORDER), and summed by .sum(axis=1)."""
+def _segment_major_k_max(family):
+    """The grid edge that the norm integral by 8-point Gauss segments on the
+    k_max grid, summed from the top down, picks as k_max."""
     k_far = family.far_cutoff()
     edges = np.geomspace(k_far / amplitude._TAIL_GRID_SPAN, k_far,
                          amplitude._TAIL_GRID_SEGMENTS + 1)
@@ -179,14 +180,53 @@ def _segment_major_profile(family):
     total = float(segment_mass.sum())
     tail = np.concatenate((np.cumsum(segment_mass[::-1])[::-1], [0.0]))
     covered = np.nonzero(tail / total < amplitude.TAIL_MASS_BOUND)[0]
-    return 1.0 / math.sqrt(2.0 * math.pi * total), float(edges[covered[0]])
+    return float(edges[covered[0]])
+
+
+def _dense_mass(family):
+    """integral_0^far k shape(k)^2 dk on 8-point Gauss panels a quarter of
+    the profile's width wide, so a narrow Gaussian is resolved as well as a
+    wide one."""
+    k_far = family.far_cutoff()
+    width = (family.sigma if isinstance(family, GaussianFamily)
+             else family.kappa) / 4.0
+    edges = np.linspace(0.0, k_far, math.ceil(k_far / width) + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = mid[:, None] + half[:, None] * GAUSS_X
+    s = family.shape(nodes)
+    return math.fsum((half[:, None] * GAUSS_W * (nodes * s * s)).ravel())
 
 
 @settings(max_examples=100, deadline=None)
 @given(family=st.builds(GaussianFamily, k0=st.floats(0.05, 50.0),
                         sigma=st.floats(0.01, 10.0)) |
        st.builds(ExponentialFamily, kappa=st.floats(0.01, 20.0)))
-def test_node_major_sums_give_segment_major_bits(family):
+# k0/sigma = 4693 and 5000: the grid's segments are 10 sigma wide there
+@example(family=GaussianFamily(47.35, 0.01009))
+@example(family=GaussianFamily(50.0, 0.01))
+def test_closed_form_norm_keeps_grid_cut(family):
     profile = make_profile(family)
-    assert (profile.norm_const, profile.k_max) == \
-        _segment_major_profile(family)
+    assert profile.k_max == _segment_major_k_max(family)
+    norm = 2.0 * math.pi * profile.norm_const ** 2 * _dense_mass(family)
+    assert abs(norm - 1.0) <= 1e-12
+
+
+_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.builds(GaussianFamily, k0=_EXTREME, sigma=_EXTREME) |
+       st.builds(ExponentialFamily, kappa=_EXTREME))
+# sigma * sigma, u * u or (kappa/2)^4 leave the float range at these
+@example(family=GaussianFamily(5.0, 1e-300))
+@example(family=GaussianFamily(5.0, 1e300))
+@example(family=GaussianFamily(1e300, 1.0))
+@example(family=ExponentialFamily(1e80))
+def test_extreme_finite_parameters_give_a_profile_or_numeric_failure(family):
+    try:
+        profile = make_profile(family)
+    except NumericFailureError:
+        return
+    assert math.isfinite(profile.norm_const) and profile.norm_const > 0.0
+    assert 0.0 < profile.k_max <= family.far_cutoff()

@@ -357,6 +357,20 @@ def test_huge_grid_sizes_exit_3(capsys, argv):
     assert "cap" in err and out == ""
 
 
+def test_overflowing_norm_exits_3_without_warning():
+    # the norm integral of kappa = 1e300 overflows; it once printed NumPy's
+    # "RuntimeWarning: overflow encountered in multiply" before exiting 3
+    src = Path(lcdisc.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "lcdisc", "amplitude-info", "--family",
+         "exponential", "--kappa", "1e300"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert result.returncode == 3
+    assert "numeric failure" in result.stderr
+    assert "Warning" not in result.stderr
+
+
 NARROW_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
                "--t", "1"]
 
