@@ -4,19 +4,30 @@ j0 takes the series 1 - z^2/6 below ``SMALL_Z``, which is where sin(z)/z
 starts losing digits to cancellation and where z = 0 would divide by zero.
 Every summation order is fixed, so results are deterministic.
 
-Radii with structure use angle addition: each radius is a centre plus one
-of a few offsets that many centres share, so sin and cos run on the
-centres and on the offsets, not once per radius and k node.  The nodes of
-a :class:`~lcdisc.quadrature.PanelRule` are panel centres plus h x_g, and
-their j0 table is filled so (:func:`_angle_sum`, :func:`panel_j0_table`,
-which :func:`weighted_j0_gemm` uses, as time sweeps do).  The radii of
-an :class:`~lcdisc.quadrature.EvenGrid`, from any nonnegative start, are
-block bases plus shared offsets, and :func:`weighted_j0_sum` builds no
-table for them: angle addition splits each sum into one real product of a
-per-base and a per-offset factor (:func:`_uniform_sum`).  Only arbitrary
-radii, as users and the 3D oracle pass, fill the table directly, one
-np.sin per entry.  A :class:`PanelTable` keeps a panel table, so repeated
-gemms at the same k nodes only contract.
+np.sin and np.cos run on few rows.  On an evenly spaced axis whose step is
+declared, the rows at x_j = first + j step come by doubling
+(:func:`fill_by_doubling`): row j is the first row times the step's row
+to the j, and each pass multiplies the rows filled so far by the step's
+row to the 2^p, so sin and cos run on two rows, not one per point.  Angle
+addition then combines such axes: each radius is a point of one axis plus
+one of a few offsets that many points share.
+
+- The nodes of a :class:`~lcdisc.quadrature.PanelRule` are panel centres
+  plus h x_g.  Their j0 table (:func:`panel_j0_table`, which
+  :func:`weighted_j0_gemm` uses, as time sweeps do) takes the centres of
+  each declared run of panels by doubling and the GAUSS_ORDER offsets from
+  the positive half of GAUSS_X.
+- The radii of an :class:`~lcdisc.quadrature.EvenGrid`, from any
+  nonnegative start, are block bases plus shared offsets, and
+  :func:`weighted_j0_sum` builds no table for them: angle addition splits
+  each sum into one real product of a per-base and a per-offset factor
+  (:func:`_uniform_sum`), and both factors are filled by doubling.
+- A time sweep's phase coefficients exp(-i k t) come by the same doubling
+  (``propagation._phase_coeffs``).
+
+Only arbitrary radii, as users and the 3D oracle pass, fill the table
+directly, one np.sin per entry.  A :class:`PanelTable` keeps a panel
+table, so repeated gemms at the same k nodes only contract.
 """
 
 from __future__ import annotations
@@ -30,18 +41,21 @@ import numpy as np
 from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, EvenGrid, PanelRule
 
 SMALL_Z = 1e-4
+# below this k |x|, sin(k x) / k = x (1 - (k x)^2 / 6 + ...) is x to within
+# eps / 4
+_SIN_LIMIT_KX = 1e-8
 # rows per table block of weighted_j0_sum on arbitrary radii
 _CHUNK_ROWS = 128
-# an even grid's block of radii as (coarse, fine) offset steps, see
-# _offset_terms; on 4097-radius sampler grids 16 x 8 summed faster than
-# 8 x 8, 16 x 16 and 32 x 8, and within 3% of 8 x 16
-_BLOCK_SHAPE = (16, 8)
-_BLOCK_ROWS = _BLOCK_SHAPE[0] * _BLOCK_SHAPE[1]
+# radii per block of an even grid: the offsets' factor has this many columns
+_BLOCK_ROWS = 128
 # block bases per gemm of an even grid: a 4097-radius grid is one gemm,
 # and larger grids keep their temporaries bounded
 _CHUNK_BASES = 64
 # panels per table block of weighted_j0_gemm: 256 rows of 8 Gauss nodes each
 _GEMM_CHUNK_PANELS = 32
+# GAUSS_X[_MIRROR:] are the positive Gauss nodes, GAUSS_X[:_MIRROR] their
+# negatives in reverse order, to the bit (GAUSS_ORDER is even)
+_MIRROR = GAUSS_ORDER // 2
 
 
 def j0_block(z: np.ndarray) -> np.ndarray:
@@ -60,50 +74,127 @@ def j0_table(r: np.ndarray, k: np.ndarray) -> np.ndarray:
     return j0_block(np.multiply.outer(r, k))
 
 
-def _sin_cos(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sin(k x) / k and cos(k x), stacked, on the len(x) x len(k) grid.
+def fill_by_doubling(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Fill rows[j] = rows[0] step^j for 0 < j < len(rows), in place.
 
-    sin(k x) / k is x j0(k |x|), which keeps its limit x as k goes to 0.
+    ``rows[0]`` is given.  Each pass multiplies the rows filled so far by
+    step^(2^p) into the next ones, then squares the step, so len(rows)
+    rows take ceil(log2(len(rows))) passes of one NumPy product each.  For
+    unit complex rows the squares carry |step|'s rounding along: row j can
+    be off by about j eps / 2 more than a direct evaluation at its point.
     """
-    kx = np.multiply.outer(np.abs(x), k)
-    out = np.empty((2,) + kx.shape)
-    np.multiply(j0_block(kx), x[:, None], out=out[0])
-    np.cos(kx, out=out[1])
+    filled = 1
+    while filled < len(rows):
+        m = min(filled, len(rows) - filled)
+        np.multiply(rows[:m], step, out=rows[filled:filled + m])
+        filled += m
+        if filled < len(rows):
+            step = step * step
+    return rows
+
+
+def exp_ikx(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(i k x), one row per x and one column per k.
+
+    cos(k x) and sin(k x) fill the real and imaginary parts: real np.cos
+    and np.sin cost less than a complex np.exp, and give its bits.
+    """
+    kx = np.multiply.outer(x, k)
+    out = np.empty(kx.shape, dtype=np.complex128)
+    np.cos(kx, out=out.real)
+    np.sin(kx, out=out.imag)
     return out
+
+
+def _sin_over_k(rows: np.ndarray, x: np.ndarray,
+                k: np.ndarray) -> np.ndarray:
+    """Turn rows exp(i k x) into cos(k x) + i sin(k x) / k, in place, for
+    monotone points x and k sorted ascending.
+
+    Where k |x| < _SIN_LIMIT_KX on every row, k = 0 among them,
+    sin(k x) / k is its limit x to within eps / 4, and takes it: dividing
+    there would be 0/0, or lose digits to a subnormal sin(k x).
+    """
+    # at max |x| = 0 or subnormal, the quotient is inf: every k is below
+    with np.errstate(divide="ignore", over="ignore"):
+        n_limit = np.searchsorted(
+            k, _SIN_LIMIT_KX / max(abs(x[0]), abs(x[-1])))
+    np.divide(rows.imag[:, n_limit:], k[n_limit:],
+              out=rows.imag[:, n_limit:])
+    rows.imag[:, :n_limit] = x[:, None]
+    return rows
+
+
+def cos_sin_rows(axis: EvenGrid, k: np.ndarray) -> np.ndarray:
+    """cos(k x) and sin(k x) / k at the points x of ``axis``, as the real
+    and imaginary parts of an (axis.size, len(k)) complex array, so each
+    row viewed as float64 alternates the two.
+
+    The rows exp(i k x_j) = exp(i k x_0) w^j, w = exp(i k step), are filled
+    by doubling (:func:`fill_by_doubling`) from two rows of np.cos and
+    np.sin, at the first point and at the axis's declared step; then each
+    imaginary part is divided by its k.  At k = 0, and wherever k |x| is
+    below _SIN_LIMIT_KX, the rows hold the axis's own points, to the bit.
+    """
+    x = axis.nodes
+    # a single point needs no step row
+    ends = exp_ikx(np.array([x[0], axis.step][:x.size]), k)
+    rows = np.empty((x.size, k.size), dtype=np.complex128)
+    rows[0] = ends[0]
+    fill_by_doubling(rows, ends[-1])
+    return _sin_over_k(rows, x, k)
+
+
+def _gauss_offsets(half: float, k: np.ndarray) -> np.ndarray:
+    """cos(k s) + i sin(k s) / k at the offsets s = half * GAUSS_X of a
+    panel's nodes from its centre.  np.cos and np.sin run on the positive
+    half of GAUSS_X only: cos is even and sin odd, so the other half is the
+    mirror, the real parts kept and the imaginary ones negated.  GAUSS_X is
+    antisymmetric to the bit, so at k = 0 the mirrored rows still hold the
+    offsets themselves."""
+    s = half * GAUSS_X[_MIRROR:]
+    upper = _sin_over_k(exp_ikx(s, k), s, k)
+    return np.concatenate((np.conj(upper[::-1]), upper))
 
 
 def _angle_sum(centre: np.ndarray, offset: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """sin(k (c + s)) / k on the centres x offsets x k grid, into ``out``.
 
-    ``centre`` and ``offset`` are the :func:`_sin_cos` stacks of the
-    centres c and of the offsets s, and by angle addition
+    ``centre`` and ``offset`` hold cos(k x) + i sin(k x) / k of the centres
+    c and of the offsets s, and by angle addition
 
-        sin(k (c + s)) / k = (sin(k c) / k) cos(k s) + cos(k c) (sin(k s) / k).
+        sin(k (c + s)) / k = cos(k c) (sin(k s) / k) + (sin(k c) / k) cos(k s).
 
     Dividing by c + s gives j0(k (c + s)).  One einsum sums both products
-    without a temporary.
+    without a temporary, on contiguous copies of the real and imaginary
+    parts, which are far smaller than ``out``.
     """
-    return np.einsum("apk,agk->pgk", centre, offset[::-1], out=out)
+    return np.einsum("apk,agk->pgk", np.stack((centre.real, centre.imag)),
+                     np.stack((offset.imag, offset.real)), out=out)
 
 
 def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     """j0 table on the nodes of ``rule``, built by angle addition.
 
     Each node is a panel centre plus an offset h x_g that all panels of
-    half-width h share, so sin and cos run on the panels x k grid and, for
-    each run of panels with one half-width, on the GAUSS_ORDER x k grid.
-    Gauss nodes of a panel of positive width are never 0, so the table
-    entries need no small-argument branch; only the sin(k x) / k factors on
-    those small grids take one.
+    half-width h share.  The centres of each run of the rule (see
+    :class:`~lcdisc.quadrature.PanelRule`) are an even axis from the run's
+    first centre with step 2h, whose cos and sin come by doubling
+    (:func:`cos_sin_rows`); the offsets' come from :func:`_gauss_offsets`,
+    once per half-width in a row.  Gauss nodes of a panel of positive width
+    are never 0, so the table entries need no small-argument branch, and
+    at k = 0 each entry is its node over itself, 1.
     """
-    centre = _sin_cos(rule.centres, k)
+    out = np.empty((rule.centres.size, GAUSS_ORDER, k.size))
     half = rule.half_widths
-    out = np.empty((half.size, GAUSS_ORDER, k.size))
-    starts = np.flatnonzero(np.diff(half, prepend=np.nan)).tolist()
-    for lo, hi in zip(starts, [*starts[1:], half.size]):
-        _angle_sum(centre[:, lo:hi], _sin_cos(half[lo] * GAUSS_X, k),
-                   out=out[lo:hi])
+    offset_half = offset = None
+    for lo, hi in rule.runs():
+        h = half[lo]
+        if h != offset_half:
+            offset_half, offset = h, _gauss_offsets(h, k)
+        centres = cos_sin_rows(EvenGrid(rule.centres[lo:hi], 2.0 * h), k)
+        _angle_sum(centres, offset, out=out[lo:hi])
     table = out.reshape(rule.size, k.size)
     table /= rule.nodes[:, None]
     return table
@@ -124,25 +215,11 @@ def available_backends() -> tuple[str, ...]:
 
 def _offset_terms(step: float, k: np.ndarray) -> np.ndarray:
     """The right factor of an even grid's product, shape
-    (2 len(k), _BLOCK_ROWS): cos(k s) over sin(k s) / k, one column per
-    offset s = step * arange(_BLOCK_ROWS) of a block.
-
-    With (coarse, fine) = _BLOCK_SHAPE, offset fine * i + j steps is a
-    coarse offset u = fine * i steps plus a fine one v = j steps, so sin
-    and cos run on the coarse + fine offsets only, and by angle addition,
-    with S(x) = sin(k x) / k and C(x) = cos(k x),
-
-        S(u + v) = S(u) C(v) + C(u) S(v),
-        C(u + v) = C(u) C(v) - k^2 S(u) S(v).
-    """
-    coarse, fine = _BLOCK_SHAPE
-    u = _sin_cos(np.arange(coarse) * (fine * step), k)
-    v = _sin_cos(np.arange(fine) * step, k)
-    out = np.empty((coarse, fine, 2, k.size))
-    _angle_sum(u, v, out=out[:, :, 1])
-    u[0] *= -k * k  # [-k^2 S(u), C(u)] against [S(v), C(v)]
-    np.einsum("apk,agk->pgk", u, v, out=out[:, :, 0])
-    return out.reshape(_BLOCK_ROWS, 2 * k.size).T
+    (2 len(k), _BLOCK_ROWS): one column per offset s = step * j of a
+    block, j < _BLOCK_ROWS, whose rows alternate cos(k s) and
+    sin(k s) / k, filled by doubling (:func:`cos_sin_rows`)."""
+    offsets = EvenGrid(step * np.arange(float(_BLOCK_ROWS)), step)
+    return cos_sin_rows(offsets, k).view(np.float64).T
 
 
 def _uniform_sum(grid: EvenGrid, k: np.ndarray,
@@ -154,22 +231,24 @@ def _uniform_sum(grid: EvenGrid, k: np.ndarray,
 
         sin(k (b + s)) / k = (sin(k b) / k) cos(k s) + cos(k b) (sin(k s) / k),
 
-    so the sums of a block are one real product: a row [sin(k b) / k |
-    cos(k b)] times the coefficients' real parts and one times their
-    imaginary parts, against :func:`_offset_terms`.  One product covers
-    _CHUNK_BASES bases, and no j0 table is built.
+    so the sums of a block are one real product: a row alternating
+    sin(k b) / k and cos(k b) times the coefficients' real parts and one
+    times their imaginary parts, against :func:`_offset_terms`.  One
+    product covers _CHUNK_BASES bases, whose cos and sin come by doubling
+    with the block stride as step, and no j0 table is built.
     """
     n_bases = -(-grid.size // _BLOCK_ROWS)
     right = _offset_terms(grid.step, k)
-    parts = np.stack([coeffs.real, coeffs.imag])[:, None, :]
+    parts = np.stack([coeffs.real, coeffs.imag])[:, :, None]
     out = np.empty((n_bases, _BLOCK_ROWS, 2))
     start, stride = grid.nodes[0], _BLOCK_ROWS * grid.step
     for lo in range(0, n_bases, _CHUNK_BASES):
         bases = np.arange(lo, min(lo + _CHUNK_BASES, n_bases))
-        centre = _sin_cos(start + bases * stride, k)
+        rows = cos_sin_rows(EvenGrid(start + bases * stride, stride), k)
+        pairs = rows.view(np.float64).reshape(bases.size, 1, k.size, 2)
         # C order, so the reshape below is a view, not a copy
-        left = np.empty((bases.size, 2, 2, k.size))
-        np.multiply(centre.transpose(1, 0, 2)[:, None], parts, out=left)
+        left = np.empty((bases.size, 2, k.size, 2))
+        np.multiply(pairs[..., ::-1], parts, out=left)
         prod = left.reshape(2 * bases.size, 2 * k.size) @ right
         # rows (base, re/im) x offset columns to radius-major complex
         out[lo:lo + bases.size] = \
@@ -241,10 +320,8 @@ def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:
     filled when it is asked for."""
     step = _GEMM_CHUNK_PANELS
     for lo in range(0, rule.centres.size, step):
-        block = PanelRule(rule.centres[lo:lo + step],
-                          rule.half_widths[lo:lo + step])
         # _ACTIVE.j0_table is looked up per block, where e2ebench wraps it
-        yield _ACTIVE.j0_table(block, k)
+        yield _ACTIVE.j0_table(rule.panels(lo, lo + step), k)
 
 
 @dataclass(frozen=True)

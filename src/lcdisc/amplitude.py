@@ -72,6 +72,11 @@ class GaussianFamily:
     def sigma_eff(self) -> float:
         return self.sigma
 
+    @property
+    def momentum_width(self) -> float:
+        """The k scale over which the shape changes."""
+        return self.sigma
+
     def _validate(self) -> None:
         for name in ("k0", "sigma"):
             value = getattr(self, name)
@@ -104,6 +109,11 @@ class ExponentialFamily:
         # position-space tails extend over a scale ~ kappa, so the effective
         # momentum width entering coverage estimates is 1/kappa
         return 1.0 / self.kappa
+
+    @property
+    def momentum_width(self) -> float:
+        """The k scale over which the shape changes."""
+        return self.kappa
 
     def _validate(self) -> None:
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
@@ -151,7 +161,8 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     The norm integral and its tails are the family's closed-form
     ``tail_mass``; ``k_max`` is the smallest point of a geometric grid up to
     the far cutoff whose tail is below ``TAIL_MASS_BOUND`` of the total.  A
-    norm integral that overflows or underflows raises ``NumericFailureError``.
+    norm integral that overflows or underflows, or a grid none of whose
+    points leaves so small a tail, raises ``NumericFailureError``.
     """
     family._validate()
     if not (math.isfinite(offset_d) and offset_d >= 0.0):
@@ -163,15 +174,21 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
         raise NumericFailureError("normalization integral is not finite "
                                   "and positive", estimate=math.inf)
 
-    # bisect for the first grid edge whose tail is below the bound; the mass
-    # past the far cutoff counts as none, so the last edge always qualifies
+    # bisect for the first grid edge whose tail is below the bound
     k_far = family.far_cutoff()
     edges = np.geomspace(k_far / _TAIL_GRID_SPAN, k_far,
                          _TAIL_GRID_SEGMENTS + 1).tolist()
     bound = TAIL_MASS_BOUND * total
-    k_max = edges[bisect.bisect_left(
-        edges, True, 0, len(edges) - 1,
-        key=lambda k: family.tail_mass(k) < bound)]
+    cut = bisect.bisect_left(edges, True,
+                             key=lambda k: family.tail_mass(k) < bound)
+    if cut == len(edges):
+        # the far cutoff rounds into the bulk, as k0 + 30 sigma does to k0
+        # when sigma is below half an ulp of k0
+        raise NumericFailureError(
+            f"no cut up to the far cutoff {k_far:.6g} leaves less than "
+            f"{TAIL_MASS_BOUND:g} of the mass",
+            estimate=family.tail_mass(k_far) / total)
+    k_max = edges[cut]
 
     return MomentumProfile(
         family=family,
@@ -185,9 +202,15 @@ def momentum_norm(profile: MomentumProfile) -> float:
     """Evaluate 2 pi * integral_0^{k_max} k |g(k)|^2 dk.
 
     Equals 1 (up to the constructed tail bound) for profiles built by
-    :func:`make_profile`; scales quadratically in ``norm_const``.
+    :func:`make_profile`; scales quadratically in ``norm_const``.  The
+    8-point panels are k_max / 1024 wide, or a quarter of the family's
+    ``momentum_width`` where that is narrower, so a narrow Gaussian is
+    resolved as well as a wide one.  A profile so narrow that [0, k_max]
+    would need more than :data:`~lcdisc.quadrature.MAX_PANELS` such panels
+    raises :class:`ResourceLimitError`.
     """
-    rule = gauss_panels(0.0, profile.k_max, max_width=profile.k_max / 1024.0)
+    width = min(profile.k_max / 1024.0, profile.family.momentum_width / 4.0)
+    rule = gauss_panels(0.0, profile.k_max, max_width=width)
     g = profile.magnitude(rule.nodes)
     return float(2.0 * math.pi * np.dot(rule.weights, rule.nodes * g * g))
 

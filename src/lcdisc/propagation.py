@@ -26,8 +26,12 @@ period, on k rules that split every panel of the 1-panel rule (see
 :class:`~lcdisc.quadrature.EvenGrid`.  On a grid of radii, as the Monte
 Carlo sampler and ``dump-density`` use, the amplitude builds no j0 table:
 angle addition, which also fills the ball's rho tables, turns its sums into
-one real product per ladder level.  A sweep over a grid of times, as the
-optimizer's, takes its phase coefficients exp(-i k t) by doubling.
+one real product per ladder level.  On every evenly spaced axis, the grid's
+radii, the centres of a run of rho panels and a grid of times as the
+optimizer sweeps, sin and cos run on two rows and the other rows come by
+doubling (:func:`~lcdisc._kernels.fill_by_doubling`): the grid's and the
+tables' cos(k x) and sin(k x) / k, and a sweep's phase coefficients
+exp(-i k t).
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -44,7 +48,13 @@ from typing import Callable
 
 import numpy as np
 
-from lcdisc._kernels import PanelTable, weighted_j0_gemm, weighted_j0_sum
+from lcdisc._kernels import (
+    PanelTable,
+    exp_ikx,
+    fill_by_doubling,
+    weighted_j0_gemm,
+    weighted_j0_sum,
+)
 from lcdisc.amplitude import MomentumProfile
 from lcdisc.errors import (
     InvalidParameterError,
@@ -156,19 +166,6 @@ def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
     return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
 
 
-def _unit_phases(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i k t), one row per k node and one column per time of ``t``.
-
-    cos(k t) and sin(-k t) fill the real and imaginary parts: real np.cos
-    and np.sin cost less than a complex np.exp, and give its bits.
-    """
-    kt = np.multiply.outer(k, np.negative(t))
-    out = np.empty(kt.shape, dtype=np.complex128)
-    np.cos(kt, out=out.real)
-    np.sin(kt, out=out.imag)
-    return out
-
-
 def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
                   t: np.ndarray | EvenGrid) -> np.ndarray:
     """Coefficients envelope(k) exp(-i k t), one row per k node and one
@@ -176,27 +173,18 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
 
     For an :class:`EvenGrid` cos and sin run on two rows only: the first
     time's coefficients, as an array holding that time gives them, and
-    the step w = exp(-i k step).  The other columns are products, filled
-    by doubling: each pass multiplies the columns filled so far by w^(2^j),
-    then squares w.  Rows of the time-major fill are contiguous; the
-    transpose is copied once, by the contraction.  The squares carry
-    |w|'s rounding along, so column i can be off by i eps/2 where the
-    direct path is off by eps |k t|.
+    the step w = exp(-i k step).  The other columns are their products,
+    filled by doubling (:func:`~lcdisc._kernels.fill_by_doubling`).  Rows
+    of the time-major fill are contiguous; the transpose is copied once,
+    by the contraction.  The squares carry |w|'s rounding along, so column
+    i can be off by i eps/2 where the direct path is off by eps |k t|.
     """
     if not isinstance(t, EvenGrid):
-        out = _unit_phases(k, t)
+        out = exp_ikx(np.negative(t), k).T
         return np.multiply(envelope[:, None], out, out=out)
-    n = t.size
-    out = np.empty((n, k.size), dtype=np.complex128)
+    out = np.empty((t.size, k.size), dtype=np.complex128)
     out[0] = _phase_coeffs(envelope, k, t.nodes[:1])[:, 0]
-    w = _unit_phases(k, np.array([t.step]))[:, 0]
-    filled = 1
-    while filled < n:
-        m = min(filled, n - filled)
-        np.multiply(out[:m], w, out=out[filled:filled + m])
-        filled += m
-        w = w * w
-    return out.T
+    return fill_by_doubling(out, exp_ikx(np.array([-t.step]), k)[0]).T
 
 
 def amplitude_on_radii(

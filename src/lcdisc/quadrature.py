@@ -22,8 +22,10 @@ with :meth:`PanelRule.subdivide` instead, which splits every panel.
 
 Both rule builders return a :class:`PanelRule`.  On one interval of
 :func:`piecewise_gauss_panels` every panel has the same half-width h, so
-each node is a panel centre plus one of GAUSS_ORDER fixed offsets h x_g.
-The j0 kernels use that to build sin(k rho) by angle addition.
+each node is a panel centre plus one of GAUSS_ORDER fixed offsets h x_g,
+and the centres step by 2h.  The rule declares each interval a run of
+evenly spaced panels, and the j0 kernels use both to build sin(k rho) by
+angle addition, with the centres' sin and cos by doubling.
 """
 
 from __future__ import annotations
@@ -52,10 +54,17 @@ class PanelRule:
     Panel p spans ``centres[p] +- half_widths[p]``; its GAUSS_ORDER nodes are
     ``centres[p] + half_widths[p] * GAUSS_X``, in panel order, and ``size``
     is the node count.
+
+    The panels fall into runs, and ``run_starts`` holds the index of each
+    run's first panel, 0 first.  The panels of a run share one half-width h
+    and their centres step by 2h, from the run's first centre on.  Spacing
+    is declared, never guessed from the centres: without ``run_starts``
+    every panel is a run of its own.
     """
 
     centres: np.ndarray
     half_widths: np.ndarray
+    run_starts: tuple[int, ...] | None = None
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
@@ -68,6 +77,21 @@ class PanelRule:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    def runs(self) -> list[tuple[int, int]]:
+        """(first, end) panel indices of each run, in panel order."""
+        n = self.centres.size
+        starts = (range(n) if self.run_starts is None
+                  else self.run_starts)
+        return list(zip(starts, [*starts[1:], n]))
+
+    def panels(self, lo: int, hi: int) -> PanelRule:
+        """Panels lo to hi - 1 as a rule of their own, runs cut at lo."""
+        starts = None
+        if self.run_starts is not None:
+            starts = (0, *(s - lo for s in self.run_starts if lo < s < hi))
+        return PanelRule(self.centres[lo:hi], self.half_widths[lo:hi],
+                         starts)
 
     def subdivide(self, parts: int) -> PanelRule:
         """The rule with every panel split into ``parts`` equal panels.
@@ -87,9 +111,11 @@ class PanelRule:
 
 @dataclass(frozen=True)
 class EvenGrid:
-    """Evenly spaced radii or times ``nodes``, bit for bit the np.linspace
-    values that :meth:`linspace` and :meth:`between` build, with their
-    spacing ``step``, which the j0 sums and the phase coefficients use."""
+    """Evenly spaced points ``nodes`` with their declared spacing ``step``:
+    radii, times, or the centres of a run of panels.  The j0 sums, the j0
+    tables and the phase coefficients take sin and cos on them by doubling
+    from the first point and the step.  :meth:`linspace` and
+    :meth:`between` build the np.linspace values bit for bit."""
 
     nodes: np.ndarray
     step: float
@@ -178,7 +204,8 @@ def piecewise_gauss_panels(
     Panels never straddle a breakpoint, so integrands with kinks at the
     breakpoints are still smooth on every panel.  Each interval is split
     into equal panels no wider than ``max_width`` that share one
-    half-width exactly; empty intervals get no panels.
+    half-width exactly, and is declared one run; empty intervals get no
+    panels.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -187,6 +214,8 @@ def piecewise_gauss_panels(
         raise InvalidParameterError("breakpoints must be sorted ascending")
     centres = [np.empty(0)]
     half_widths = [np.empty(0)]
+    run_starts = []
+    total = 0
     for lo, hi in zip(pts[:-1].tolist(), pts[1:].tolist()):
         n_panels = _panel_count(lo, hi, max_width)
         if n_panels == 0:
@@ -194,4 +223,7 @@ def piecewise_gauss_panels(
         half = 0.5 * (hi - lo) / n_panels
         centres.append(lo + half * np.arange(1.0, 2.0 * n_panels, 2.0))
         half_widths.append(np.full(n_panels, half))
-    return PanelRule(np.concatenate(centres), np.concatenate(half_widths))
+        run_starts.append(total)
+        total += n_panels
+    return PanelRule(np.concatenate(centres), np.concatenate(half_widths),
+                     tuple(run_starts))

@@ -79,6 +79,14 @@ def test_momentum_norm_unnormalized_oracle(gauss_profile):
     assert momentum_norm(raw) == pytest.approx(oracle, rel=1e-7)
 
 
+@pytest.mark.parametrize("k0,sigma", [(47.35, 0.01009), (50.0, 0.01)])
+def test_momentum_norm_resolves_narrow_gaussians(k0, sigma):
+    # panels k_max / 1024 wide span several sigma here and read 1 - 1.7e-6
+    # at (50, 0.01); a quarter sigma resolves the bump
+    profile = make_profile(GaussianFamily(k0, sigma))
+    assert abs(momentum_norm(profile) - 1.0) <= 2.0 * lcdisc.TAIL_MASS_BOUND
+
+
 def test_offset_profile_keeps_unit_norm():
     profile = make_profile(ExponentialFamily(kappa=2.0), offset_d=10.0)
     assert profile.offset_d == 10.0
@@ -223,6 +231,8 @@ _EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 @example(family=GaussianFamily(5.0, 1e300))
 @example(family=GaussianFamily(1e300, 1.0))
 @example(family=ExponentialFamily(1e80))
+# k0 + 30 sigma rounds to k0, where half of the mass lies above
+@example(family=GaussianFamily(5.0, 1e-17))
 def test_extreme_finite_parameters_give_a_profile_or_numeric_failure(family):
     try:
         profile = make_profile(family)
@@ -230,3 +240,5 @@ def test_extreme_finite_parameters_give_a_profile_or_numeric_failure(family):
         return
     assert math.isfinite(profile.norm_const) and profile.norm_const > 0.0
     assert 0.0 < profile.k_max <= family.far_cutoff()
+    assert (family.tail_mass(profile.k_max)
+            < lcdisc.TAIL_MASS_BOUND * family.tail_mass(0.0))

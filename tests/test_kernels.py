@@ -11,6 +11,7 @@ from lcdisc import _kernels, propagation
 from lcdisc._kernels import (
     available_backends,
     backend_name,
+    cos_sin_rows,
     j0_table,
     panel_j0_table,
     weighted_j0_gemm,
@@ -184,6 +185,87 @@ def test_j0_tables_match_sin_over_z(data, levels, k, z):
     assert np.max(np.abs(direct - _sin_over_z(wide.nodes))) <= 1e-13
     table = panel_j0_table(wide, np.array([1.0]))[:, 0]
     assert np.max(np.abs(table - _sin_over_z(wide.nodes))) <= 1e-13
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 33, 128]),
+       first=st.floats(-50.0, 50.0),
+       step=st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6),
+       k=st.lists(st.floats(0.0, 100.0) | st.floats(0.0, 1e-300),
+                  min_size=1, max_size=16).map(sorted))
+def test_cos_sin_rows_match_direct(n, first, step, k):
+    # rows by doubling against np.cos and np.sin at every point, within
+    # the bound of the time sweeps' doubling: the direct values are off by
+    # about eps |k x|, and row j by j eps / 2 more
+    k = np.array(k)
+    x = first + step * np.arange(n)
+    rows = cos_sin_rows(EvenGrid(x, step), k)
+    assert rows.shape == (n, k.size)
+    kx = np.multiply.outer(x, k)
+    bound = 4.0 * _EPS * (n + np.max(np.abs(kx)))
+    assert np.all(np.abs(rows.real - np.cos(kx)) <= bound)
+    assert np.all(np.abs(k * rows.imag - np.sin(kx)) <= bound)
+    # sin(k x) / k itself, which tends to x as k goes to 0, against
+    # x j0(k |x|), relative to the largest |x|
+    direct = x[:, None] * _reference_j0(np.abs(kx))
+    assert np.all(np.abs(rows.imag - direct)
+                  <= bound * np.max(np.abs(x)))
+
+
+def test_cos_sin_rows_take_the_limit_at_zero_k():
+    # sin(k x) / k is x exactly at k = 0, and below the limit, with no
+    # 0/0 on the way; the points are not dyadic, so sums would round
+    x = 0.1 + 0.3 * np.arange(33)
+    k = np.array([0.0, 0.0, 5e-324, 1e-12, 2.0])
+    with np.errstate(divide="raise", invalid="raise"):
+        rows = cos_sin_rows(EvenGrid(x, 0.3), k)
+    assert np.all(rows.real[:, :2] == 1.0)
+    assert np.all(rows.imag[:, :4] == x[:, None])
+    assert np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows.imag[:, 4] - np.sin(2.0 * x) / 2.0)) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(0.0, 5.0),
+       widths=st.lists(st.floats(1e-3, 6.0), min_size=1, max_size=3),
+       level=st.sampled_from(DENSITY_LADDER),
+       k=st.lists(st.floats(0.0, _K_MAX), min_size=1,
+                  max_size=64).map(sorted))
+def test_piecewise_rule_tables_match_sin_over_z(start, widths, level, k):
+    # the tables of declared runs, one per interval, whole and through the
+    # gemm's blocks, which cut the runs, against sin(z)/z on the nodes
+    breaks = start + np.concatenate(([0.0], np.cumsum(widths)))
+    rule = piecewise_gauss_panels(breaks, panel_width(_K_MAX, level))
+    assert len(rule.run_starts) == len(widths)
+    k = np.array(k)
+    expected = _sin_over_z(np.multiply.outer(rule.nodes, k))
+    assert np.max(np.abs(panel_j0_table(rule, k) - expected),
+                  initial=0.0) <= 1e-13
+    blocks = np.concatenate([np.empty((0, k.size)),
+                             *_kernels._panel_blocks(rule, k)])
+    assert np.max(np.abs(blocks - expected), initial=0.0) <= 1e-13
+
+
+def test_gemm_blocks_cut_runs(monkeypatch):
+    # blocks of _GEMM_CHUNK_PANELS panels start a run at their first panel
+    # and keep the rule's run starts inside them
+    rule = piecewise_gauss_panels(np.array([0.0, 4.0, 7.0]), 0.1)
+    assert rule.run_starts == (0, 40)
+    seen = []
+
+    def recording(block, k):
+        seen.append((block.centres.size, block.run_starts))
+        return panel_j0_table(block, k)
+
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table", recording)
+    k = np.linspace(0.0, 12.0, 30)
+    got = weighted_j0_gemm(rule, k, np.eye(30, dtype=complex))
+    assert seen == [(32, (0,)), (32, (0, 8)), (6, (0,))]
+    assert np.max(np.abs(got.real - _reference_j0(
+        np.multiply.outer(rule.nodes, k)))) <= 1e-13
 
 
 def test_panel_table_through_gemm():

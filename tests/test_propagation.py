@@ -284,11 +284,11 @@ def test_inside_sweep_matches_scalar(gauss_d3):
 # stays as close.
 SWEEP_BITS = {
     (0.0, 1.5): ["0x1.fdc711bf97a1dp-1", "0x1.6422d0b69ec69p-2",
-                 "0x1.6d2c9a1f002fdp-39"],
-    (1.0, 2.0): ["0x1.fcf2a95a97228p-1", "0x1.15a5ca2eedb9fp-1",
-                 "0x1.37b12946e8390p-38"],
-    (6.0, 2.0): ["0x1.8be677babb7d0p-40", "0x1.80fe14cef6d7bp-27",
-                 "0x1.44cf3e8c7a7b9p-38"],
+                 "0x1.6d2c9a1eded3ap-39"],
+    (1.0, 2.0): ["0x1.fcf2a95a97228p-1", "0x1.15a5ca2eedb9dp-1",
+                 "0x1.37b12946c2acfp-38"],
+    (6.0, 2.0): ["0x1.8be677bab1902p-40", "0x1.80fe14cef6d68p-27",
+                 "0x1.44cf3e8c8cc79p-38"],
 }
 
 
@@ -676,6 +676,9 @@ def test_piecewise_rule_shares_one_half_width_per_interval():
                                  np.polynomial.legendre.leggauss(8)[0])
                   .ravel())
     assert np.all((rule.nodes > 0.0) & (rule.nodes < 9.0))
+    # each nonempty interval is declared one run of evenly spaced panels
+    assert rule.run_starts == (0, 7)
+    assert rule.runs() == [(0, 7), (7, 46)]
     # the 8-point rule integrates degree-15 polynomials exactly
     assert rule.weights @ rule.nodes ** 15 == pytest.approx(9.0 ** 16 / 16,
                                                             rel=1e-13)
@@ -697,6 +700,9 @@ def test_subdivide_splits_every_panel():
                        rtol=0.0, atol=1e-15)
     assert split.weights @ split.nodes ** 15 == pytest.approx(3.0 ** 16 / 16,
                                                               rel=1e-13)
+    # split panels declare no runs: each is a run of its own
+    assert split.run_starts is None
+    assert split.runs()[:2] == [(0, 1), (1, 2)]
     same = rule.subdivide(1)
     assert np.all(same.nodes == rule.nodes)
     assert np.all(same.weights == rule.weights)
