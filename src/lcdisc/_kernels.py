@@ -182,9 +182,10 @@ def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     :class:`~lcdisc.quadrature.PanelRule`) are an even axis from the run's
     first centre with step 2h, whose cos and sin come by doubling
     (:func:`cos_sin_rows`); the offsets' come from :func:`_gauss_offsets`,
-    once per half-width in a row.  Gauss nodes of a panel of positive width
-    are never 0, so the table entries need no small-argument branch, and
-    at k = 0 each entry is its node over itself, 1.
+    once per half-width in a row.  Each entry is sin(k x) / k over its
+    node x, with no small-argument branch: at k = 0 it is its node over
+    itself, 1.  A node is 0 only where a rule narrower than the subnormal
+    range rounds it there, and its row is j0(0) = 1, as in :func:`j0_table`.
     """
     out = np.empty((rule.centres.size, GAUSS_ORDER, k.size))
     half = rule.half_widths
@@ -196,7 +197,9 @@ def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
         centres = cos_sin_rows(EvenGrid(rule.centres[lo:hi], 2.0 * h), k)
         _angle_sum(centres, offset, out=out[lo:hi])
     table = out.reshape(rule.size, k.size)
-    table /= rule.nodes[:, None]
+    zero = rule.nodes == 0.0
+    table /= np.where(zero, 1.0, rule.nodes)[:, None]
+    table[zero] = 1.0
     return table
 
 

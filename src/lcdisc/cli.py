@@ -11,6 +11,10 @@ result record, and :func:`main` writes it through the one JSON writer,
 which rounds every float in it; a CSV runner writes its rows and returns
 None.
 
+Every CSV row (the trial CSV, ``error-curve`` and ``dump-density``) comes
+from one NumPy row builder, :mod:`lcdisc._csvrows`, which writes the bytes
+``fmt`` and ``%d`` would.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -26,11 +30,21 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from lcdisc import montecarlo
+from lcdisc._csvrows import (
+    SLICE_ROWS,
+    FloatCells,
+    RowBuffer,
+    byte_table,
+    float_rows,
+    fmt,
+    index_width,
+    write_indices,
+)
 from lcdisc.amplitude import (
     ExponentialFamily,
     GaussianFamily,
@@ -114,15 +128,6 @@ class RunConfig:
             if value is not None:
                 items.append((field.name, str(value)))
         return items
-
-
-def fmt(x: float) -> str:
-    """Render a float with 12 significant digits."""
-    return format(float(x), ".12g")
-
-
-# fmt as a field of a %-template: the same conversion, so the same text
-_FMT_FIELD = "%.12g"
 
 
 def _round12(value: Any) -> Any:
@@ -279,26 +284,16 @@ def _open_output(path: str | None) -> Iterator[TextIO]:
             Path(path).unlink(missing_ok=True)
 
 
-def _format_rows(templates: Sequence[str], *columns: Sequence) -> str:
-    """Row i as ``templates[i] % (columns[0][i], columns[1][i], ...)``, one
-    line per row, filled by one ``%`` over the interleaved columns."""
-    values = [None] * (len(templates) * len(columns))
-    for j, column in enumerate(columns):
-        values[j::len(columns)] = column
-    return "\n".join([*templates, ""]) % tuple(values)
-
-
 @contextlib.contextmanager
 def _csv_writer(path: str | None, command: str, config: RunConfig,
-                columns: Iterable[str]) -> Iterator[Callable]:
+                columns: Iterable[str]) -> Iterator[Callable[[str], int]]:
     """Write the CSV header that echoes the config to ``path`` (stdout if
-    None), and yield a function that writes rows as they arrive: a row
-    template per row and the columns that fill them (:func:`_format_rows`)."""
+    None), and yield the function that writes rows as they arrive."""
     with _open_output(path) as handle:
         echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
         handle.write(f"# lcdisc {command}\n# config: {echo}\n"
                      f"{','.join(columns)}\n")
-        yield lambda *rows: handle.write(_format_rows(*rows))
+        yield handle.write
 
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
@@ -326,10 +321,9 @@ def _cmd_error_curve(config: RunConfig) -> dict | None:
         return {"priors": {"pi0": priors.pi0, "pi1": priors.pi1},
                 "points": [dict(zip(_CURVE_FIELDS, row))
                            for row in zip(*columns)]}
-    template = ",".join([_FMT_FIELD] * len(columns))
     with _csv_writer(config.output, "error-curve", config,
                      _CURVE_FIELDS) as write_rows:
-        write_rows([template] * len(reports), *columns)
+        write_rows(float_rows(columns))
 
 
 def _cmd_optimal_time(config: RunConfig) -> dict:
@@ -347,24 +341,39 @@ def _cmd_optimal_time(config: RunConfig) -> dict:
 # channel names indexed by "is PLUS"
 _CHANNELS = (HelicityChannel.MINUS.name.lower(),
              HelicityChannel.PLUS.name.lower())
-# the trial CSV's row template of each code 4 true_plus + 2 inside +
-# guess_plus, filled by the trial index and rho; outside the ball the
-# outcome is unknown, inside it is the true channel
-_TRIAL_TEMPLATES = tuple(
-    f"%d,{_CHANNELS[plus]},{_FMT_FIELD},{inside},"
+
+
+# the trial CSV's text before and after rho, indexed by the row's code
+# 4 true_plus + 2 inside + guess_plus; outside the ball the outcome is
+# unknown, inside it is the true channel
+_TRIAL_CODES = list(itertools.product((0, 1), repeat=3))
+_TRIAL_PREFIX = byte_table(f",{_CHANNELS[plus]},"
+                            for plus, _, _ in _TRIAL_CODES)
+_TRIAL_SUFFIX = byte_table(
+    f",{inside},"
     f"{_CHANNELS[plus] if inside else montecarlo.Outcome.UNKNOWN.value},"
-    f"{_CHANNELS[guess]},{int(plus == guess)}"
-    for plus, inside, guess in itertools.product((0, 1), repeat=3))
+    f"{_CHANNELS[guess]},{int(plus == guess)}\n"
+    for plus, inside, guess in _TRIAL_CODES)
 
 
-def _trial_rows(batch: montecarlo.TrialBatch) -> tuple[list[str], range,
-                                                         list[float]]:
-    """The trial CSV rows of ``batch``: a row template per trial, then the
-    trial indices and radii that fill them."""
-    code = 4 * batch.true_plus + 2 * batch.inside + batch.guess_plus
-    return (list(map(_TRIAL_TEMPLATES.__getitem__, code.tolist())),
-            range(batch.start, batch.start + batch.rho.size),
-            batch.rho.tolist())
+def _trial_rows(batch: montecarlo.TrialBatch) -> str:
+    """The trial CSV rows of ``batch``."""
+    code = (batch.true_plus.view(np.uint8) << 2 |
+            batch.inside.view(np.uint8) << 1 | batch.guess_plus.view(np.uint8))
+    prefix, suffix = _TRIAL_PREFIX.itemsize, _TRIAL_SUFFIX.itemsize
+    texts = []
+    for lo in range(0, batch.rho.size, SLICE_ROWS):
+        hi = min(lo + SLICE_ROWS, batch.rho.size)
+        cells = FloatCells(batch.rho[lo:hi])
+        index = index_width(batch.start + hi)
+        rows = RowBuffer(hi - lo, index + prefix + cells.width + suffix)
+        write_indices(batch.start + lo, batch.start + hi, rows, 0)
+        np.take(_TRIAL_PREFIX, code[lo:hi], out=rows.field(index, prefix))
+        cells.write(rows, index + prefix)
+        np.take(_TRIAL_SUFFIX, code[lo:hi],
+                out=rows.field(index + prefix + cells.width, suffix))
+        texts.append(rows.text())
+    return "".join(texts)
 
 
 def _cmd_monte_carlo(config: RunConfig) -> dict:
@@ -383,7 +392,7 @@ def _cmd_monte_carlo(config: RunConfig) -> dict:
             strategy=config.strategy, prob_tol=config.prob_tol,
             r_max=config.r_max, amp_tol=config.amp_tol,
             on_batch=write_rows and (
-                lambda batch: write_rows(*_trial_rows(batch))))
+                lambda batch: write_rows(_trial_rows(batch))))
     return {"estimate": dataclasses.asdict(estimate)}
 
 
@@ -394,9 +403,8 @@ def _cmd_dump_density(config: RunConfig) -> None:
                                amp_tol=config.amp_tol)
     with _csv_writer(config.output, "dump-density", config,
                      ("r", "re_amp", "im_amp", "density")) as write_rows:
-        write_rows([",".join([_FMT_FIELD] * 4)] * grid.r_grid.size,
-                   grid.r_grid.tolist(), grid.amp.real.tolist(),
-                   grid.amp.imag.tolist(), grid.density.tolist())
+        write_rows(float_rows([grid.r_grid, grid.amp.real, grid.amp.imag,
+                                grid.density]))
 
 
 def _cmd_scan_time(config: RunConfig) -> dict:

@@ -119,13 +119,21 @@ class ErrorEstimate:
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``."""
+    """High and low 64-bit words of the 128-bit products ``m * x``.
+
+    The high word is the 32-bit-halves product of Hacker's Delight's
+    mulhu: no partial sum below can carry out of 64 bits.
+    """
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
     x_hi, x_lo = x >> _SHIFT32, x & _LOW32
-    lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    carry = (lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    hi = (x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) +
-          (carry >> _SHIFT32))
+    low = x_lo * m_lo
+    mid = x_hi * m_lo
+    mid += low >> _SHIFT32
+    cross = x_lo * m_hi
+    cross += mid & _LOW32
+    hi = x_hi * m_hi
+    hi += mid >> _SHIFT32
+    hi += cross >> _SHIFT32
     return hi, x * np.uint64(m)
 
 

@@ -17,7 +17,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import lcdisc
-from lcdisc import cli, discrimination, lightcone, montecarlo
+from lcdisc import _csvrows, cli, discrimination, lightcone, montecarlo
 from lcdisc.cli import RunConfig, build_config, fmt, main, parse_config
 from lcdisc.errors import ConfigError
 
@@ -617,7 +617,58 @@ def test_trial_rows_match_per_row_oracle(start, rows):
         cos_theta=np.zeros(code.size), inside=inside, guess_plus=guess_plus,
         correct=guess_plus == true_plus)
     expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
-    assert cli._format_rows(*cli._trial_rows(batch)) == expected
+    assert cli._trial_rows(batch) == expected
+
+
+def _float_rows_oracle(columns):
+    """The CSV rows of float columns, one ``fmt`` per cell; the reference
+    for ``_csvrows.float_rows``."""
+    return "".join(",".join(map(fmt, row)) + "\n" for row in zip(*columns))
+
+
+# a power of ten give or take a few floats: where log10 rounds across the
+# decade and where 12 digits carry into the next one
+_NEAR_POWER = st.builds(
+    lambda exponent, steps: _float_steps(float(f"1e{exponent}"), steps),
+    st.integers(-323, 308), st.integers(-2, 2))
+# one sign per column, or each value's own
+_SIGNED = (st.floats() | _HALFWAY | _NEAR_POWER |
+           st.floats(-1e4, 1e4) | st.floats(1e-6, 1e12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(_SIGNED, min_size=k, max_size=k), min_size=1, max_size=50)))
+@example(rows=[[math.nan, 0.0, 1e-5, 0.1 + 0.2],
+               [math.inf, -0.0, -9.99999999999e-5, _BOUNDARY],
+               [-math.inf, 0.0, 1e16, 999999999999.5],
+               [5e-324, -0.0, -1.7976931348623157e308, 1e12],
+               [-1e-310, 0.0, 2.2250738585072014e-308, 0.0001]])
+def test_float_rows_match_per_cell_oracle(rows):
+    # the first column falls back to fmt entirely (NaN, infinities,
+    # subnormals), the second is zeros, the third exponent notation, the
+    # fourth fixed notation with carries and ties
+    columns = [np.array(column) for column in zip(*rows)]
+    assert _csvrows.float_rows(columns) == _float_rows_oracle(columns)
+
+
+@pytest.mark.parametrize("start,size", [
+    (0, 12), (95, 10), (99_995, 10), (2 ** 53 - 3, 6),
+    (2 ** 63 - 3, 6), (2 ** 64 - 5, 5), (0, 3 * _csvrows.SLICE_ROWS + 5),
+], ids=["9-10", "99-100", "99999-100000", "2^53", "2^63", "2^64-1",
+        "slices"])
+def test_trial_indices_across_digit_counts(start, size):
+    # %d of every index: the digit count grows within the batch, and the
+    # int64 digit groups give way to str past 2^63
+    rng = np.random.default_rng(start % 1000)
+    code = rng.integers(0, 8, size)
+    guess_plus, true_plus = (code & 1) > 0, (code & 4) > 0
+    batch = montecarlo.TrialBatch(
+        start=start, true_plus=true_plus, rho=rng.uniform(0.0, 12.0, size),
+        cos_theta=np.zeros(size), inside=(code & 2) > 0,
+        guess_plus=guess_plus, correct=guess_plus == true_plus)
+    expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
+    assert cli._trial_rows(batch) == expected
 
 
 EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",

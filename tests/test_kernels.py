@@ -249,6 +249,21 @@ def test_piecewise_rule_tables_match_sin_over_z(start, widths, level, k):
     assert np.max(np.abs(blocks - expected), initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("breaks", [
+    [0.0, 5e-324],
+    [0.0, 1e-320, 1.0],
+    [0.0, 5e-324, 2e-323, 0.5],
+], ids=["one-panel", "subnormal-then-wide", "two-subnormal"])
+def test_panel_table_at_underflowed_nodes(breaks):
+    # panels narrower than the subnormal range round nodes to 0, where the
+    # table's row is j0(0) = 1, as the direct table gives, with no warning
+    rule = piecewise_gauss_panels(np.array(breaks), 0.25)
+    k = np.array([0.0, 1e-3, 1.0, 7.5, _K_MAX])
+    with np.errstate(divide="raise", invalid="raise"):
+        table = panel_j0_table(rule, k)
+    assert np.max(np.abs(table - j0_table(rule.nodes, k))) <= 1e-13
+
+
 def test_gemm_blocks_cut_runs(monkeypatch):
     # blocks of _GEMM_CHUNK_PANELS panels start a run at their first panel
     # and keep the rule's run starts inside them

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from lcdisc import (
@@ -221,6 +222,17 @@ def test_offset_inside_test_uses_direction(gauss_d3):
 @pytest.mark.parametrize("seed", [0, 893741986, 2 ** 128 - 1])
 def test_philox_uniforms_match_numpy(seed):
     index = [0, 1, 2 ** 32, 2 ** 63]
+    expected = np.array([Generator(Philox(key=seed, counter=i << 64)).random(5)
+                         for i in index]).T
+    assert np.array_equal(philox_uniforms(seed, index), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1),
+       index=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6))
+def test_philox_uniforms_match_numpy_drawn(seed, index):
+    # every bit of the key and of the trial index goes through the 128-bit
+    # products, so the high word's carries are all exercised
     expected = np.array([Generator(Philox(key=seed, counter=i << 64)).random(5)
                          for i in index]).T
     assert np.array_equal(philox_uniforms(seed, index), expected)
