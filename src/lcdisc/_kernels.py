@@ -12,29 +12,36 @@ row to the 2^p, so sin and cos run on two rows, not one per point.  Angle
 addition then combines such axes: each radius is a point of one axis plus
 one of a few offsets that many points share.
 
-- The nodes of a :class:`~lcdisc.quadrature.PanelRule` are panel centres
-  plus h x_g.  Their j0 table (:func:`panel_j0_table`, which
-  :func:`weighted_j0_gemm` uses, as time sweeps do) takes the centres of
-  each declared run of panels by doubling and the GAUSS_ORDER offsets from
-  the positive half of GAUSS_X.
 - The radii of an :class:`~lcdisc.quadrature.EvenGrid`, from any
   nonnegative start, are block bases plus shared offsets, and
   :func:`weighted_j0_sum` builds no table for them: angle addition splits
   each sum into one real product of a per-base and a per-offset factor
-  (:func:`_uniform_sum`), and both factors are filled by doubling.
+  (:func:`_base_offset_sum`); the bases' factor is filled by doubling, the
+  offsets' too.
+- The nodes of a :class:`~lcdisc.quadrature.PanelRule` are panel centres
+  plus h x_g, and the panels of each declared run step by 2h.  So a run is
+  such a product too, with its panels' lower edges, by doubling, as bases
+  and the GAUSS_ORDER distances h + h x_g of the nodes from them as
+  offsets, whose cos and sin come from the positive half of GAUSS_X and
+  from h.  :func:`weighted_j0_gemm` builds no table for one column of
+  coefficients, as a p_t at one time has.  For many columns, as time
+  sweeps have, it fills the j0 table of a block of panels
+  (:func:`panel_j0_table`) by angle addition on the centres and contracts
+  every column with it.
 - A time sweep's phase coefficients exp(-i k t) come by the same doubling
   (``propagation._phase_coeffs``).
 
-Only arbitrary radii, as users and the 3D oracle pass, fill the table
-directly, one np.sin per entry.  A :class:`PanelTable` keeps a panel
-table, so repeated gemms at the same k nodes only contract.
+Only a panel rule's many-column contractions fill tables, and arbitrary
+radii, as users and the 3D oracle pass, whose table takes one np.sin per
+entry.  A :class:`PanelTable` keeps a panel table, so repeated gemms at
+the same k nodes only contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -174,6 +181,51 @@ def _angle_sum(centre: np.ndarray, offset: np.ndarray,
                      np.stack((offset.imag, offset.real)), out=out)
 
 
+def _edge_offsets(half: float, k: np.ndarray) -> np.ndarray:
+    """cos(k s) + i sin(k s) / k at the offsets s = half + half * GAUSS_X
+    of a panel's nodes from its lower edge, all in (0, 2 half).
+
+    With h = half and u the positive half of half * GAUSS_X, the offsets
+    are h - u, mirrored into GAUSS_X order, and h + u, and by angle
+    addition
+
+        cos(k (h +- u)) = cos(kh) cos(ku) -+ k^2 (sin(kh) / k) (sin(ku) / k),
+        sin(k (h +- u)) / k = (sin(kh) / k) cos(ku) +- cos(kh) (sin(ku) / k),
+
+    so np.cos and np.sin run on the four u and on h only, and each product
+    serves two offsets.
+    """
+    x = np.append(half * GAUSS_X[_MIRROR:], half)
+    rows = _sin_over_k(exp_ikx(x, k), x, k)
+    u, h = rows[:-1], rows[-1:]
+    cos_cos = h.real * u.real
+    sin_sin = (k * k * h.imag) * u.imag
+    sin_cos = h.imag * u.real
+    cos_sin = h.real * u.imag
+    out = np.empty((GAUSS_ORDER, k.size), dtype=np.complex128)
+    lower, upper = out[_MIRROR - 1::-1], out[_MIRROR:]
+    np.add(cos_cos, sin_sin, out=lower.real)
+    np.subtract(sin_cos, cos_sin, out=lower.imag)
+    np.subtract(cos_cos, sin_sin, out=upper.real)
+    np.add(sin_cos, cos_sin, out=upper.imag)
+    return out
+
+
+def _runs(rule: PanelRule, k: np.ndarray,
+          offsets: Callable[[float, np.ndarray], np.ndarray]
+          ) -> Iterator[tuple[int, int, float, np.ndarray]]:
+    """(first, end, h, offsets(h, k)) for each run of ``rule``: its panel
+    indices, its half-width h and its offsets' terms, made once per
+    half-width in a row."""
+    half = rule.half_widths
+    offset_half = offset = None
+    for lo, hi in rule.runs():
+        h = half[lo]
+        if h != offset_half:
+            offset_half, offset = h, offsets(h, k)
+        yield lo, hi, h, offset
+
+
 def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     """j0 table on the nodes of ``rule``, built by angle addition.
 
@@ -188,12 +240,7 @@ def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     range rounds it there, and its row is j0(0) = 1, as in :func:`j0_table`.
     """
     out = np.empty((rule.centres.size, GAUSS_ORDER, k.size))
-    half = rule.half_widths
-    offset_half = offset = None
-    for lo, hi in rule.runs():
-        h = half[lo]
-        if h != offset_half:
-            offset_half, offset = h, _gauss_offsets(h, k)
+    for lo, hi, h, offset in _runs(rule, k, _gauss_offsets):
         centres = cos_sin_rows(EvenGrid(rule.centres[lo:hi], 2.0 * h), k)
         _angle_sum(centres, offset, out=out[lo:hi])
     table = out.reshape(rule.size, k.size)
@@ -216,47 +263,68 @@ def available_backends() -> tuple[str, ...]:
     return ("numpy",)
 
 
-def _offset_terms(step: float, k: np.ndarray) -> np.ndarray:
-    """The right factor of an even grid's product, shape
-    (2 len(k), _BLOCK_ROWS): one column per offset s = step * j of a
-    block, j < _BLOCK_ROWS, whose rows alternate cos(k s) and
-    sin(k s) / k, filled by doubling (:func:`cos_sin_rows`)."""
-    offsets = EvenGrid(step * np.arange(float(_BLOCK_ROWS)), step)
-    return cos_sin_rows(offsets, k).view(np.float64).T
+def _base_offset_sum(bases: EvenGrid, offsets: np.ndarray, k: np.ndarray,
+                     coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] sin(k[j] (b + s)) / k[j] for every base b of
+    ``bases`` and every offset s, shape (bases.size, len(offsets)).
+
+    ``offsets`` holds cos(k s) + i sin(k s) / k, one row per offset, and
+
+        sin(k (b + s)) / k = (sin(k b) / k) cos(k s) + cos(k b) (sin(k s) / k),
+
+    so the sums of _CHUNK_BASES bases are one real product: per base, a row
+    alternating sin(k b) / k and cos(k b) times the coefficients' real parts
+    and one times their imaginary parts, against the offsets viewed as
+    float64, whose columns alternate cos(k s) and sin(k s) / k.  The bases'
+    cos and sin come by doubling (:func:`cos_sin_rows`), and no j0 table is
+    built.
+    """
+    right = offsets.view(np.float64).T
+    out = np.empty((bases.size, len(offsets), 2))
+    for lo in range(0, bases.size, _CHUNK_BASES):
+        rows = cos_sin_rows(
+            EvenGrid(bases.nodes[lo:lo + _CHUNK_BASES], bases.step), k)
+        n = rows.shape[0]
+        # each term times each coefficient part, written straight into its
+        # strided place in the left factor
+        left = np.empty((n, 2, 2 * k.size))
+        for part, c in enumerate((coeffs.real, coeffs.imag)):
+            np.multiply(rows.imag, c, out=left[:, part, 0::2])
+            np.multiply(rows.real, c, out=left[:, part, 1::2])
+        prod = left.reshape(2 * n, 2 * k.size) @ right
+        # rows (base, re/im) x offset columns to base-major complex
+        out[lo:lo + n] = prod.reshape(n, 2, -1).transpose(0, 2, 1)
+    return out.view(np.complex128)[..., 0]
 
 
 def _uniform_sum(grid: EvenGrid, k: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] sin(k[j] r) / k[j] at the radii r of ``grid``.
 
-    Each radius is a block base b, the first node plus a whole number of
-    blocks, plus one of the block offsets s, and
-
-        sin(k (b + s)) / k = (sin(k b) / k) cos(k s) + cos(k b) (sin(k s) / k),
-
-    so the sums of a block are one real product: a row alternating
-    sin(k b) / k and cos(k b) times the coefficients' real parts and one
-    times their imaginary parts, against :func:`_offset_terms`.  One
-    product covers _CHUNK_BASES bases, whose cos and sin come by doubling
-    with the block stride as step, and no j0 table is built.
+    Each radius is a block base, the first node plus a whole number of
+    blocks of _BLOCK_ROWS radii, plus one of the block offsets
+    s = step * j, j < _BLOCK_ROWS, that every block shares
+    (:func:`_base_offset_sum`); the offsets' cos and sin come by doubling
+    too.
     """
+    step = grid.step
+    offsets = EvenGrid(step * np.arange(float(_BLOCK_ROWS)), step)
     n_bases = -(-grid.size // _BLOCK_ROWS)
-    right = _offset_terms(grid.step, k)
-    parts = np.stack([coeffs.real, coeffs.imag])[:, :, None]
-    out = np.empty((n_bases, _BLOCK_ROWS, 2))
-    start, stride = grid.nodes[0], _BLOCK_ROWS * grid.step
-    for lo in range(0, n_bases, _CHUNK_BASES):
-        bases = np.arange(lo, min(lo + _CHUNK_BASES, n_bases))
-        rows = cos_sin_rows(EvenGrid(start + bases * stride, stride), k)
-        pairs = rows.view(np.float64).reshape(bases.size, 1, k.size, 2)
-        # C order, so the reshape below is a view, not a copy
-        left = np.empty((bases.size, 2, k.size, 2))
-        np.multiply(pairs[..., ::-1], parts, out=left)
-        prod = left.reshape(2 * bases.size, 2 * k.size) @ right
-        # rows (base, re/im) x offset columns to radius-major complex
-        out[lo:lo + bases.size] = \
-            prod.reshape(bases.size, 2, _BLOCK_ROWS).transpose(0, 2, 1)
-    return out.view(np.complex128).reshape(-1)[:grid.size]
+    stride = _BLOCK_ROWS * step
+    bases = EvenGrid(grid.nodes[0] + np.arange(n_bases) * stride, stride)
+    sums = _base_offset_sum(bases, cos_sin_rows(offsets, k), k, coeffs)
+    return sums.reshape(-1)[:grid.size]
+
+
+def _over_nodes(sums: np.ndarray, x: np.ndarray,
+                coeffs: np.ndarray) -> np.ndarray:
+    """Turn the sums of coeffs sin(k x) / k at the points x into the sums
+    of coeffs j0(k x), in place: each is divided by its x once, and at
+    x = 0, where every j0 is 1, it is the coefficients' sum."""
+    at_0 = x == 0.0
+    np.divide(sums, x, out=sums, where=~at_0)
+    sums[at_0] = coeffs.sum()
+    return sums
 
 
 def _as_vec(a: np.ndarray) -> np.ndarray:
@@ -305,17 +373,30 @@ def weighted_j0_sum(r: np.ndarray | EvenGrid, k: np.ndarray,
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
     if isinstance(r, EvenGrid):
-        # sums of sin(k r) / k = r j0(k r): each, but one at r = 0, is
-        # divided by its r once; at r = 0 every j0 is 1
-        out = _uniform_sum(r, k, coeffs)
-        at_0 = r.nodes == 0.0
-        np.divide(out, r.nodes, out=out, where=~at_0)
-        out[at_0] = coeffs.sum()
-        return out
+        return _over_nodes(_uniform_sum(r, k, coeffs), r.nodes, coeffs)
     r = _as_vec(r)
     tables = (j0_table(r[lo:lo + _CHUNK_ROWS], k)
               for lo in range(0, r.size, _CHUNK_ROWS))
     return _contract(tables, r.size, coeffs[:, None]).ravel()
+
+
+def _panel_sums(rule: PanelRule, k: np.ndarray,
+                coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] j0(k[j] x) at the nodes x of ``rule``, with no j0
+    table: the lower edges of each run's panels, an even axis of step 2h,
+    are the bases of :func:`_base_offset_sum` and the nodes' distances from
+    them (:func:`_edge_offsets`) its offsets.
+
+    Bases and offsets are never negative, so where k x is small the two
+    products that make sin(k x) / k add up and do not cancel.  From the
+    panel centres they would cancel from near h to the nodes near 0.04 h
+    of a panel from x = 0, and there lost up to 1.4e-14 of sum |coeffs|.
+    """
+    out = np.empty((rule.centres.size, GAUSS_ORDER), dtype=np.complex128)
+    for lo, hi, h, offset in _runs(rule, k, _edge_offsets):
+        edges = EvenGrid(rule.centres[lo:hi] - h, 2.0 * h)
+        out[lo:hi] = _base_offset_sum(edges, offset, k, coeffs)
+    return _over_nodes(out.reshape(-1), rule.nodes, coeffs)
 
 
 def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:
@@ -354,12 +435,19 @@ def weighted_j0_gemm(r: PanelRule | PanelTable, k: np.ndarray,
     through one real BLAS product, which is what makes time sweeps cheap.
     A PanelRule's blocks are filled one at a time and each dropped after its
     product; a :class:`PanelTable` ``r``, filled at the nodes ``k``, brings
-    its blocks.
+    its blocks.  A PanelRule with one column fills no table: each run's sums
+    come from one real product by angle addition (:func:`_panel_sums`), and
+    differ from the table's by rounding only.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    tables = (iter(r.blocks) if isinstance(r, PanelTable)
-              else _panel_blocks(r, k))
+    if isinstance(r, PanelTable):
+        tables = iter(r.blocks)
+    elif coeffs.shape[1] == 1:
+        # a table that serves one column costs more to fill than it saves
+        return _panel_sums(r, k, coeffs[:, 0])[:, None]
+    else:
+        tables = _panel_blocks(r, k)
     return _contract(tables, r.size, coeffs)

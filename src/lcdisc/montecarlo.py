@@ -209,7 +209,12 @@ class DetectionSampler:
     def radii(self, u: np.ndarray) -> np.ndarray:
         """Radii for an array of uniforms in [0, 1), one per uniform."""
         cdf, r = self._cdf, self._r
-        i = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(r) - 2)
+        # the binary searches run several times faster on sorted keys, and
+        # each index is scattered back to its uniform's place
+        order = np.argsort(u)
+        i = np.empty(u.shape, dtype=np.intp)
+        i[order] = np.searchsorted(cdf, u[order], side="right")
+        i = np.clip(i - 1, 0, len(r) - 2)
         span = cdf[i + 1] - cdf[i]
         frac = np.divide(u - cdf[i], span, out=np.zeros_like(u),
                          where=span > 0.0)

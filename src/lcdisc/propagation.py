@@ -25,13 +25,15 @@ period, on k rules that split every panel of the 1-panel rule (see
 :func:`_k_rule`).  Radii and times may come as an evenly spaced
 :class:`~lcdisc.quadrature.EvenGrid`.  On a grid of radii, as the Monte
 Carlo sampler and ``dump-density`` use, the amplitude builds no j0 table:
-angle addition, which also fills the ball's rho tables, turns its sums into
-one real product per ladder level.  On every evenly spaced axis, the grid's
-radii, the centres of a run of rho panels and a grid of times as the
-optimizer sweeps, sin and cos run on two rows and the other rows come by
-doubling (:func:`~lcdisc._kernels.fill_by_doubling`): the grid's and the
-tables' cos(k x) and sin(k x) / k, and a sweep's phase coefficients
-exp(-i k t).
+angle addition turns its sums into one real product per ladder level.  A
+ball probability at one time builds none either: its sums are such a
+product per run of the rho rule.  A sweep of many times fills the rho
+rule's j0 tables by the same angle addition.  On every evenly spaced
+axis, the grid's radii, the panels of a run of the rho rule and a grid of
+times as the optimizer sweeps, sin and cos run on two rows and the other
+rows come by doubling (:func:`~lcdisc._kernels.fill_by_doubling`): the
+grid's, the tables' and the sums' cos(k x) and sin(k x) / k, and a sweep's
+phase coefficients exp(-i k t).
 
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
@@ -432,8 +434,10 @@ class BallQuadrature:
     the bytes of the tables kept so far, past MAX_KEPT_TABLE_BYTES keeps its
     rules but not its table.  Such a level, and every level with
     ``keep_tables`` False, fills, contracts and drops its table one block
-    at a time on each call.  The bound caps memory; it is not a speed
-    threshold.
+    at a time on each call of many times, and fills none for a call of one
+    time, whose sums come by angle addition
+    (:func:`~lcdisc._kernels.weighted_j0_gemm`).  The bound caps memory; it
+    is not a speed threshold.
 
     A quadrature called once should pass False.  Keeping the tables of
     every quadrature, single sweeps' too, raised e2ebench's evaluate

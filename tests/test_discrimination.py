@@ -239,6 +239,29 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     assert len(fills) == n1 + n2 * len(balls)
 
 
+@pytest.mark.parametrize("family,d,R,t", [
+    (lcdisc.GaussianFamily(k0=5.0, sigma=1.0), 1.5, 1.0, 20.0),
+    # a kink in the rho rule: two runs of panels, the first from rho = 0
+    (lcdisc.GaussianFamily(k0=4.0, sigma=0.8), 0.5, 2.0, 0.0),
+    # level 2's rho rule spans two gemm blocks of panels
+    (lcdisc.ExponentialFamily(kappa=2.0), 0.0, 6.0, 7.0),
+], ids=["gauss", "kink", "expo-wide"])
+def test_scalar_outside_probability_fills_no_table(monkeypatch, family, d,
+                                                   R, t):
+    # a p_t at one time contracts one column per ladder level, by angle
+    # addition, and agrees with the kept tables' contraction
+    profile = lcdisc.make_profile(family, offset_d=d)
+    kept = propagation.BallQuadrature(profile, R, t)
+    expected = 1.0 - float(kept.p_in(np.array([t]))[0])
+
+    def no_fill(rule, k):
+        raise AssertionError("a scalar p_t filled a j0 table")
+
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table", no_fill)
+    assert outside_probability(profile, R, t) == pytest.approx(expected,
+                                                               abs=1e-14)
+
+
 @pytest.mark.parametrize("family", [
     lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
     lcdisc.ExponentialFamily(kappa=2.0),

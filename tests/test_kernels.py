@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lcdisc
 from lcdisc import _kernels, propagation
@@ -300,6 +300,62 @@ def test_panel_table_through_gemm():
     expected = _reference_j0(np.outer(rule.nodes, k)) @ coeffs
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
+
+
+def _one_column_gap(rule, k, coeffs):
+    """Largest gap between the one-column contraction of ``rule``, which
+    fills no table, and the table's product, over sum |coeffs|."""
+    def no_fill(rule, k):
+        raise AssertionError("a one-column contraction filled a j0 table")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels._ACTIVE, "j0_table", no_fill)
+        got = weighted_j0_gemm(rule, k, coeffs[:, None])
+    assert got.shape == (rule.size, 1)
+    expected = panel_j0_table(rule, k) @ coeffs
+    return np.max(np.abs(got[:, 0] - expected)) / np.sum(np.abs(coeffs))
+
+
+_BALL_FAMILIES = (
+    st.builds(lcdisc.GaussianFamily, k0=st.floats(0.5, 8.0),
+              sigma=st.floats(0.1, 1.5)) |
+    st.builds(lcdisc.ExponentialFamily, kappa=st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_BALL_FAMILIES,
+       R=st.floats(2.0 ** -10, 16.0),
+       # the packet at the ball's edge, or drawn: inside or beyond it
+       d=st.none() | st.floats(0.0, 8.0),
+       t=st.just(0.0) | st.floats(0.0, 30.0),
+       level=st.sampled_from(DENSITY_LADDER[:3]))
+# sums from the panel centres, not the lower edges, were 1.2e-14 off here
+@example(family=lcdisc.ExponentialFamily(kappa=1.25), R=1.5, d=None, t=0.0,
+         level=2.0)
+@example(family=lcdisc.ExponentialFamily(kappa=2.0), R=2.0 ** -10, d=6.0,
+         t=17.0, level=2.0)
+def test_one_column_gemm_matches_table(family, R, d, t, level):
+    # a ball's rho rule and the coefficients of its k rule at one time, as
+    # a p_t at that time contracts them
+    profile = lcdisc.make_profile(family, offset_d=R if d is None else d)
+    rule = propagation._rho_rule(profile, R, level)
+    k_rule = propagation._k_rule(profile, float(rule.nodes.max()), t, level)
+    coeffs = propagation._phase_coeffs(
+        propagation._envelope(profile, k_rule), k_rule.nodes,
+        np.array([t]))[:, 0]
+    assert _one_column_gap(rule, k_rule.nodes, coeffs) <= 1e-14
+
+
+def test_one_column_gemm_at_a_zero_node():
+    # a run narrower than the subnormal range rounds nodes to 0, where
+    # every j0 is 1 and the sum is the coefficients' sum; a k node at 0
+    rule = piecewise_gauss_panels(np.array([0.0, 5e-324, 1.0, 2.5]), 0.25)
+    assert np.any(rule.nodes == 0.0)
+    rng = np.random.default_rng(11)
+    k = np.concatenate(([0.0], np.sort(rng.uniform(0.0, _K_MAX, 80))))
+    coeffs = rng.normal(size=81) + 1j * rng.normal(size=81)
+    with np.errstate(divide="raise", invalid="raise"):
+        assert _one_column_gap(rule, k, coeffs) <= 1e-14
 
 
 @pytest.mark.parametrize("size", [16, 257, 1000, 4097])
