@@ -57,13 +57,13 @@ def _tables() -> _Tables:
         [digits, digits * (group % (10 * place) != 0)]).view("V4").ravel()
     pow10 = np.array([float(f"1e{p}") for p in range(-_P_MIN, 309)])
     exponent = np.arange(-_P_MIN, 309)
-    exponents = np.stack([
-        np.full(exponent.size, ord("e")),
-        np.where(exponent < 0, ord("-"), ord("+")),
-        np.where(abs(exponent) >= 100, abs(exponent) // 100 + ord("0"), 0),
-        abs(exponent) // 10 % 10 + ord("0"),
-        abs(exponent) % 10 + ord("0"),
-    ], axis=1).astype(np.uint8)
+    size = abs(exponent)
+    exponents = np.empty((exponent.size, 5), dtype=np.uint8)
+    exponents[:, 0] = ord("e")
+    exponents[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    exponents[:, 2] = np.where(size >= 100, size // 100 + ord("0"), 0)
+    exponents[:, 3] = size // 10 % 10 + ord("0")
+    exponents[:, 4] = size % 10 + ord("0")
     exponents[(exponent >= -4) & (exponent <= 11)] = 0
     return _Tables(digit_groups, pow10, exponents.view("V5").ravel())
 
@@ -104,10 +104,13 @@ def _write_digits(value: np.ndarray, rows: RowBuffer, offset: int,
     significant first, at ``offset``; with ``trailing``, the zeros after the
     last nonzero digit are zero bytes.  ``value`` is overwritten."""
     digit_groups = _tables().digit_groups
-    quotient, group = np.empty_like(value), np.empty_like(value)
-    # the table offset of each value's next group: _TRAILING while every
-    # group below it is zero
-    shift = np.full(value.size, _TRAILING) if trailing else None
+    quotient = np.empty(value.shape, dtype=value.dtype)
+    group = np.empty(value.shape, dtype=value.dtype)
+    if trailing:
+        # the table offset of each value's next group: _TRAILING while every
+        # group below it is zero
+        shift = np.empty(value.size, dtype=np.intp)
+        shift.fill(_TRAILING)
     for k in range(groups):
         np.floor_divide(value, _GROUP, out=quotient)
         np.multiply(quotient, _GROUP, out=group)
@@ -116,8 +119,8 @@ def _write_digits(value: np.ndarray, rows: RowBuffer, offset: int,
             zero = group == 0
             group += shift
             shift *= zero
-        np.take(digit_groups, group,
-                out=rows.field(offset + 4 * (groups - 1 - k), 4))
+        digit_groups.take(group,
+                          out=rows.field(offset + 4 * (groups - 1 - k), 4))
         value, quotient = quotient, value
 
 
@@ -139,30 +142,36 @@ class FloatCells:
     def __init__(self, x: np.ndarray):
         self.x = x
         magnitude = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.floor(np.log10(magnitude))
-            power = 11.0 - e
-            fast = (power >= -_P_MIN) & (power <= 308)
-            power[~fast] = 0.0
-            y = magnitude * _tables().pow10[power.astype(np.intp) + _P_MIN]
-            digits = np.floor(y)
-            y -= digits
-            fast &= (digits >= 1e11) & (np.abs(y - 0.5) > 1e-3)
-            digits += y > 0.5
-            fast &= digits < 1e12
+        zero = magnitude == 0.0
+        # zeros, NaN and the infinities take no logarithm: they are not fast,
+        # and their e and digits end up 0
+        finite = ~zero & (magnitude < np.inf)
+        e = np.log10(magnitude, out=np.zeros(x.shape), where=finite)
+        np.floor(e, out=e)
+        power = 11.0 - e
+        fast = finite & (power >= -_P_MIN) & (power <= 308)
+        power[~fast] = 0.0
+        magnitude[~fast] = 0.0
+        y = magnitude * _tables().pow10[power.astype(np.intp) + _P_MIN]
+        digits = np.floor(y)
+        y -= digits
+        fast &= (digits >= 1e11) & (np.abs(y - 0.5) > 1e-3)
+        digits += y > 0.5
+        fast &= digits < 1e12
         digits[~fast] = 0.0
         e[~fast] = 0.0
-        fast |= magnitude == 0.0
+        fast |= zero
         self.fast, self.digits, self.e = fast, digits, e.astype(np.intp)
         fixed = (self.e >= -4) & (self.e <= 11)
         # decimal place of the leading digit in the layout; 0 for a mantissa
         self.place = np.where(fixed, self.e, 0)
         places = self.place[digits > 0.0]
-        top, bottom = ((int(places.max()), int(places.min())) if places.size
+        top, bottom = ((int(np.maximum.reduce(places)),
+                        int(np.minimum.reduce(places))) if places.size
                        else (0, 11))
         self.int_groups = max(top, 0) // 4 + 1
         self.frac_groups = -(-(11 - bottom) // 4)
-        self.exponent = not fixed.all()
+        self.exponent = not np.logical_and.reduce(fixed)
         self.width = max(2 + 4 * (self.int_groups + self.frac_groups)
                          + 5 * self.exponent, _FMT_WIDTH)
 
@@ -189,9 +198,10 @@ class FloatCells:
         _write_digits(fraction, rows, point + 1, self.frac_groups,
                       trailing=True)
         if self.exponent:
-            np.take(_tables().exponents, self.e + _P_MIN,
-                    out=rows.field(point + 1 + 4 * self.frac_groups, 5))
-        slow = np.flatnonzero(~self.fast)
+            _tables().exponents.take(
+                self.e + _P_MIN,
+                out=rows.field(point + 1 + 4 * self.frac_groups, 5))
+        slow = (~self.fast).nonzero()[0]
         if slow.size:
             texts = np.array(list(map(fmt, self.x[slow].tolist())),
                              dtype=f"S{self.width}")

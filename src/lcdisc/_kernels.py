@@ -39,6 +39,7 @@ the same k nodes only contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator
@@ -123,9 +124,9 @@ def _sin_over_k(rows: np.ndarray, x: np.ndarray,
     there would be 0/0, or lose digits to a subnormal sin(k x).
     """
     # at max |x| = 0 or subnormal, the quotient is inf: every k is below
-    with np.errstate(divide="ignore", over="ignore"):
-        n_limit = np.searchsorted(
-            k, _SIN_LIMIT_KX / max(abs(x[0]), abs(x[-1])))
+    x_max = max(abs(float(x[0])), abs(float(x[-1])))
+    n_limit = int(k.searchsorted(
+        _SIN_LIMIT_KX / x_max if x_max > 0.0 else math.inf))
     np.divide(rows.imag[:, n_limit:], k[n_limit:],
               out=rows.imag[:, n_limit:])
     rows.imag[:, :n_limit] = x[:, None]
@@ -173,12 +174,13 @@ def _angle_sum(centre: np.ndarray, offset: np.ndarray,
 
         sin(k (c + s)) / k = cos(k c) (sin(k s) / k) + (sin(k c) / k) cos(k s).
 
-    Dividing by c + s gives j0(k (c + s)).  One einsum sums both products
-    without a temporary, on contiguous copies of the real and imaginary
-    parts, which are far smaller than ``out``.
+    Dividing by c + s gives j0(k (c + s)).  The first product goes
+    straight into ``out`` and the second is added to it, the bits that
+    np.einsum's sum of the two gives.
     """
-    return np.einsum("apk,agk->pgk", np.stack((centre.real, centre.imag)),
-                     np.stack((offset.imag, offset.real)), out=out)
+    np.multiply(centre.real[:, None], offset.imag, out=out)
+    out += centre.imag[:, None] * offset.real
+    return out
 
 
 def _edge_offsets(half: float, k: np.ndarray) -> np.ndarray:
@@ -195,7 +197,9 @@ def _edge_offsets(half: float, k: np.ndarray) -> np.ndarray:
     so np.cos and np.sin run on the four u and on h only, and each product
     serves two offsets.
     """
-    x = np.append(half * GAUSS_X[_MIRROR:], half)
+    x = np.empty(_MIRROR + 1)
+    np.multiply(half, GAUSS_X[_MIRROR:], out=x[:-1])
+    x[-1] = half
     rows = _sin_over_k(exp_ikx(x, k), x, k)
     u, h = rows[:-1], rows[-1:]
     cos_cos = h.real * u.real
@@ -323,7 +327,7 @@ def _over_nodes(sums: np.ndarray, x: np.ndarray,
     x = 0, where every j0 is 1, it is the coefficients' sum."""
     at_0 = x == 0.0
     np.divide(sums, x, out=sums, where=~at_0)
-    sums[at_0] = coeffs.sum()
+    sums[at_0] = np.add.reduce(coeffs)
     return sums
 
 
@@ -333,7 +337,7 @@ def _as_vec(a: np.ndarray) -> np.ndarray:
 
 def _check_k(k: np.ndarray) -> np.ndarray:
     k = _as_vec(k)
-    if k.size and (k[0] < 0.0 or np.any(np.diff(k) < 0.0)):
+    if k.size and (k[0] < 0.0 or np.logical_or.reduce(k[1:] < k[:-1])):
         raise ValueError("k nodes must be nonnegative and sorted ascending")
     return k
 

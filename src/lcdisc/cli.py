@@ -75,6 +75,7 @@ from lcdisc.propagation import (
     quantile_radius,
     radial_density_grid,
 )
+from lcdisc.quadrature import EvenGrid
 
 # most radii one error-curve may list, by R_list or R_min/R_max/R_count;
 # each costs a p_t search, or with fixed_t one p_t
@@ -261,7 +262,10 @@ def _radii(config: RunConfig) -> list[float]:
         if config.R_count > MAX_R_COUNT:
             raise ResourceLimitError(
                 f"field R_count: exceeds the cap of {MAX_R_COUNT}")
-        return list(np.linspace(config.R_min, config.R_max, config.R_count))
+        if config.R_count == 1:
+            return [config.R_min]
+        return EvenGrid.linspace(config.R_min, config.R_max,
+                                 config.R_count).nodes.tolist()
     _require(config, "R")
     return [config.R]
 
@@ -368,10 +372,11 @@ def _trial_rows(batch: montecarlo.TrialBatch) -> str:
         index = index_width(batch.start + hi)
         rows = RowBuffer(hi - lo, index + prefix + cells.width + suffix)
         write_indices(batch.start + lo, batch.start + hi, rows, 0)
-        np.take(_TRIAL_PREFIX, code[lo:hi], out=rows.field(index, prefix))
+        _TRIAL_PREFIX.take(code[lo:hi], out=rows.field(index, prefix))
         cells.write(rows, index + prefix)
-        np.take(_TRIAL_SUFFIX, code[lo:hi],
-                out=rows.field(index + prefix + cells.width, suffix))
+        _TRIAL_SUFFIX.take(code[lo:hi],
+                           out=rows.field(index + prefix + cells.width,
+                                          suffix))
         texts.append(rows.text())
     return "".join(texts)
 

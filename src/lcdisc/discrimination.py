@@ -125,7 +125,7 @@ def _clipped_outside(p_in: np.ndarray) -> np.ndarray:
     """p_t = 1 - p_in clipped at 0, with one warning, pointing at the
     caller's caller, if it is below -_CLIP_WARN."""
     p_out = 1.0 - p_in
-    if np.any(p_out < -_CLIP_WARN):
+    if np.logical_or.reduce(p_out < -_CLIP_WARN, axis=None):
         warnings.warn(f"probability {p_out.min():.3e} clipped to 0; "
                       "quadrature tolerances may be too loose",
                       stacklevel=3)
@@ -221,7 +221,7 @@ def optimal_measurement_time(
     ps = _clipped_outside(ball.p_in(coarse))
     candidates = list(zip(ts.tolist(), ps.tolist()))
     while True:
-        i_min = int(np.argmin(ps))
+        i_min = int(ps.argmin())
         lo, hi = max(i_min - 1, 0), min(i_min + 1, len(ts) - 1)
         if ts[hi] - ts[lo] <= TIME_TOL:
             break

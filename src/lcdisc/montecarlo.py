@@ -145,7 +145,7 @@ def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
     # so the first rounds multiply them once, not once per trial; arrays,
     # not scalars, since uint64 scalar arithmetic warns on overflow
     zero = np.zeros(1, dtype=np.uint64)
-    ctr = [np.full(1, block, dtype=np.uint64), index, zero, zero]
+    ctr = [np.array([block], dtype=np.uint64), index, zero, zero]
     k0, k1 = seed & _MASK64, seed >> 64
     for _ in range(_PHILOX_ROUNDS):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
@@ -154,8 +154,10 @@ def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
                hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
         k0 = (k0 + _PHILOX_W[0]) & _MASK64
         k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return ((np.stack(np.broadcast_arrays(*ctr)) >> np.uint64(11))
-            .astype(np.float64) * 2.0 ** -53)
+    words = np.empty((4, index.size), dtype=np.uint64)
+    for row, word in zip(words, ctr):
+        row[...] = word
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
@@ -171,9 +173,10 @@ def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
 class DetectionSampler:
     """Inverse-transform sampler for the radial detection distribution.
 
-    The CDF of 4 pi rho^2 |A|^2 is cached on the grid once; each draw costs
-    one binary search plus linear interpolation inside the cell, so the
-    per-trial cost is deterministic (no rejection loops).
+    The CDF of 4 pi rho^2 |A|^2 is cached on the grid once; a batch of
+    draws is sorted and merged with the CDF in one pass, then each draw is
+    interpolated linearly inside its cell, so the per-trial cost is
+    deterministic (no rejection loops).
     """
 
     def __init__(self, grid: RadialAmplitude):
@@ -185,11 +188,11 @@ class DetectionSampler:
         if r.size < 2 or r[-1] <= r[0]:
             raise InvalidStateError("radial grid is degenerate")
         cell_mass = radial_cell_masses(grid)
-        total = float(cell_mass.sum())
+        total = float(np.add.reduce(cell_mass))
         if not (math.isfinite(total) and total > 0.0):
             raise InvalidStateError("radial grid carries no probability mass")
         self._r = r
-        self._cdf = np.concatenate(([0.0], np.cumsum(cell_mass))) / total
+        self._cdf = np.concatenate(([0.0], cell_mass.cumsum())) / total
         self.time_t = grid.time_t
 
     @classmethod
@@ -209,16 +212,30 @@ class DetectionSampler:
     def radii(self, u: np.ndarray) -> np.ndarray:
         """Radii for an array of uniforms in [0, 1), one per uniform."""
         cdf, r = self._cdf, self._r
-        # the binary searches run several times faster on sorted keys, and
-        # each index is scattered back to its uniform's place
-        order = np.argsort(u)
-        i = np.empty(u.shape, dtype=np.intp)
-        i[order] = np.searchsorted(cdf, u[order], side="right")
-        i = np.clip(i - 1, 0, len(r) - 2)
+        flat = u.reshape(-1)
+        order = flat.argsort()
+        i = np.empty(flat.shape, dtype=np.intp)
+        i[order] = _cdf_positions(cdf, flat[order])
+        i = np.minimum(np.maximum(i - 1, 0), len(r) - 2).reshape(u.shape)
         span = cdf[i + 1] - cdf[i]
-        frac = np.divide(u - cdf[i], span, out=np.zeros_like(u),
+        frac = np.divide(u - cdf[i], span, out=np.zeros(u.shape),
                          where=span > 0.0)
         return r[i] + frac * (r[i + 1] - r[i])
+
+
+def _cdf_positions(cdf: np.ndarray, sorted_u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, sorted_u, side="right")``, the count of CDF
+    points at or below each uniform, for ascending ``cdf`` and
+    ``sorted_u``, by one merge.
+
+    The uniforms below CDF point j are ``sorted_u[:below[j]]``, so uniform
+    m lies at or above exactly the points with below[j] <= m: the counts of
+    ``below`` summed up to m.  That is one binary search per CDF point into
+    the uniforms, not one per uniform into the CDF.
+    """
+    below = sorted_u.searchsorted(cdf, side="left")
+    counts = np.bincount(below, minlength=sorted_u.size + 1)
+    return counts.cumsum()[:sorted_u.size]
 
 
 def _simulate(
@@ -316,9 +333,9 @@ def estimate_error(
     for batch in run_trials(profile, priors, R, t, n_trials, seed, strategy,
                             r_max=r_max, amp_tol=amp_tol):
         # in-domain outcomes identify the channel perfectly by construction
-        assert np.all(batch.correct | ~batch.inside)
-        n_errors += int(np.count_nonzero(~batch.correct))
-        n_unknown += int(np.count_nonzero(~batch.inside))
+        assert np.logical_and.reduce(batch.correct | ~batch.inside)
+        n_errors += int(np.add.reduce(~batch.correct, dtype=np.intp))
+        n_unknown += int(np.add.reduce(~batch.inside, dtype=np.intp))
         if on_batch is not None:
             on_batch(batch)
     return ErrorEstimate(

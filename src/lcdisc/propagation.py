@@ -40,6 +40,10 @@ center a distance d away, use an exact angular reduction: the fraction of the
 sphere of radius rho (about the packet center) lying inside the ball is a
 closed-form solid-angle weight, so no 3D integration is ever needed.  A
 brute-force 3D Riemann-sum oracle is provided to validate that reduction.
+
+NumPy is reached through ufuncs, their reductions and array methods, not
+through its Python-level helpers (np.max, np.clip, np.errstate, ...), whose
+first call in a request costs more than the arithmetic they wrap.
 """
 
 from __future__ import annotations
@@ -153,8 +157,9 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
     coarse = evaluate(DENSITY_LADDER[0])
     for panels_per_period in DENSITY_LADDER[1:]:
         fine = evaluate(panels_per_period)
-        estimate = float(np.max(np.maximum(np.abs(fine - coarse),
-                                           np.spacing(np.abs(fine)))))
+        estimate = float(np.maximum.reduce(
+            np.maximum(np.abs(fine - coarse), np.spacing(np.abs(fine))),
+            axis=None))
         if estimate <= tol:
             return fine, estimate, panels_per_period
         coarse = fine
@@ -218,11 +223,12 @@ def amplitude_on_radii(
         raise InvalidParameterError("amp_tol must be finite and > 0")
     radii = np.asarray(r, dtype=float)
     r = r if isinstance(r, EvenGrid) else radii
-    if not np.all(np.isfinite(radii) & (radii >= 0.0)):
+    if not np.logical_and.reduce(np.isfinite(radii) & (radii >= 0.0),
+                                 axis=None):
         raise InvalidParameterError("radii must be finite and nonnegative")
     if radii.size == 0:
         return np.empty(0, dtype=np.complex128)
-    r_peak = float(radii.max())
+    r_peak = float(np.maximum.reduce(radii, axis=None))
 
     def evaluate(panels_per_period: float) -> np.ndarray:
         rule = _k_rule(profile, r_peak, t, panels_per_period)
@@ -271,8 +277,10 @@ def radial_density_grid(
         r_grid = radii.nodes
         amp = amplitude_on_radii(profile, radii, t, amp_tol)
         density = np.abs(amp) ** 2
-        grid_norm = float(4.0 * math.pi *
-                          np.trapezoid(r_grid * r_grid * density, r_grid))
+        f = r_grid * r_grid * density
+        # np.trapezoid's arithmetic, in its order
+        grid_norm = float(4.0 * math.pi * np.add.reduce(
+            (r_grid[1:] - r_grid[:-1]) * (f[1:] + f[:-1]) / 2.0))
         covered = grid_norm >= 1.0 - COVERAGE_BOUND
         if covered:
             break
@@ -291,7 +299,7 @@ def radial_cell_masses(grid: RadialAmplitude) -> np.ndarray:
     """Trapezoid probability mass 4 pi r^2 |A|^2 dr of each grid cell."""
     r = grid.r_grid
     f = 4.0 * math.pi * r * r * grid.density
-    return 0.5 * (f[1:] + f[:-1]) * np.diff(r)
+    return 0.5 * (f[1:] + f[:-1]) * (r[1:] - r[:-1])
 
 
 def quantile_radius(grid: RadialAmplitude, q: float) -> float:
@@ -315,15 +323,21 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     rho <= R - d, and none of it when rho >= R + d or when the sphere is
     entirely short of the ball (d > R and rho <= d - R).  For d = 0 the
     first two cases alone leave the indicator of rho < R.
+
+    u* is computed only on the spheres that the ball's surface cuts, where
+    2 d rho > 0; there alone radii past 1e154, or a d rho that underflows,
+    can overflow and warn.
     """
     rho = np.asarray(rho, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u_star = (R * R - d * d - rho * rho) / (2.0 * d * rho)
-        w = np.clip(0.5 * (1.0 + u_star), 0.0, 1.0)
-    w = np.where(rho <= R - d, 1.0, w)
-    w = np.where(rho >= R + d, 0.0, w)
+    none = rho >= R + d
     if d > R:
-        w = np.where(rho <= d - R, 0.0, w)
+        none |= rho <= d - R
+    whole = (rho <= R - d) & ~none
+    w = np.array(whole, dtype=float)
+    cut = ~(whole | none)
+    rho_cut = rho[cut]
+    u_star = (R * R - d * d - rho_cut * rho_cut) / (2.0 * d * rho_cut)
+    w[cut] = np.minimum(np.maximum(0.5 * (1.0 + u_star), 0.0), 1.0)
     return w
 
 
@@ -395,8 +409,8 @@ def inside_probability_sweep(
     """
     # p_in validates the times; an empty array gives t_max 0 and a NaN
     # time a NaN t_max, which the constructor rejects
-    t_max = float(np.max(np.abs(np.asarray(t_values, dtype=float)),
-                         initial=0.0))
+    t_max = float(np.maximum.reduce(np.abs(np.asarray(t_values, dtype=float)),
+                                    axis=None, initial=0.0))
     return BallQuadrature(profile, R, t_max, prob_tol,
                           keep_tables=False).p_in(t_values)
 
@@ -487,8 +501,8 @@ class BallQuadrature:
             rule = _rho_rule(profile, R, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
-            k_rule = _k_rule(profile, float(rho.max()), self.t_max,
-                             panels_per_period)
+            k_rule = _k_rule(profile, float(np.maximum.reduce(rho)),
+                             self.t_max, panels_per_period)
             k = k_rule.nodes
             table_bytes = rho.nbytes * k.size
             keep = (self.keep_tables and
@@ -522,13 +536,13 @@ class BallQuadrature:
             panels.
         """
         times = (t_values if isinstance(t_values, EvenGrid)
-                 else np.atleast_1d(np.asarray(t_values, dtype=float)))
+                 else np.array(t_values, dtype=float, copy=None, ndmin=1))
         t_values = np.asarray(times)
         if t_values.size == 0:
             raise InvalidParameterError("t_values must hold at least one time")
-        if not np.all(np.isfinite(t_values)):
+        if not np.logical_and.reduce(np.isfinite(t_values), axis=None):
             raise InvalidParameterError("times must be finite")
-        if np.max(np.abs(t_values)) > self.t_max:
+        if np.maximum.reduce(np.abs(t_values), axis=None) > self.t_max:
             raise InvalidParameterError(
                 f"times must satisfy |t| <= t_max = {self.t_max:.6g}")
         d = self.profile.offset_d

@@ -26,12 +26,16 @@ each node is a panel centre plus one of GAUSS_ORDER fixed offsets h x_g,
 and the centres step by 2h.  The rule declares each interval a run of
 evenly spaced panels, and the j0 kernels use both to build sin(k rho) by
 angle addition, with the centres' sin and cos by doubling.
+
+Panel edges and :class:`EvenGrid` points are np.linspace's, bit for bit,
+from its arithmetic without its Python-level call (:func:`even_points`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,23 +64,27 @@ class PanelRule:
     and their centres step by 2h, from the run's first centre on.  Spacing
     is declared, never guessed from the centres: without ``run_starts``
     every panel is a run of its own.
+
+    Nodes and weights are computed when first read, so a rule that is only
+    subdivided, as the coarsest k rule is, computes neither.
     """
 
     centres: np.ndarray
     half_widths: np.ndarray
     run_starts: tuple[int, ...] | None = None
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        half = self.half_widths[:, None]
-        object.__setattr__(
-            self, "nodes", (self.centres[:, None] + half * GAUSS_X).ravel())
-        object.__setattr__(self, "weights", (half * GAUSS_W).ravel())
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return (self.centres[:, None] +
+                self.half_widths[:, None] * GAUSS_X).ravel()
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return (self.half_widths[:, None] * GAUSS_W).ravel()
 
     @property
     def size(self) -> int:
-        return self.nodes.size
+        return self.centres.size * GAUSS_ORDER
 
     def runs(self) -> list[tuple[int, int]]:
         """(first, end) panel indices of each run, in panel order."""
@@ -94,11 +102,15 @@ class PanelRule:
                          starts)
 
     def subdivide(self, parts: int) -> PanelRule:
-        """The rule with every panel split into ``parts`` equal panels.
+        """The rule with every panel split into ``parts`` equal panels; for
+        one part, the rule itself.
 
         Raises :class:`ResourceLimitError` when the result would hold more
         than MAX_PANELS panels, before anything is allocated.
         """
+        if parts == 1:
+            # centres + half * 0 and half / 1 are the rule's own bits
+            return self
         if self.centres.size * parts > MAX_PANELS:
             raise ResourceLimitError(
                 f"splitting {self.centres.size} panels {parts} ways passes "
@@ -106,7 +118,7 @@ class PanelRule:
         offsets = np.arange(1.0 - parts, parts, 2.0) / parts
         centres = self.centres[:, None] + self.half_widths[:, None] * offsets
         return PanelRule(centres.ravel(),
-                         np.repeat(self.half_widths / parts, parts))
+                         (self.half_widths / parts).repeat(parts))
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,8 @@ class EvenGrid:
     radii, times, or the centres of a run of panels.  The j0 sums, the j0
     tables and the phase coefficients take sin and cos on them by doubling
     from the first point and the step.  :meth:`linspace` and
-    :meth:`between` build the np.linspace values bit for bit."""
+    :meth:`between` build the np.linspace values bit for bit
+    (:func:`even_points`)."""
 
     nodes: np.ndarray
     step: float
@@ -131,16 +144,38 @@ class EvenGrid:
     @classmethod
     def linspace(cls, start: float, stop: float, size: int) -> EvenGrid:
         """The points ``np.linspace(start, stop, size)``, size >= 2."""
-        return cls(np.linspace(start, stop, size),
-                   (stop - start) / (size - 1))
+        return cls(*even_points(start, stop, size))
 
     @classmethod
     def between(cls, start: float, stop: float, size: int) -> EvenGrid:
         """The ``size`` points strictly inside [start, stop] that split it
         into size + 1 equal steps, ``np.linspace(start, stop, size + 2)``
         without its ends."""
-        return cls(np.linspace(start, stop, size + 2)[1:-1],
-                   (stop - start) / (size + 1))
+        nodes, step = even_points(start, stop, size + 2)
+        return cls(nodes[1:-1], step)
+
+
+def even_points(start: float, stop: float,
+                size: int) -> tuple[np.ndarray, float]:
+    """``np.linspace(start, stop, size)`` bit for bit, size >= 2, and its
+    step (stop - start) / (size - 1).
+
+    Point i is i step + start, as np.linspace computes it, and the last
+    point is ``stop`` itself.  np.linspace has a second branch for a step
+    that underflows to 0 between distinct ends; such a range is rejected
+    here instead, with :class:`InvalidParameterError`.
+    """
+    start, stop = float(start), float(stop)
+    step = (stop - start) / (size - 1)
+    if step == 0.0 and stop != start:
+        raise InvalidParameterError(
+            f"[{start:.6g}, {stop:.6g}] is too narrow for {size} evenly "
+            "spaced points: the step underflows to 0")
+    points = np.arange(float(size))
+    points *= step
+    points += start
+    points[-1] = stop
+    return points, step
 
 
 def panel_width(frequency: float, panels_per_period: float) -> float:
@@ -187,7 +222,11 @@ def gauss_panels(
     n_panels = _panel_count(a, b, max_width)
     if n_panels == 0:
         return PanelRule(np.empty(0), np.empty(0))
-    edges = np.linspace(a, b, n_panels + 1)
+    # never a step of 0: n_panels <= MAX_PANELS = 2^16 splits a normal
+    # b - a into steps of at least 2^-1038, and a subnormal one into steps
+    # of at least 2^-1074, since max_width >= 2^-1074 caps n_panels at the
+    # count of 2^-1074 in b - a
+    edges, _ = even_points(a, b, n_panels + 1)
     if grade > 0:
         graded = a + (edges[1] - a) * np.ldexp(1.0, -np.arange(grade, 0, -1))
         edges = np.concatenate(([a], graded, edges[1:]))
@@ -210,10 +249,10 @@ def piecewise_gauss_panels(
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise InvalidParameterError("need at least two breakpoints")
-    if np.any(np.diff(pts) < 0.0):
+    if np.logical_or.reduce(pts[1:] < pts[:-1]):
         raise InvalidParameterError("breakpoints must be sorted ascending")
     centres = [np.empty(0)]
-    half_widths = [np.empty(0)]
+    halves, counts = [], []
     run_starts = []
     total = 0
     for lo, hi in zip(pts[:-1].tolist(), pts[1:].tolist()):
@@ -222,8 +261,9 @@ def piecewise_gauss_panels(
             continue
         half = 0.5 * (hi - lo) / n_panels
         centres.append(lo + half * np.arange(1.0, 2.0 * n_panels, 2.0))
-        half_widths.append(np.full(n_panels, half))
+        halves.append(half)
+        counts.append(n_panels)
         run_starts.append(total)
         total += n_panels
-    return PanelRule(np.concatenate(centres), np.concatenate(half_widths),
-                     tuple(run_starts))
+    return PanelRule(np.concatenate(centres),
+                     np.array(halves).repeat(counts), tuple(run_starts))

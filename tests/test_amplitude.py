@@ -1,10 +1,11 @@
 """Momentum-profile construction, normalization, and cutoff selection."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lcdisc
 from lcdisc import (
@@ -242,3 +243,37 @@ def test_extreme_finite_parameters_give_a_profile_or_numeric_failure(family):
     assert 0.0 < profile.k_max <= family.far_cutoff()
     assert (family.tail_mass(profile.k_max)
             < lcdisc.TAIL_MASS_BOUND * family.tail_mass(0.0))
+
+
+def _grid_k_max(family):
+    """The first edge of the 4097-point np.geomspace grid up to the far
+    cutoff whose tail is below the bound, found by bisecting the whole
+    grid; None where no edge leaves so small a tail."""
+    k_far = family.far_cutoff()
+    edges = np.geomspace(k_far / amplitude._TAIL_GRID_SPAN, k_far,
+                         amplitude._TAIL_GRID_SEGMENTS + 1).tolist()
+    bound = lcdisc.TAIL_MASS_BOUND * family.tail_mass(0.0)
+    cut = bisect.bisect_left(edges, True,
+                             key=lambda k: family.tail_mass(k) < bound)
+    return edges[cut] if cut < len(edges) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.builds(GaussianFamily, k0=st.floats(0.05, 50.0),
+                        sigma=st.floats(0.01, 32.0)) |
+       st.builds(ExponentialFamily, kappa=st.floats(1e-3, 1e3)) |
+       st.builds(GaussianFamily, k0=_EXTREME, sigma=_EXTREME) |
+       st.builds(ExponentialFamily, kappa=_EXTREME))
+# k0 + 30 sigma rounds to k0: no edge leaves a small enough tail
+@example(family=GaussianFamily(5.0, 1e-17))
+@example(family=GaussianFamily(1e300, 1.0))
+@example(family=GaussianFamily(5.0, 1.0))
+@example(family=ExponentialFamily(2.0))
+def test_k_max_is_the_first_grid_edge_below_the_bound(family):
+    assume(0.0 < 2.0 * math.pi * family.tail_mass(0.0) < math.inf)
+    expected = _grid_k_max(family)
+    if expected is None:
+        with pytest.raises(NumericFailureError, match="far cutoff"):
+            make_profile(family)
+    else:
+        assert make_profile(family).k_max == expected

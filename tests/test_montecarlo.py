@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from lcdisc import (
@@ -74,6 +74,38 @@ def test_sampler_draws_in_range(gauss_profile, sampler):
     batch, = run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 200, 5)
     assert np.all((batch.rho >= 0.0) & (batch.rho <= sampler._r[-1]))
     assert np.all(np.abs(batch.cos_theta) <= 1.0)
+
+
+# CDF values with repeats (cells of no mass, span 0) and uniforms that
+# often equal a CDF value
+_UNIT = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf=st.lists(_UNIT, min_size=2, max_size=40).map(sorted),
+       u=st.lists(_UNIT.filter(lambda x: x < 1.0), max_size=200).map(sorted))
+@example(cdf=[0.0, 0.5, 0.5, 0.5, 1.0], u=[0.0, 0.0, 0.5, 0.5, 0.75])
+@example(cdf=[0.0, 0.0, 1.0, 1.0], u=[])
+def test_cdf_positions_are_searchsorted(cdf, u):
+    cdf, u = np.array(cdf), np.array(u)
+    got = montecarlo._cdf_positions(cdf, u)
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+def test_sampler_radii_match_a_search_per_uniform(sampler):
+    u = _uniforms(3, 10000)[1]
+    i = np.searchsorted(sampler._cdf, u, side="right")
+    i = np.clip(i - 1, 0, sampler._r.size - 2)
+    cdf, r = sampler._cdf, sampler._r
+    span = cdf[i + 1] - cdf[i]
+    frac = np.divide(u - cdf[i], span, out=np.zeros_like(u),
+                     where=span > 0.0)
+    expected = r[i] + frac * (r[i + 1] - r[i])
+    assert sampler.radii(u).tobytes() == expected.tobytes()
+    # any shape of uniforms, one radius each
+    square = sampler.radii(u[:100].reshape(10, 10))
+    assert square.shape == (10, 10)
+    assert square.tobytes() == expected[:100].tobytes()
 
 
 def test_sampler_direction_isotropic(gauss_profile):

@@ -218,6 +218,15 @@ def test_cap_weight_concentric_edges_are_exact(R):
     assert not np.any(np.signbit(w))
 
 
+def test_cap_weight_keeps_the_shape_of_rho():
+    rho = np.array([[0.5, 1.5], [3.0, np.nan]])
+    w = sphere_cap_weight(rho, 2.0, 1.0)
+    assert w.shape == (2, 2)
+    assert np.array_equal(w, [[1.0, 0.625], [0.0, np.nan]], equal_nan=True)
+    assert sphere_cap_weight(1.5, 2.0, 1.0).shape == ()
+    assert float(sphere_cap_weight(1.5, 2.0, 1.0)) == 0.625
+
+
 @settings(max_examples=200, deadline=None)
 @given(R=st.floats(0.1, 5.0), d=st.floats(0.0, 5.0),
        rho=st.floats(0.001, 12.0))
