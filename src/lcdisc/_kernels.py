@@ -1,8 +1,9 @@
 """NumPy kernels for j0-weighted sums, with j0(z) = sin(z)/z.
 
-j0 takes the series 1 - z^2/6 below ``SMALL_Z``, which is where sin(z)/z
-starts losing digits to cancellation and where z = 0 would divide by zero.
-Every summation order is fixed, so results are deterministic.
+Every path sums or tabulates sin(k x) / k, whose limit at k = 0 is x, and
+divides by x once, where the one small-argument rule sits
+(:func:`_over_nodes`).  Every summation order is fixed, so results are
+deterministic.
 
 np.sin and np.cos run on few rows.  On an evenly spaced axis whose step is
 declared, the rows at x_j = first + j step come by doubling
@@ -32,9 +33,9 @@ one of a few offsets that many points share.
   (``propagation._phase_coeffs``).
 
 Only a panel rule's many-column contractions fill tables, and arbitrary
-radii, as users and the 3D oracle pass, whose table takes one np.sin per
-entry.  A :class:`PanelTable` keeps a panel table, so repeated gemms at
-the same k nodes only contract.
+radii, as users and the 3D oracle pass, whose sin(k r) / k table takes one
+np.sin per entry.  A :class:`PanelTable` keeps a panel table, so repeated
+gemms at the same k nodes only contract.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ import numpy as np
 
 from lcdisc.quadrature import GAUSS_ORDER, GAUSS_X, EvenGrid, PanelRule
 
-SMALL_Z = 1e-4
-# below this k |x|, sin(k x) / k = x (1 - (k x)^2 / 6 + ...) is x to within
-# eps / 4
+# below this k |x|, sin(k x) / k = x (1 - (k x)^2 / 6 + ...) is x, and
+# j0(k x) is 1, to within eps / 4
 _SIN_LIMIT_KX = 1e-8
 # rows per table block of weighted_j0_sum on arbitrary radii
 _CHUNK_ROWS = 128
@@ -64,22 +64,6 @@ _GEMM_CHUNK_PANELS = 32
 # GAUSS_X[_MIRROR:] are the positive Gauss nodes, GAUSS_X[:_MIRROR] their
 # negatives in reverse order, to the bit (GAUSS_ORDER is even)
 _MIRROR = GAUSS_ORDER // 2
-
-
-def j0_block(z: np.ndarray) -> np.ndarray:
-    """Evaluate j0 elementwise on an array of nonnegative arguments."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(z) / z
-    small = z < SMALL_Z
-    if np.any(small):
-        zs = z[small]
-        out[small] = 1.0 - zs * zs / 6.0
-    return out
-
-
-def j0_table(r: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Direct j0 table, out[i, j] = j0(k[j] * r[i])."""
-    return j0_block(np.multiply.outer(r, k))
 
 
 def fill_by_doubling(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -114,23 +98,21 @@ def exp_ikx(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sin_over_k(rows: np.ndarray, x: np.ndarray,
+def _sin_over_k(sines: np.ndarray, x: np.ndarray, x_max: float,
                 k: np.ndarray) -> np.ndarray:
-    """Turn rows exp(i k x) into cos(k x) + i sin(k x) / k, in place, for
-    monotone points x and k sorted ascending.
+    """Turn rows sin(k x) into sin(k x) / k, in place, for the points x,
+    whose largest |x| is ``x_max``, and k sorted ascending.
 
-    Where k |x| < _SIN_LIMIT_KX on every row, k = 0 among them,
-    sin(k x) / k is its limit x to within eps / 4, and takes it: dividing
-    there would be 0/0, or lose digits to a subnormal sin(k x).
+    Where k x_max < _SIN_LIMIT_KX, k = 0 among them, sin(k x) / k is its
+    limit x to within eps / 4 on every row, and takes it: dividing there
+    would be 0/0, or lose digits to a subnormal sin(k x).
     """
-    # at max |x| = 0 or subnormal, the quotient is inf: every k is below
-    x_max = max(abs(float(x[0])), abs(float(x[-1])))
+    # at x_max = 0 or subnormal, the quotient is inf: every k is below
     n_limit = int(k.searchsorted(
-        _SIN_LIMIT_KX / x_max if x_max > 0.0 else math.inf))
-    np.divide(rows.imag[:, n_limit:], k[n_limit:],
-              out=rows.imag[:, n_limit:])
-    rows.imag[:, :n_limit] = x[:, None]
-    return rows
+        _SIN_LIMIT_KX / float(x_max) if x_max > 0.0 else math.inf))
+    np.divide(sines[:, n_limit:], k[n_limit:], out=sines[:, n_limit:])
+    sines[:, :n_limit] = x[:, None]
+    return sines
 
 
 def cos_sin_rows(axis: EvenGrid, k: np.ndarray) -> np.ndarray:
@@ -150,7 +132,8 @@ def cos_sin_rows(axis: EvenGrid, k: np.ndarray) -> np.ndarray:
     rows = np.empty((x.size, k.size), dtype=np.complex128)
     rows[0] = ends[0]
     fill_by_doubling(rows, ends[-1])
-    return _sin_over_k(rows, x, k)
+    _sin_over_k(rows.imag, x, max(abs(x[0]), abs(x[-1])), k)
+    return rows
 
 
 def _gauss_offsets(half: float, k: np.ndarray) -> np.ndarray:
@@ -161,7 +144,8 @@ def _gauss_offsets(half: float, k: np.ndarray) -> np.ndarray:
     antisymmetric to the bit, so at k = 0 the mirrored rows still hold the
     offsets themselves."""
     s = half * GAUSS_X[_MIRROR:]
-    upper = _sin_over_k(exp_ikx(s, k), s, k)
+    upper = exp_ikx(s, k)
+    _sin_over_k(upper.imag, s, s[-1], k)
     return np.concatenate((np.conj(upper[::-1]), upper))
 
 
@@ -200,7 +184,8 @@ def _edge_offsets(half: float, k: np.ndarray) -> np.ndarray:
     x = np.empty(_MIRROR + 1)
     np.multiply(half, GAUSS_X[_MIRROR:], out=x[:-1])
     x[-1] = half
-    rows = _sin_over_k(exp_ikx(x, k), x, k)
+    rows = exp_ikx(x, k)
+    _sin_over_k(rows.imag, x, half, k)
     u, h = rows[:-1], rows[-1:]
     cos_cos = h.real * u.real
     sin_sin = (k * k * h.imag) * u.imag
@@ -240,18 +225,13 @@ def panel_j0_table(rule: PanelRule, k: np.ndarray) -> np.ndarray:
     (:func:`cos_sin_rows`); the offsets' come from :func:`_gauss_offsets`,
     once per half-width in a row.  Each entry is sin(k x) / k over its
     node x, with no small-argument branch: at k = 0 it is its node over
-    itself, 1.  A node is 0 only where a rule narrower than the subnormal
-    range rounds it there, and its row is j0(0) = 1, as in :func:`j0_table`.
+    itself, 1.  Each row is divided by its node (:func:`_over_nodes`).
     """
     out = np.empty((rule.centres.size, GAUSS_ORDER, k.size))
     for lo, hi, h, offset in _runs(rule, k, _gauss_offsets):
         centres = cos_sin_rows(EvenGrid(rule.centres[lo:hi], 2.0 * h), k)
         _angle_sum(centres, offset, out=out[lo:hi])
-    table = out.reshape(rule.size, k.size)
-    zero = rule.nodes == 0.0
-    table /= np.where(zero, 1.0, rule.nodes)[:, None]
-    table[zero] = 1.0
-    return table
+    return _over_nodes(out.reshape(rule.size, k.size), rule.nodes, k, 1.0)
 
 
 # backend_name, available_backends and _ACTIVE exist for e2ebench, which
@@ -320,14 +300,21 @@ def _uniform_sum(grid: EvenGrid, k: np.ndarray,
     return sums.reshape(-1)[:grid.size]
 
 
-def _over_nodes(sums: np.ndarray, x: np.ndarray,
-                coeffs: np.ndarray) -> np.ndarray:
-    """Turn the sums of coeffs sin(k x) / k at the points x into the sums
-    of coeffs j0(k x), in place: each is divided by its x once, and at
-    x = 0, where every j0 is 1, it is the coefficients' sum."""
-    at_0 = x == 0.0
-    np.divide(sums, x, out=sums, where=~at_0)
-    sums[at_0] = np.add.reduce(coeffs)
+def _over_nodes(sums: np.ndarray, x: np.ndarray, k: np.ndarray,
+                at_small: complex) -> np.ndarray:
+    """Turn the sums, or the table rows, of sin(k x) / k at the points
+    x >= 0 into those of j0(k x), in place: each is divided by its x once.
+
+    This is the kernels' one small-argument rule.  Where k_max x <
+    _SIN_LIMIT_KX, every j0(k x) is 1 to within eps / 4, so the row is
+    ``at_small``, the coefficients' sum for a sum and 1 for a table row,
+    and its x, 0 or subnormal among them, is never divided by.
+    """
+    small = x * (k[-1] if k.size else 0.0) < _SIN_LIMIT_KX
+    # the transpose puts the rows last, so x runs along them for sums and
+    # tables alike; the division is unmasked, which is faster on a table
+    np.divide(sums.T, np.where(small, 1.0, x), out=sums.T)
+    sums[small] = at_small
     return sums
 
 
@@ -363,25 +350,34 @@ def _contract(tables: Iterator[np.ndarray], n_rows: int,
     return out.view(np.complex128)
 
 
+def _radius_blocks(r: np.ndarray, k: np.ndarray) -> Iterator[np.ndarray]:
+    """sin(k r) / k tables of consecutive blocks of _CHUNK_ROWS radii, one
+    np.sin per entry, each filled when it is asked for."""
+    for lo in range(0, r.size, _CHUNK_ROWS):
+        x = r[lo:lo + _CHUNK_ROWS]
+        table = np.multiply.outer(x, k)
+        yield _sin_over_k(np.sin(table, out=table), x, x.max(), k)
+
+
 def weighted_j0_sum(r: np.ndarray | EvenGrid, k: np.ndarray,
                     coeffs: np.ndarray) -> np.ndarray:
     """Return out[i] = sum_j coeffs[j] * j0(k[j] * r[i]) as complex128.
 
     For the nonnegative radii of an :class:`~lcdisc.quadrature.EvenGrid`
-    ``r`` the sums come from real products by angle addition, with no j0
-    table (:func:`_uniform_sum`).  For an array of radii the j0 table is
-    filled directly and contracted one block of _CHUNK_ROWS rows at a time.
+    ``r`` the sums come from real products by angle addition, with no
+    table (:func:`_uniform_sum`); for an array of them, from the tables of
+    :func:`_radius_blocks`.  Each sum is divided by its r once.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != k.shape:
         raise ValueError("coeffs must have one entry per k node")
     if isinstance(r, EvenGrid):
-        return _over_nodes(_uniform_sum(r, k, coeffs), r.nodes, coeffs)
-    r = _as_vec(r)
-    tables = (j0_table(r[lo:lo + _CHUNK_ROWS], k)
-              for lo in range(0, r.size, _CHUNK_ROWS))
-    return _contract(tables, r.size, coeffs[:, None]).ravel()
+        sums, r = _uniform_sum(r, k, coeffs), r.nodes
+    else:
+        r = _as_vec(r)
+        sums = _contract(_radius_blocks(r, k), r.size, coeffs[:, None])[:, 0]
+    return _over_nodes(sums, r, k, np.add.reduce(coeffs))
 
 
 def _panel_sums(rule: PanelRule, k: np.ndarray,
@@ -400,7 +396,7 @@ def _panel_sums(rule: PanelRule, k: np.ndarray,
     for lo, hi, h, offset in _runs(rule, k, _edge_offsets):
         edges = EvenGrid(rule.centres[lo:hi] - h, 2.0 * h)
         out[lo:hi] = _base_offset_sum(edges, offset, k, coeffs)
-    return _over_nodes(out.reshape(-1), rule.nodes, coeffs)
+    return _over_nodes(out.reshape(-1), rule.nodes, k, np.add.reduce(coeffs))
 
 
 def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:

@@ -390,10 +390,10 @@ def inside_probability_sweep(
 ) -> np.ndarray:
     """Vectorized :func:`inside_probability` over many times.
 
-    All times share one j0 table per density, which makes optimizer
-    sweeps far cheaper than repeated scalar calls.  This is one
+    All times share each density's j0 table, filled, contracted and
+    dropped one block at a time; a single time fills none.  This is one
     :meth:`BallQuadrature.p_in` call on a quadrature whose ``t_max`` is the
-    largest ``|t|``.
+    largest ``|t|`` and which keeps no table.
 
     Raises
     ------
@@ -453,15 +453,14 @@ class BallQuadrature:
     (:func:`~lcdisc._kernels.weighted_j0_gemm`).  The bound caps memory; it
     is not a speed threshold.
 
-    A quadrature called once should pass False.  Keeping the tables of
-    every quadrature, single sweeps' too, raised e2ebench's evaluate
-    ``latency_p50_ref`` (seed 1, medians) from 0.379 to 0.392, worse in 4
-    of 4 alternating pairs (0.742 to 0.786 at the denser rules this ladder
-    replaced).  The cost is minor page faults: a median of 730 per
-    evaluate request against 601 streaming at those rules, with e2ebench's
-    reference timed around each request.  And a single p_t at R=64 (d=0,
-    t=10) would keep 37 MiB (Gaussian k0=5, sigma=1) or 265 MiB
-    (exponential kappa=2), where streaming holds one block.
+    A quadrature called once should pass False.  Kept, a level's table is
+    filled on the first call however many times it has; on an exponential
+    kappa=2 profile (d=0, R=25, t_max=7) one time took 58 ms and peaked at
+    48.3 MiB kept against 20 ms and 11.4 MiB streaming.  A sweep of 16
+    times there fills the tables either way and took the same time, but
+    peaked at 48.3 MiB kept against 11.8 MiB.  A p_t at R=64 (d=0, t=10)
+    would keep 37 MiB (Gaussian k0=5, sigma=1) or 265 MiB (exponential
+    kappa=2).
 
     Raises
     ------

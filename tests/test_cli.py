@@ -108,7 +108,7 @@ def test_amplitude_info_json(capsys, gauss_profile):
     assert 1.2 < result["r99"] < 1.5
 
 
-def test_dump_density_csv(capsys):
+def test_dump_density_csv(capsys, gauss_profile):
     code, out, _ = run_cli(capsys, "dump-density", *GAUSS_ARGS,
                            "--r-max", "5", "--n-points", "64")
     assert code == 0
@@ -123,6 +123,21 @@ def test_dump_density_csv(capsys):
     for row in rows:
         re_amp, im_amp, density = map(float, row[1:])
         assert density == pytest.approx(re_amp ** 2 + im_amp ** 2, rel=1e-9)
+    # a grid of subnormal radii, whose every j0 is 1: each row is A(0, t),
+    # with no division by a subnormal radius on the way
+    code, out, err = run_cli(capsys, "dump-density", *GAUSS_ARGS,
+                             "--r-max", "1e-310", "--n-points", "16")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert len(rows) == 16
+    assert float(rows[-1][0]) == 1e-310
+    at_origin = lcdisc.amplitude_on_radii(gauss_profile, [0.0], 0.0)[0]
+    for row in rows:
+        re_amp, im_amp, density = map(float, row[1:])
+        assert math.isfinite(density)
+        assert row[1:] == rows[0][1:]
+        assert re_amp == pytest.approx(at_origin.real, rel=1e-11)
+        assert im_amp == pytest.approx(at_origin.imag, abs=1e-11)
 
 
 def test_config_echo_reparses(capsys):

@@ -12,7 +12,6 @@ from lcdisc._kernels import (
     available_backends,
     backend_name,
     cos_sin_rows,
-    j0_table,
     panel_j0_table,
     weighted_j0_gemm,
     weighted_j0_sum,
@@ -82,14 +81,45 @@ def test_j0_table_matches_reference():
 
 
 def test_j0_small_argument_series():
-    # Below the series switchover sin(z)/z in floats is noisier than the
-    # series; values must stay within an ulp-scale band of the reference.
+    # sin(k r) / k divided by r needs no series at small k r: over 40,000
+    # z in (0, 1e-4], sin(z) / z sat within 1.5 ulp of 40-digit mpmath,
+    # the series 1 - z^2 / 6 within 0.51
     r = np.full(8, 1.0)
     k = np.geomspace(1e-12, 9e-5, 8)
     coeffs = np.ones(8, dtype=complex)
     got = weighted_j0_sum(r, k, coeffs)
     expected = np.sum(_reference_j0(k))
     assert got[0].real == pytest.approx(expected, rel=1e-14)
+    # the one small-argument rule: where k_max r is below _SIN_LIMIT_KX,
+    # every j0 is 1 to within eps / 4 and a sum is exactly the
+    # coefficients' sum, with no division by a zero or subnormal r; above
+    # it each sum is divided by its r.  Array radii, an even grid from 0
+    # with a subnormal step, and a one-column panel contraction
+    rng = np.random.default_rng(12)
+    k = np.concatenate(([0.0], np.sort(rng.uniform(0.0, _K_MAX, 60)),
+                        [_K_MAX]))
+    coeffs = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+    limit = _kernels._SIN_LIMIT_KX / _K_MAX
+    below, above = limit * (1.0 - 1e-9), limit * (1.0 + 1e-9)
+    radii = np.array([0.0, 5e-324, 1e-310, 1e-300, below, above,
+                      2.0 * limit])
+    grid = EvenGrid(np.arange(16.0) * 5e-324, 5e-324)
+    rule = piecewise_gauss_panels(np.array([0.0, 5e-324, 1e-310, 1e-300,
+                                            0.5 * limit, 2.0 * limit]),
+                                  0.25)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        sums = [(radii, weighted_j0_sum(radii, k, coeffs)),
+                (grid.nodes, weighted_j0_sum(grid, k, coeffs)),
+                (rule.nodes,
+                 weighted_j0_gemm(rule, k, coeffs[:, None])[:, 0])]
+    scale = np.sum(np.abs(coeffs))
+    for x, got in sums:
+        small = x * _K_MAX < _kernels._SIN_LIMIT_KX
+        assert np.all(got[small] == np.sum(coeffs))
+        expected = _sin_over_z(np.multiply.outer(x[~small], k)) @ coeffs
+        assert np.all(np.abs(got[~small] - expected) <= 1e-15 * scale)
+    assert np.sum(radii * _K_MAX < _kernels._SIN_LIMIT_KX) == 5
+    assert np.any(rule.nodes * _K_MAX >= _kernels._SIN_LIMIT_KX)
 
 
 def test_gemm_matches_sum():
@@ -141,8 +171,9 @@ def test_empty_inputs():
 
 
 def test_fallback_direct():
+    # arbitrary radii, whose sin(k r) / k tables np.sin fills directly
     z = np.array([0.0, 1e-6, 0.5, 3.14159, 40.0])
-    got = j0_table(np.array([1.0]), z)[0]
+    got = weighted_j0_sum(z, np.array([1.0]), np.array([1.0]))
     assert np.max(np.abs(got - _reference_j0(z))) < 1e-15
 
 
@@ -177,11 +208,11 @@ def test_j0_tables_match_sin_over_z(data, levels, k, z):
     zk = np.multiply.outer(rule.nodes, k)
     got = panel_j0_table(rule, k)
     assert np.max(np.abs(got - _sin_over_z(zk))) <= 1e-13
-    # the panel and direct tables at k = 1, on panels of half-width 1e-3
-    # next to each z, so nodes run from 4e-5 to 1e5
+    # the panel table and the arbitrary-radius sums at k = 1, on panels
+    # of half-width 1e-3 next to each z, so nodes run from 4e-5 to 1e5
     z = np.array(z)
     wide = PanelRule(z + 1e-3, np.full(z.size, 1e-3))
-    direct = j0_table(wide.nodes, np.array([1.0]))[:, 0]
+    direct = weighted_j0_sum(wide.nodes, np.array([1.0]), np.array([1.0]))
     assert np.max(np.abs(direct - _sin_over_z(wide.nodes))) <= 1e-13
     table = panel_j0_table(wide, np.array([1.0]))[:, 0]
     assert np.max(np.abs(table - _sin_over_z(wide.nodes))) <= 1e-13
@@ -256,12 +287,13 @@ def test_piecewise_rule_tables_match_sin_over_z(start, widths, level, k):
 ], ids=["one-panel", "subnormal-then-wide", "two-subnormal"])
 def test_panel_table_at_underflowed_nodes(breaks):
     # panels narrower than the subnormal range round nodes to 0, where the
-    # table's row is j0(0) = 1, as the direct table gives, with no warning
+    # table's row is j0(0) = 1, as sin(z) / z gives, with no warning
     rule = piecewise_gauss_panels(np.array(breaks), 0.25)
     k = np.array([0.0, 1e-3, 1.0, 7.5, _K_MAX])
     with np.errstate(divide="raise", invalid="raise"):
         table = panel_j0_table(rule, k)
-    assert np.max(np.abs(table - j0_table(rule.nodes, k))) <= 1e-13
+    expected = _sin_over_z(np.multiply.outer(rule.nodes, k))
+    assert np.max(np.abs(table - expected)) <= 1e-13
 
 
 def test_gemm_blocks_cut_runs(monkeypatch):

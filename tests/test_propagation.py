@@ -24,7 +24,6 @@ from lcdisc import (
     sphere_cap_weight,
 )
 from lcdisc import _kernels, propagation
-from lcdisc._kernels import j0_table, weighted_j0_sum
 from lcdisc.discrimination import MAX_TIME_GRID
 from lcdisc.quadrature import (
     MAX_PANELS,
@@ -289,8 +288,8 @@ def test_inside_sweep_matches_scalar(gauss_d3):
 # inside_probability_sweep at t = 0, 1.7 and 13 on the standard Gaussian
 # profile, as float.hex, with rho panels resolving k_max and the ladder
 # from 1 panel per period.  Each value sits within 6e-16 of
-# _dense_inside_probability; a change that moves a bit must show that it
-# stays as close.
+# _dense_inside_probability, whose sums use the direct sin(z) / z table; a
+# change that moves a bit must show that it stays as close.
 SWEEP_BITS = {
     (0.0, 1.5): ["0x1.fdc711bf97a1dp-1", "0x1.6422d0b69ec69p-2",
                  "0x1.6d2c9a1eded3ap-39"],
@@ -483,6 +482,22 @@ def test_huge_time_or_radius_hits_panel_cap(gauss_profile, call):
     assert "inf" not in str(excinfo.value)
 
 
+def _sin_over_z(z):
+    """The direct np.sin(z) / z table, with j0(0) = 1 where z underflows."""
+    with np.errstate(invalid="ignore"):
+        return np.where(z == 0.0, 1.0, np.sin(z) / z)
+
+
+def _direct_sums(r, k, coeffs):
+    """sum_j coeffs[j, m] j0(k[j] r[i]) on the direct sin(z) / z table,
+    filled 256 radii at a time: one real product with the [re|im] view of
+    the coefficients per block, so it shares no code with the kernels."""
+    stacked = np.ascontiguousarray(coeffs).view(np.float64)
+    blocks = [_sin_over_z(np.multiply.outer(r[lo:lo + 256], k)) @ stacked
+              for lo in range(0, r.size, 256)]
+    return np.concatenate(blocks).view(np.complex128)
+
+
 def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     """P_in on graded Gauss panels far denser than the library ever uses."""
     d = profile.offset_d
@@ -498,7 +513,7 @@ def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     k, w_k = k_rule.nodes, k_rule.weights
     coeffs = (w_k * k ** 1.5 * profile.magnitude(k) * np.exp(-1j * k * t)
               / math.sqrt(math.pi))
-    amp = weighted_j0_sum(rho, k, coeffs)
+    amp = _direct_sums(rho, k, coeffs[:, None])[:, 0]
     weights = 4.0 * math.pi * w_rho * rho * rho * sphere_cap_weight(rho, R, d)
     return float(weights @ (amp.real ** 2 + amp.imag ** 2))
 
@@ -590,7 +605,7 @@ def _dense_amplitude(profile, r, t):
     k = rule.nodes
     coeffs = (rule.weights * k ** 1.5 * profile.magnitude(k) *
               np.exp(-1j * k * t) / math.sqrt(math.pi))
-    return weighted_j0_sum(r, k, coeffs)
+    return _direct_sums(r, k, coeffs[:, None])[:, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -721,12 +736,6 @@ def test_subdivide_splits_every_panel():
         wide.subdivide(2)
 
 
-def _direct_gemm(rule, k, coeffs):
-    """The [re|im] contraction against the direct sin(z)/z table."""
-    stacked = np.ascontiguousarray(coeffs).view(np.float64)
-    return (j0_table(rule.nodes, k) @ stacked).view(np.complex128)
-
-
 @pytest.mark.parametrize("times", [
     np.array([0.0]), np.array([13.0]), np.array([40.0]),
     np.linspace(0.0, 40.0, 32),
@@ -744,6 +753,7 @@ def test_sweep_matches_direct_table(monkeypatch, family, d, R, times):
     # the angle-addition table against the direct table on the same rules
     profile = make_profile(family, offset_d=d)
     got = inside_probability_sweep(profile, R, times)
-    monkeypatch.setattr(propagation, "weighted_j0_gemm", _direct_gemm)
+    monkeypatch.setattr(propagation, "weighted_j0_gemm",
+                        lambda rule, k, c: _direct_sums(rule.nodes, k, c))
     expected = inside_probability_sweep(profile, R, times)
     assert np.max(np.abs(got - expected)) <= 1e-14
