@@ -12,9 +12,12 @@ profile, and the phase exp(-i k t) preserves that norm at every time.
 
 The integrand oscillates with local frequency about max(r, t), so composite
 Gauss-Legendre panels are capped at a fraction of the local oscillation
-period, and the first k panel is graded toward the k^{3/2} branch point at
-k = 0.  How many panels per period a result needs follows from its
-tolerance: every quadrature is evaluated on the ladder DENSITY_LADDER of
+period.  The lower half of the first k panel, [0, w / 2], runs in
+u = sqrt(k), where the k^{3/2} branch point at k = 0 becomes the polynomial
+2 u^4 du.  A level that splits each coarsest panel into L equal parts puts
+16 L nodes on the first panel [0, w] and 8 L on every other one (see
+:func:`_k_rule`).  How many panels per period a result needs follows from
+its tolerance: every quadrature is evaluated on the ladder DENSITY_LADDER of
 densities, coarse to fine, and the first density whose result agrees with
 the one below it to within the tolerance is returned.  The largest
 difference between those two levels is the error estimate; if no two
@@ -68,6 +71,7 @@ from lcdisc.errors import (
     ResourceLimitError,
 )
 from lcdisc.quadrature import (
+    GAUSS_ORDER,
     EvenGrid,
     PanelRule,
     gauss_panels,
@@ -89,9 +93,6 @@ MAX_KEPT_TABLE_BYTES = 1 << 30
 # panels per oscillation period, coarse to fine; ball probabilities and
 # amplitudes climb it from its first level
 DENSITY_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
-# halvings of the first k panel toward the k^{3/2} branch point at k = 0;
-# the innermost panel, 2^-12 of the first, holds a negligible share
-_K_GRADE = 12
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = float(np.finfo(float).tiny)
@@ -128,18 +129,35 @@ class RadialAmplitude:
 
 
 def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
-            panels_per_period: float) -> PanelRule:
-    """Quadrature rule in k resolving oscillations up to radius ``r_peak``.
+            panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in k resolving oscillations up to radius ``r_peak``.
 
-    The rule at the coarsest density, DENSITY_LADDER[0], with every panel,
-    graded ones too, split into panels_per_period / DENSITY_LADDER[0] equal
-    parts.  So no level shares a graded panel with the next, and the guard
-    comparing them sees the first panel's error too (see
-    :mod:`lcdisc.quadrature`).
+    The rule at the coarsest density, DENSITY_LADDER[0], with its first
+    panel [0, w] split at w / 2.  On [0, w / 2] the rule runs in u = sqrt(k),
+    where the branch point k^{3/2} dk = 2 u^4 du is a polynomial; [w / 2, w]
+    and every other panel stay in k.  Each of these panels, the u panel
+    too, is split into L = panels_per_period / DENSITY_LADDER[0] equal
+    parts, so [0, w] holds 16 L nodes and no level shares a panel with the
+    next: the guard comparing two levels sees the first panel's error too
+    (see :mod:`lcdisc.quadrature`).
     """
     width = panel_width(max(r_peak, abs(t)), DENSITY_LADDER[0])
-    coarsest = gauss_panels(0.0, profile.k_max, width, grade=_K_GRADE)
-    return coarsest.subdivide(round(panels_per_period / DENSITY_LADDER[0]))
+    coarsest = gauss_panels(0.0, profile.k_max, width)
+    parts = round(panels_per_period / DENSITY_LADDER[0])
+    # the first panel is [0, w]: its centre and half-width are both w / 2;
+    # the u panel [0, sqrt(w / 2)] comes first, then [w / 2, w]
+    half = coarsest.half_widths[0]
+    root = 0.5 * math.sqrt(half)
+    rule = PanelRule(
+        np.concatenate(([root, 1.5 * half], coarsest.centres[1:])),
+        np.concatenate(([root, 0.5 * half], coarsest.half_widths[1:])),
+    ).subdivide(parts)
+    k, w = rule.nodes, rule.weights
+    u = k[:parts * GAUSS_ORDER]
+    # dk = 2 u du, then k = u^2; w first, while u still holds u
+    w[:u.size] *= u + u
+    u *= u
+    return k, w
 
 
 def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
@@ -167,9 +185,9 @@ def _converged(evaluate: Callable[[float], np.ndarray], tol: float,
                               estimate=estimate)
 
 
-def _envelope(profile: MomentumProfile, rule: PanelRule) -> np.ndarray:
-    """w k^{3/2} g(k) / sqrt(pi) on the nodes of a k rule."""
-    k, w = rule.nodes, rule.weights
+def _envelope(profile: MomentumProfile, k: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+    """w k^{3/2} g(k) / sqrt(pi) on the nodes k and weights w of a k rule."""
     return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
 
 
@@ -231,10 +249,10 @@ def amplitude_on_radii(
     r_peak = float(np.maximum.reduce(radii, axis=None))
 
     def evaluate(panels_per_period: float) -> np.ndarray:
-        rule = _k_rule(profile, r_peak, t, panels_per_period)
-        coeffs = _phase_coeffs(_envelope(profile, rule), rule.nodes,
+        k, w = _k_rule(profile, r_peak, t, panels_per_period)
+        coeffs = _phase_coeffs(_envelope(profile, k, w), k,
                                np.array([t])).ravel()
-        return weighted_j0_sum(r, rule.nodes, coeffs)
+        return weighted_j0_sum(r, k, coeffs)
 
     # the sampler's amplitudes set the radii of the trial CSV, so a change
     # to this ladder or to the j0 sums can move a radius's twelfth digit
@@ -438,10 +456,11 @@ class BallQuadrature:
     are built on first use and kept, so every :meth:`p_in` call after the
     first costs only the phase coefficients, one gemm per level and the
     reduction.  A level's k rule is the coarsest level's k rule with every
-    panel, graded ones too, split into density / DENSITY_LADDER[0] equal
-    parts.  The k rule resolves oscillations up to max(rho_max, t_max),
-    which covers every time up to ``t_max``; a later time would need a
-    finer k rule, so :meth:`p_in` rejects it.
+    panel, its u = sqrt(k) panel too, split into density /
+    DENSITY_LADDER[0] equal parts (:func:`_k_rule`).  The k rule resolves
+    oscillations up to max(rho_max, t_max), which covers every time up to
+    ``t_max``; a later time would need a finer k rule, so :meth:`p_in`
+    rejects it.
 
     Every level a call reaches stays in memory until the quadrature is
     dropped, up to a bound: a level whose table would take ``kept_bytes``,
@@ -455,11 +474,11 @@ class BallQuadrature:
 
     A quadrature called once should pass False.  Kept, a level's table is
     filled on the first call however many times it has; on an exponential
-    kappa=2 profile (d=0, R=25, t_max=7) one time took 58 ms and peaked at
-    48.3 MiB kept against 20 ms and 11.4 MiB streaming.  A sweep of 16
+    kappa=2 profile (d=0, R=25, t_max=7) one time took 41 ms and peaked at
+    44.5 MiB kept against 13 ms and 10.5 MiB streaming.  A sweep of 16
     times there fills the tables either way and took the same time, but
-    peaked at 48.3 MiB kept against 11.8 MiB.  A p_t at R=64 (d=0, t=10)
-    would keep 37 MiB (Gaussian k0=5, sigma=1) or 265 MiB (exponential
+    peaked at 44.5 MiB kept against 10.9 MiB.  A p_t at R=64 (d=0, t=10)
+    would keep 34 MiB (Gaussian k0=5, sigma=1) or 257 MiB (exponential
     kappa=2).
 
     Raises
@@ -500,9 +519,8 @@ class BallQuadrature:
             rule = _rho_rule(profile, R, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
-            k_rule = _k_rule(profile, float(np.maximum.reduce(rho)),
-                             self.t_max, panels_per_period)
-            k = k_rule.nodes
+            k, w = _k_rule(profile, float(np.maximum.reduce(rho)),
+                           self.t_max, panels_per_period)
             table_bytes = rho.nbytes * k.size
             keep = (self.keep_tables and
                     self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES)
@@ -512,7 +530,7 @@ class BallQuadrature:
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
                 table=PanelTable.fill(rule, k) if keep else rule,
                 k=k,
-                envelope=_envelope(profile, k_rule))
+                envelope=_envelope(profile, k, w))
             self._levels[panels_per_period] = level
         return level
 

@@ -10,15 +10,12 @@ is left to the caller, which raises the density until two neighbouring
 densities agree.
 
 The k integrands carry a factor k^{3/2}, a branch point at k = 0 that no
-polynomial resolves; uniform panels then converge only algebraically.
-Halving the first panel repeatedly toward the branch point (``grade``)
-leaves every panel but the innermost, tiny one a full panel width away from
-the singularity, which restores spectral convergence.  Halving the panel
-width of such a rule, though, keeps every graded panel: the new first panel
-grades into the old graded panels shifted by one, and the old top one
-becomes a uniform panel.  Two such rules agree on the first panel whatever
-its error, so a caller comparing densities to estimate that error refines
-with :meth:`PanelRule.subdivide` instead, which splits every panel.
+polynomial resolves; uniform panels then converge only algebraically.  The
+k rule (propagation._k_rule) maps the lower half of its first panel by
+k = u^2, which turns k^{3/2} dk into the polynomial 2 u^4 du, and keeps
+every other panel in k; it refines with :meth:`PanelRule.subdivide`, which
+splits every panel, the u panel too, so two densities never share a panel
+and their difference sees the first panel's error.
 
 Both rule builders return a :class:`PanelRule`.  On one interval of
 :func:`piecewise_gauss_panels` every panel has the same half-width h, so
@@ -206,18 +203,11 @@ def _panel_count(a: float, b: float, max_width: float) -> int:
     return max(1, math.ceil(count))
 
 
-def gauss_panels(
-    a: float,
-    b: float,
-    max_width: float,
-    grade: int = 0,
-) -> PanelRule:
+def gauss_panels(a: float, b: float, max_width: float) -> PanelRule:
     """Composite Gauss-Legendre rule on [a, b].
 
     The interval is split into equal panels no wider than ``max_width``.
-    With ``grade`` > 0 the first panel [a, a + h] is further split at
-    a + h / 2^j for j = 1..grade, for integrands with an algebraic branch
-    point at ``a``.  An empty interval gets no panels.
+    An empty interval gets no panels.
     """
     n_panels = _panel_count(a, b, max_width)
     if n_panels == 0:
@@ -227,9 +217,6 @@ def gauss_panels(
     # of at least 2^-1074, since max_width >= 2^-1074 caps n_panels at the
     # count of 2^-1074 in b - a
     edges, _ = even_points(a, b, n_panels + 1)
-    if grade > 0:
-        graded = a + (edges[1] - a) * np.ldexp(1.0, -np.arange(grade, 0, -1))
-        edges = np.concatenate(([a], graded, edges[1:]))
     return PanelRule(0.5 * (edges[1:] + edges[:-1]),
                      0.5 * (edges[1:] - edges[:-1]))
 

@@ -371,11 +371,10 @@ def test_one_column_gemm_matches_table(family, R, d, t, level):
     # a p_t at that time contracts them
     profile = lcdisc.make_profile(family, offset_d=R if d is None else d)
     rule = propagation._rho_rule(profile, R, level)
-    k_rule = propagation._k_rule(profile, float(rule.nodes.max()), t, level)
+    k, w = propagation._k_rule(profile, float(rule.nodes.max()), t, level)
     coeffs = propagation._phase_coeffs(
-        propagation._envelope(profile, k_rule), k_rule.nodes,
-        np.array([t]))[:, 0]
-    assert _one_column_gap(rule, k_rule.nodes, coeffs) <= 1e-14
+        propagation._envelope(profile, k, w), k, np.array([t]))[:, 0]
+    assert _one_column_gap(rule, k, coeffs) <= 1e-14
 
 
 def test_one_column_gemm_at_a_zero_node():
@@ -390,6 +389,23 @@ def test_one_column_gemm_at_a_zero_node():
         assert _one_column_gap(rule, k, coeffs) <= 1e-14
 
 
+# k nodes below any k rule's, with their coefficients: k x below
+# _SIN_LIMIT_KX at every radius for the first two, and at small radii for
+# the third, so the sums take the limit columns of sin(k x) / k
+_TINY_K = np.array([0.0, 1e-12, 1e-9])
+_TINY_COEFFS = np.array([0.3 - 0.2j, -0.1 + 0.4j, 0.25 + 0.05j])
+
+
+def _amplitude_terms(profile, r_max, t, level):
+    """An amplitude's k nodes and coefficients at one ladder level, with
+    the tiny nodes _TINY_K in front."""
+    k, w = propagation._k_rule(profile, r_max, t, level)
+    coeffs = propagation._phase_coeffs(
+        propagation._envelope(profile, k, w), k, np.array([t])).ravel()
+    return (np.concatenate((_TINY_K, k)),
+            np.concatenate((_TINY_COEFFS, coeffs)))
+
+
 @pytest.mark.parametrize("size", [16, 257, 1000, 4097])
 @pytest.mark.parametrize("t", [0.0, 2.0, 13.0, 40.0])
 @pytest.mark.parametrize("family", [
@@ -399,22 +415,19 @@ def test_one_column_gemm_at_a_zero_node():
 def test_uniform_grid_sum_matches_direct(family, t, size):
     # the angle-addition sum on a uniform grid from r = 0 against the direct
     # sum on the same radii, at the k nodes and coefficients of an
-    # amplitude's first two levels, graded tiny k nodes included; sizes
-    # below, at and past one block, with a last block of one row
+    # amplitude's first two levels, tiny k nodes included; sizes below, at
+    # and past one block, with a last block of one row
     profile = lcdisc.make_profile(family)
     r_max = propagation.default_r_max(profile, t)
+    assert _TINY_K[1] * r_max < _kernels._SIN_LIMIT_KX
     grid = EvenGrid.linspace(0.0, r_max, size)
     assert np.array_equal(grid.nodes, np.linspace(0.0, r_max, size))
     # e2ebench counts a sum's rows as np.size of its radii
     assert np.size(grid) == size
     for level in DENSITY_LADDER[:2]:
-        rule = propagation._k_rule(profile, r_max, t, level)
-        assert rule.nodes[0] < 1e-5
-        coeffs = propagation._phase_coeffs(
-            propagation._envelope(profile, rule), rule.nodes,
-            np.array([t])).ravel()
-        got = weighted_j0_sum(grid, rule.nodes, coeffs)
-        direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+        k, coeffs = _amplitude_terms(profile, r_max, t, level)
+        got = weighted_j0_sum(grid, k, coeffs)
+        direct = weighted_j0_sum(grid.nodes, k, coeffs)
         assert got.shape == (size,)
         scale = np.sum(np.abs(coeffs))
         assert np.max(np.abs(got - direct)) <= 1e-13 * scale
@@ -437,12 +450,9 @@ def test_uniform_grid_sum_matches_direct_drawn(family, size, r_max, t, level):
     # against the direct sum on the same radii
     profile = lcdisc.make_profile(family)
     grid = EvenGrid.linspace(0.0, r_max, size)
-    rule = propagation._k_rule(profile, r_max, t, level)
-    coeffs = propagation._phase_coeffs(
-        propagation._envelope(profile, rule), rule.nodes,
-        np.array([t])).ravel()
-    got = weighted_j0_sum(grid, rule.nodes, coeffs)
-    direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+    k, coeffs = _amplitude_terms(profile, r_max, t, level)
+    got = weighted_j0_sum(grid, k, coeffs)
+    direct = weighted_j0_sum(grid.nodes, k, coeffs)
     assert got.shape == (size,)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(coeffs))
     assert got[0] == pytest.approx(np.sum(coeffs), rel=1e-14)
@@ -456,12 +466,12 @@ def test_even_grid_sum_from_any_start(family, start):
     r_max = propagation.default_r_max(profile, 3.0)
     grid = EvenGrid.linspace(start, r_max, 1000)
     for level in DENSITY_LADDER[:2]:
-        rule = propagation._k_rule(profile, r_max, 3.0, level)
+        k, w = propagation._k_rule(profile, r_max, 3.0, level)
         coeffs = propagation._phase_coeffs(
-            propagation._envelope(profile, rule), rule.nodes,
+            propagation._envelope(profile, k, w), k,
             np.array([3.0])).ravel()
-        got = weighted_j0_sum(grid, rule.nodes, coeffs)
-        direct = weighted_j0_sum(grid.nodes, rule.nodes, coeffs)
+        got = weighted_j0_sum(grid, k, coeffs)
+        direct = weighted_j0_sum(grid.nodes, k, coeffs)
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(coeffs))
 
 

