@@ -66,7 +66,6 @@ from lcdisc.propagation import (
     default_r_max,
     inside_probability,
     inside_probability_sweep,
-    oracle_inside_probability_3d,
     quantile_radius,
     radial_density_grid,
     sphere_cap_weight,
@@ -111,7 +110,6 @@ __all__ = [
     "map_error",
     "momentum_norm",
     "optimal_measurement_time",
-    "oracle_inside_probability_3d",
     "outside_probability",
     "outside_probability_sweep",
     "philox_uniforms",

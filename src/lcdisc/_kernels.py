@@ -33,9 +33,9 @@ one of a few offsets that many points share.
   (``propagation._phase_coeffs``).
 
 Only a panel rule's many-column contractions fill tables, and arbitrary
-radii, as users and the 3D oracle pass, whose sin(k r) / k table takes one
-np.sin per entry.  A :class:`PanelTable` keeps a panel table, so repeated
-gemms at the same k nodes only contract.
+radii, as users pass, whose sin(k r) / k table takes one np.sin per entry.
+A :class:`PanelTable` keeps a panel table, so repeated gemms at the same k
+nodes only contract.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ phase coefficients exp(-i k t).
 Probabilities over a ball of radius R centered at the origin, with the packet
 center a distance d away, use an exact angular reduction: the fraction of the
 sphere of radius rho (about the packet center) lying inside the ball is a
-closed-form solid-angle weight, so no 3D integration is ever needed.  A
-brute-force 3D Riemann-sum oracle is provided to validate that reduction.
+closed-form solid-angle weight, so no 3D integration is ever needed.  The
+tests check that reduction against a brute-force 3D integral.
 
 NumPy is reached through ufuncs, their reductions and array methods, not
 through its Python-level helpers (np.max, np.clip, np.errstate, ...), whose
@@ -96,8 +96,6 @@ DENSITY_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = float(np.finfo(float).tiny)
-# largest oracle grid_n; the oracle costs O(grid_n^3)
-_ORACLE_GRID_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -342,9 +340,10 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     entirely short of the ball (d > R and rho <= d - R).  For d = 0 the
     first two cases alone leave the indicator of rho < R.
 
-    u* is computed only on the spheres that the ball's surface cuts, where
-    2 d rho > 0; there alone radii past 1e154, or a d rho that underflows,
-    can overflow and warn.
+    u* is computed only on the spheres that the ball's surface cuts, in
+    units of the power of two of max(R, d), so whatever the common scale
+    of rho, R and d no square or product there overflows or underflows to
+    0/0, and a weight keeps its bits when all three scale by a power of 2.
     """
     rho = np.asarray(rho, dtype=float)
     none = rho >= R + d
@@ -353,7 +352,10 @@ def sphere_cap_weight(rho: np.ndarray, R: float, d: float) -> np.ndarray:
     whole = (rho <= R - d) & ~none
     w = np.array(whole, dtype=float)
     cut = ~(whole | none)
-    rho_cut = rho[cut]
+    # max, not R + d, which can overflow
+    e = math.frexp(max(R, d))[1]
+    rho_cut = np.ldexp(rho[cut], -e)
+    R, d = math.ldexp(R, -e), math.ldexp(d, -e)
     u_star = (R * R - d * d - rho_cut * rho_cut) / (2.0 * d * rho_cut)
     w[cut] = np.minimum(np.maximum(0.5 * (1.0 + u_star), 0.0), 1.0)
     return w
@@ -578,107 +580,3 @@ class BallQuadrature:
 
         p, _, _ = _converged(evaluate, self.prob_tol, "ball-probability")
         return p
-
-
-# boundary cells are subdivided this many times per axis to measure the
-# fraction of their volume inside the ball
-_ORACLE_SUBCELLS = 8
-
-
-def oracle_inside_probability_3d(
-    profile: MomentumProfile,
-    R: float,
-    t: float,
-    grid_n: int,
-) -> float:
-    """Brute-force 3D check of :func:`inside_probability`.
-
-    The bounding box of the ball is split into grid_n^3 cells and |A|^2 is
-    integrated cell by cell over the portion inside the ball, with the
-    amplitude evaluated at each sample point's exact distance from the
-    packet center by :func:`amplitude_on_radii`, under its convergence
-    guard.  Interior cells use a 2x2x2 Gauss product rule (plain
-    cell-center sampling leaves an O(h^2) volume term far above the target
-    agreement); cells straddling the sphere are weighted by the fraction of
-    their volume inside, counted on an 8^3 subcell grid, and evaluated at
-    the centroid of that inside portion, which removes the boundary
-    staircase error.  Cost grows as O(grid_n^3), so grid_n is capped at
-    256; a larger grid raises :class:`ResourceLimitError`.
-    """
-    if grid_n < 32:
-        raise InvalidParameterError("oracle grid_n must be at least 32")
-    if grid_n > _ORACLE_GRID_CAP:
-        raise ResourceLimitError(
-            f"grid_n={grid_n} exceeds the oracle's cap of {_ORACLE_GRID_CAP}")
-    if not (math.isfinite(R) and R >= 0.0):
-        raise InvalidParameterError("ball radius R must be finite and >= 0")
-    if R == 0.0:
-        return 0.0
-    d = profile.offset_d
-    h = 2.0 * R / grid_n
-    axis = -R + (np.arange(grid_n) + 0.5) * h
-    sq = axis * axis
-    dist = np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
-    half_diag = 0.5 * math.sqrt(3.0) * h
-    interior = dist + half_diag <= R
-    straddle = np.abs(dist - R) < half_diag
-
-    shape = dist.shape
-    cx = np.broadcast_to(axis[:, None, None], shape)[interior]
-    cy = np.broadcast_to(axis[None, :, None], shape)[interior]
-    cz = np.broadcast_to(axis[None, None, :], shape)[interior]
-    gauss = 0.5 * h / math.sqrt(3.0)
-    rho = []
-    weights = []
-    for sx in (-gauss, gauss):
-        for sy in (-gauss, gauss):
-            for sz in (-gauss, gauss):
-                rho.append(np.sqrt((cx + sx) ** 2 + (cy + sy) ** 2 +
-                                   (cz + sz - d) ** 2))
-                weights.append(np.full(rho[-1].shape, 0.125))
-
-    if np.any(straddle):
-        centers = np.stack([np.broadcast_to(axis[:, None, None], shape),
-                            np.broadcast_to(axis[None, :, None], shape),
-                            np.broadcast_to(axis[None, None, :], shape)],
-                           axis=-1)[straddle]
-        frac, centroid = _cell_inside_fractions(centers, R, h)
-        occupied = frac > 0.0
-        weights.append(frac[occupied])
-        offset = centroid[occupied] - np.array([0.0, 0.0, d])
-        rho.append(np.sqrt(np.sum(offset * offset, axis=1)))
-
-    weights = np.concatenate(weights)
-    # the cells' mirror symmetry repeats most radii many times over
-    radii, index = np.unique(np.concatenate(rho), return_inverse=True)
-    amp = amplitude_on_radii(profile, radii, t)[index]
-    return float(h ** 3 * np.dot(weights, amp.real ** 2 + amp.imag ** 2))
-
-
-def _cell_inside_fractions(centers: np.ndarray, R: float,
-                           h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Volume fraction of cubic cells inside the origin ball, with the
-    centroid of each cell's inside portion.
-
-    Each cell is split into _ORACLE_SUBCELLS^3 subcells and subcell centers
-    are tested against the sphere; cells with no inside subcell get
-    fraction 0 and their own center as centroid.
-    """
-    steps = (np.arange(_ORACLE_SUBCELLS) + 0.5) / _ORACLE_SUBCELLS - 0.5
-    ox, oy, oz = np.meshgrid(steps * h, steps * h, steps * h, indexing="ij")
-    offsets = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=-1)
-    n_cells = centers.shape[0]
-    frac = np.empty(n_cells)
-    centroid = np.empty((n_cells, 3))
-    chunk = max(1, (1 << 22) // offsets.shape[0])
-    for lo in range(0, n_cells, chunk):
-        sl = slice(lo, min(lo + chunk, n_cells))
-        points = centers[sl, None, :] + offsets[None, :, :]
-        inside = np.sum(points * points, axis=2) <= R * R
-        counts = inside.sum(axis=1)
-        frac[sl] = counts / offsets.shape[0]
-        sums = np.sum(points * inside[:, :, None], axis=1)
-        safe = np.maximum(counts, 1)
-        centroid[sl] = np.where(counts[:, None] > 0,
-                                sums / safe[:, None], centers[sl])
-    return frac, centroid

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-whole gate takes about 14 s on a 2-vCPU Xeon KVM guest, 10 s of it the 3D
-oracle of criterion 3, well under its ten-minute budget.
+whole gate takes 10-12 s on a 2-vCPU Xeon KVM guest, 6-8 s of it the 3D
+reference of criterion 3, well under its ten-minute budget.
 """
 
 import json
@@ -21,9 +21,7 @@ from lcdisc import (
     estimate_error,
     inside_probability,
     lorentz_factor,
-    make_profile,
     optimal_measurement_time,
-    oracle_inside_probability_3d,
     outside_probability,
     outside_probability_sweep,
     quantile_radius,
@@ -32,6 +30,8 @@ from lcdisc import (
     scan_time_ball,
     tradeoff_curve,
 )
+
+from oracle3d import inside_probability_3d
 
 
 # the CLI subprocesses import the lcdisc under test, installed or not
@@ -69,7 +69,7 @@ def test_criterion_3_radial_vs_3d_oracle(gauss_profile, gauss_d3):
     rels = []
     for profile in (gauss_profile, gauss_d3):
         exact = inside_probability(profile, 2.0, 0.0)
-        brute = oracle_inside_probability_3d(profile, 2.0, 0.0, grid_n=128)
+        brute = inside_probability_3d(profile, 2.0, 0.0, grid_n=128)
         rel = abs(brute - exact) / exact
         rels.append(rel)
         assert rel <= 1e-3

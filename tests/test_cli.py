@@ -760,9 +760,16 @@ def _monte_carlo_argv(draw):
         if value is not None]
 
 
+_TINY_BALL = ("monte-carlo --family=gaussian --k0=1.0 --sigma=1.0 --d={0!r} "
+              "--R={0!r} --t=0.0 --pi0=0.0 --seed=0 --trials=1000")
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_monte_carlo_argv())
+# drawn by the strategy: at d = R this small the cap weight's u* was 0/0
+@example(argv=_TINY_BALL.format(4.0194834632912396e-283).split())
+@example(argv=_TINY_BALL.format(2.2250738585072014e-308).split())
 def test_fuzz_monte_carlo_exit_codes(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lcdisc import (
     ExponentialFamily,
@@ -18,7 +18,7 @@ from lcdisc import (
     inside_probability,
     inside_probability_sweep,
     make_profile,
-    oracle_inside_probability_3d,
+    outside_probability,
     quantile_radius,
     radial_density_grid,
     sphere_cap_weight,
@@ -34,6 +34,7 @@ from lcdisc.quadrature import (
 )
 
 from graded_panels import graded_gauss_panels
+import oracle3d
 
 # Frozen regression values for the standard Gaussian profile (k0=5, sigma=1).
 # The amplitude values integrate over the stored [0, k_max] interval, so they
@@ -48,10 +49,9 @@ INSIDE_E_D0_R2_T0 = 0.9997536775
 def _amp_oracle(profile, r, t, n=200001):
     """Dense-trapezoid amplitude over the profile's own truncated interval."""
     k = np.linspace(0.0, profile.k_max, n)
-    with np.errstate(invalid="ignore"):
-        j0 = np.where(k * r < 1e-12, 1.0, np.sin(k * r) / np.maximum(k * r,
-                                                                     1e-300))
-    f = k ** 1.5 * profile.magnitude(k) * j0 * np.exp(-1j * k * t)
+    # np.sinc(x) = sin(pi x) / (pi x), 1 at x = 0
+    f = (k ** 1.5 * profile.magnitude(k) * np.sinc(k * r / np.pi) *
+         np.exp(-1j * k * t))
     return np.trapezoid(f, k) / np.sqrt(np.pi)
 
 
@@ -233,6 +233,32 @@ def test_cap_weight_keeps_the_shape_of_rho():
 def test_cap_weight_bounded(R, d, rho):
     w = float(sphere_cap_weight(np.array([rho]), R, d)[0])
     assert 0.0 <= w <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.floats(2.0 ** -10, 2.0 ** 10),
+       d=st.just(0.0) | st.floats(2.0 ** -10, 2.0 ** 10),
+       fractions=st.lists(st.floats(0.0, 1.25), min_size=1, max_size=20),
+       m=st.integers(-1000, 1000))
+def test_cap_weight_is_exact_under_powers_of_two(R, d, fractions, m):
+    # radii up to 1.25 (R + d) reach every case; none may be subnormal
+    rho = np.array(fractions) * (R + d)
+    scaled = np.ldexp(rho, m)
+    assume(np.all((rho == 0.0) |
+                  (np.minimum(rho, scaled) >= np.finfo(float).tiny)))
+    assert np.array_equal(
+        sphere_cap_weight(scaled, math.ldexp(R, m), math.ldexp(d, m)),
+        sphere_cap_weight(rho, R, d))
+
+
+@pytest.mark.parametrize("length", [2.2250738585072014e-308,
+                                    4.0194834632912396e-283, 1e-200])
+def test_outside_probability_at_tiny_lengths(length):
+    # u* of the cap weight at d = R this small was 0/0, a RuntimeWarning
+    # that pyproject.toml turns into an error
+    profile = make_profile(GaussianFamily(k0=1.0, sigma=1.0),
+                           offset_d=length)
+    assert outside_probability(profile, length, 0.0) == 1.0
 
 
 def test_inside_probability_frozen(gauss_profile, gauss_d10, expo_profile):
@@ -662,23 +688,28 @@ def test_grid_centre_matches_amplitude_at_origin(fixture, t, request):
 
 def test_oracle_agrees_on_coarse_grid(gauss_profile):
     exact = inside_probability(gauss_profile, 2.0, 0.0)
-    brute = oracle_inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=64)
+    brute = oracle3d.inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=64)
     assert abs(brute - exact) / exact < 1e-3
 
 
 def test_oracle_reaches_unity_on_covering_ball(gauss_profile):
     # A ball holding essentially all the mass must integrate to 1 within
     # the oracle's own resolution.
-    brute = oracle_inside_probability_3d(gauss_profile, 4.0, 0.0, grid_n=64)
+    brute = oracle3d.inside_probability_3d(gauss_profile, 4.0, 0.0, grid_n=64)
     assert brute == pytest.approx(1.0, abs=2e-3)
 
 
-def test_oracle_edge_and_validation(gauss_profile):
-    assert oracle_inside_probability_3d(gauss_profile, 0.0, 0.0, 64) == 0.0
-    with pytest.raises(InvalidParameterError):
-        oracle_inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=16)
-    with pytest.raises(ResourceLimitError):
-        oracle_inside_probability_3d(gauss_profile, 2.0, 0.0, grid_n=512)
+def test_oracle_fold_matches_per_cell_count():
+    # on a dyadic grid every sum is exact, so one count per class of
+    # mirrored and axis-swapped cells must give each cell's own count
+    _, centres, h = oracle3d.cells(1.0, 32)
+    frac, centroid = oracle3d.cell_inside_fractions(centres, 1.0, h)
+    for cell, got_frac, got_centroid in zip(centres, frac, centroid):
+        points = cell + h * oracle3d.SUBCELLS
+        inside = points[np.sum(points * points, axis=1) <= 1.0]
+        assert got_frac == len(inside) / len(points)
+        assert np.array_equal(got_centroid, inside.mean(axis=0)
+                              if len(inside) else cell)
 
 
 def test_amplitude_norm_invariance_against_rescaled_profile(gauss_profile):
