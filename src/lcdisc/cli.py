@@ -1,7 +1,10 @@
-"""Command-line front-end: config parsing, subcommands, CSV/JSON emission.
+"""Command-line front-end: argv and config parsing, subcommands, CSV/JSON
+emission.
 
-Configuration is a flat sequence of ``key=value`` tokens, either in a file
-(``--config``) or as command-line flags, before or after the subcommand;
+``lcdisc COMMAND [--config FILE] [--flag VALUE ...]``: one subcommand,
+anywhere; each flag is a config key with ``_`` as ``-``, matched exactly,
+as ``--flag VALUE`` or ``--flag=VALUE``.  Configuration is a flat sequence
+of ``key=value`` tokens, either in a file (``--config``) or as flags;
 flags override the file.  Unknown keys and malformed values are rejected
 with the offending line or field named.  Every emitted artifact echoes the
 full resolved configuration in its header, which is sufficient to re-run
@@ -20,17 +23,14 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import dataclasses
-import functools
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -120,14 +120,14 @@ class RunConfig:
         """All set fields as re-parseable key=value pairs, in field order;
         floats, listed ones too, go through :func:`fmt`."""
         items = []
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in _KEY_PARSERS:
+            value = getattr(self, name)
             if isinstance(value, list):
                 value = ",".join(map(fmt, value))
             elif isinstance(value, float):
                 value = fmt(value)
             if value is not None:
-                items.append((field.name, str(value)))
+                items.append((name, str(value)))
         return items
 
 
@@ -270,41 +270,85 @@ def _radii(config: RunConfig) -> list[float]:
     return [config.R]
 
 
-@contextlib.contextmanager
-def _open_output(path: str | None) -> Iterator[TextIO]:
-    """Yield stdout, or ``path`` opened for writing; OSError is ConfigError.
-    A file that a failing command leaves unfinished is removed."""
-    opened = finished = False
-    try:
-        with (contextlib.nullcontext(sys.stdout) if path is None
-              else open(path, "w", encoding="utf-8")) as handle:
-            opened = path is not None
-            yield handle
-        finished = True
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file: {exc}")
-    finally:
-        if opened and not finished:
-            Path(path).unlink(missing_ok=True)
+class _Output:
+    """``with _Output(path) as write``: ``write`` writes to ``path``, or to
+    stdout if None.  OSError is ConfigError, and a file that a failing
+    command leaves unfinished is removed."""
+
+    def __init__(self, path: str | None):
+        self.path = path
+
+    def __enter__(self) -> Callable[[str], int]:
+        try:
+            self.handle = (sys.stdout if self.path is None
+                           else open(self.path, "w", encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
+        return self.handle.write
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if self.path is not None:
+            try:
+                self.handle.close()
+            except OSError as close_exc:
+                exc = exc if exc is not None else close_exc
+            if exc is not None:
+                Path(self.path).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output file: {exc}")
 
 
-@contextlib.contextmanager
-def _csv_writer(path: str | None, command: str, config: RunConfig,
-                columns: Iterable[str]) -> Iterator[Callable[[str], int]]:
-    """Write the CSV header that echoes the config to ``path`` (stdout if
-    None), and yield the function that writes rows as they arrive."""
-    with _open_output(path) as handle:
-        echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
-        handle.write(f"# lcdisc {command}\n# config: {echo}\n"
-                     f"{','.join(columns)}\n")
-        yield handle.write
+def _csv_head(command: str, config: RunConfig, columns: Iterable[str]) -> str:
+    """The CSV header, which echoes the config, and the column names."""
+    echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
+    return f"# lcdisc {command}\n# config: {echo}\n{','.join(columns)}\n"
+
+
+def _json_text(value: Any, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a document of
+    str-keyed dicts, lists, str, int, float, bool and None, built from
+    json's C string encoder and the number reprs (with an indent,
+    ``json.dumps`` runs json's Python encoder)."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return _INFINITIES.get(value) or float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sep.join([f"{_json_str(key)}: {_json_text(item, inner)}"
+                          for key, item in sorted(value.items())])
+        return "{\n" + inner + items + "\n" + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = sep.join([_json_text(item, inner) for item in value])
+        return "[\n" + inner + items + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
     document = {"command": command, "config": dict(config.echo_items()),
                 **_round12(payload)}
-    with _open_output(config.output) as handle:
-        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    text = _json_text(document) + "\n"
+    with _Output(config.output) as write:
+        write(text)
 
 
 # error-curve's CSV columns and JSON keys, with the report field of each
@@ -325,9 +369,9 @@ def _cmd_error_curve(config: RunConfig) -> dict | None:
         return {"priors": {"pi0": priors.pi0, "pi1": priors.pi1},
                 "points": [dict(zip(_CURVE_FIELDS, row))
                            for row in zip(*columns)]}
-    with _csv_writer(config.output, "error-curve", config,
-                     _CURVE_FIELDS) as write_rows:
-        write_rows(float_rows(columns))
+    with _Output(config.output) as write:
+        write(_csv_head("error-curve", config, _CURVE_FIELDS))
+        write(float_rows(columns))
 
 
 def _cmd_optimal_time(config: RunConfig) -> dict:
@@ -338,7 +382,7 @@ def _cmd_optimal_time(config: RunConfig) -> dict:
         profile, config.R, (config.t_lo, config.t_hi),
         n_grid=config.t_grid, prob_tol=config.prob_tol)
     report = build_report(priors, config.R, best.t_star, best.p_t_star)
-    return {"result": {**dataclasses.asdict(best), "P_e": report.P_e,
+    return {"result": {**vars(best), "P_e": report.P_e,
                        "scan_T": report.scan_T, "total_T": report.total_T}}
 
 
@@ -358,6 +402,10 @@ _TRIAL_SUFFIX = byte_table(
     f"{_CHANNELS[plus] if inside else montecarlo.Outcome.UNKNOWN.value},"
     f"{_CHANNELS[guess]},{int(plus == guess)}\n"
     for plus, inside, guess in _TRIAL_CODES)
+
+
+_TRIAL_COLUMNS = ("trial", "true_state", "rho", "inside", "outcome", "guess",
+                  "correct")
 
 
 def _trial_rows(batch: montecarlo.TrialBatch) -> str:
@@ -385,20 +433,21 @@ def _cmd_monte_carlo(config: RunConfig) -> dict:
     profile = _profile(config)
     priors = Priors(pi0=config.pi0)
     _require(config, "R")
-    # the trial CSV is opened before the trials run and written batch by
-    # batch, so memory does not grow with the trial count
-    columns = ("trial", "true_state", "rho", "inside", "outcome", "guess",
-               "correct")
-    trials = (_csv_writer(config.trials_csv, "monte-carlo", config, columns)
-              if config.trials_csv else contextlib.nullcontext())
-    with trials as write_rows:
-        estimate = montecarlo.estimate_error(
+
+    def estimate(on_batch):
+        return montecarlo.estimate_error(
             profile, priors, config.R, config.t, config.trials, config.seed,
             strategy=config.strategy, prob_tol=config.prob_tol,
-            r_max=config.r_max, amp_tol=config.amp_tol,
-            on_batch=write_rows and (
-                lambda batch: write_rows(_trial_rows(batch))))
-    return {"estimate": dataclasses.asdict(estimate)}
+            r_max=config.r_max, amp_tol=config.amp_tol, on_batch=on_batch)
+
+    if not config.trials_csv:
+        return {"estimate": vars(estimate(None))}
+    # the trial CSV is opened before the trials run and written batch by
+    # batch, so memory does not grow with the trial count
+    with _Output(config.trials_csv) as write:
+        write(_csv_head("monte-carlo", config, _TRIAL_COLUMNS))
+        result = estimate(lambda batch: write(_trial_rows(batch)))
+    return {"estimate": vars(result)}
 
 
 def _cmd_dump_density(config: RunConfig) -> None:
@@ -406,10 +455,11 @@ def _cmd_dump_density(config: RunConfig) -> None:
     grid = radial_density_grid(profile, config.t, r_max=config.r_max,
                                n_points=config.n_points,
                                amp_tol=config.amp_tol)
-    with _csv_writer(config.output, "dump-density", config,
-                     ("r", "re_amp", "im_amp", "density")) as write_rows:
-        write_rows(float_rows([grid.r_grid, grid.amp.real, grid.amp.imag,
-                                grid.density]))
+    with _Output(config.output) as write:
+        write(_csv_head("dump-density", config,
+                        ("r", "re_amp", "im_amp", "density")))
+        write(float_rows([grid.r_grid, grid.amp.real, grid.amp.imag,
+                          grid.density]))
 
 
 def _cmd_scan_time(config: RunConfig) -> dict:
@@ -422,7 +472,7 @@ def _cmd_ruler(config: RunConfig) -> dict:
     timing = ruler_min_time(config.L1, config.L2, config.observer_x)
     return {"result": {"L1": config.L1, "L2": config.L2,
                        "observer_position": config.observer_x,
-                       **dataclasses.asdict(timing)}}
+                       **vars(timing)}}
 
 
 def _cmd_amplitude_info(config: RunConfig) -> dict:
@@ -455,40 +505,73 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused.  The subcommand
-    is a positional choice, so flags may come before or after it."""
-    parser = argparse.ArgumentParser(
-        prog="lcdisc",
-        description="Relativistic limits on distinguishing two orthogonal "
-                    "single-photon helicity states.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value configuration file")
-    for key in _KEY_PARSERS:
-        parser.add_argument("--" + key.replace("_", "-"), metavar="VALUE")
-    return parser
+# every flag's config key: "--config" and each RunConfig key, "_" as "-"
+_FLAGS = {"--config": "config",
+          **{"--" + key.replace("_", "-"): key for key in _KEY_PARSERS}}
+_USAGE = "usage: lcdisc COMMAND [--config FILE] [--flag VALUE ...]\n"
+
+
+def _help() -> str:
+    """The usage line, the subcommands and every flag, in field order."""
+    return "".join([_USAGE, "\ncommands:\n"]
+                   + [f"  {name}\n" for name in COMMANDS]
+                   + ["\nflags, as --flag VALUE or --flag=VALUE:\n"]
+                   + [f"  {flag}\n" for flag in _FLAGS])
+
+
+def _usage_error(reason: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}lcdisc: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The subcommand of ``argv`` and each flag's raw value by its key."""
+    command = None
+    raw: dict[str, str] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "-h" or token == "--help":
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if not token.startswith("-"):
+            if command is not None:
+                _usage_error(f"unexpected argument {token!r}")
+            if token not in _RUNNERS:
+                _usage_error(f"invalid command {token!r} "
+                             f"(choose from {', '.join(COMMANDS)})")
+            command = token
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(f"unrecognized flag {flag!r}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"flag {flag} expects a value")
+        raw[_FLAGS[flag]] = value
+    if command is None:
+        _usage_error(f"a command is required ({', '.join(COMMANDS)})")
+    return command, raw
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, raw = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         file_values: dict[str, Any] = {}
-        if args.config is not None:
+        config_path = raw.pop("config", None)
+        if config_path is not None:
             try:
-                text = Path(args.config).read_text(encoding="utf-8")
+                text = Path(config_path).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             file_values = parse_config(text)
         flag_values = {
-            key: _convert(key, raw, f"flag --{key.replace('_', '-')}")
-            for key in _KEY_PARSERS
-            if (raw := getattr(args, key)) is not None}
+            key: _convert(key, value, f"flag --{key.replace('_', '-')}")
+            for key, value in raw.items()}
         config = build_config(file_values, flag_values)
-        payload = _RUNNERS[args.command](config)
+        payload = _RUNNERS[command](config)
         if payload is not None:
-            _emit_json(args.command, config, payload)
+            _emit_json(command, config, payload)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lcdisc: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -139,7 +139,11 @@ def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
     next: the guard comparing two levels sees the first panel's error too
     (see :mod:`lcdisc.quadrature`).
     """
-    width = panel_width(max(r_peak, abs(t)), DENSITY_LADDER[0])
+    # below the profile's own scale, 1 / momentum_width, the oscillation
+    # sets no width: the shape does
+    width = panel_width(max(r_peak, abs(t),
+                            1.0 / profile.family.momentum_width),
+                        DENSITY_LADDER[0])
     coarsest = gauss_panels(0.0, profile.k_max, width)
     parts = round(panels_per_period / DENSITY_LADDER[0])
     # the first panel is [0, w]: its centre and half-width are both w / 2;

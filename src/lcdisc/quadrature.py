@@ -178,10 +178,12 @@ def even_points(start: float, stop: float,
 def panel_width(frequency: float, panels_per_period: float) -> float:
     """Largest allowed panel width for a phase frequency (radians per unit).
 
-    One period spans 2 pi of phase; frequencies below 1 count as 1.  The
-    period is split first, so a huge frequency cannot overflow a divisor.
+    One period spans 2 pi of phase.  The frequency must be positive: the
+    rules carry no length of their own, so a caller floors it at a scale of
+    its integrand.  The period is split first, so a huge frequency cannot
+    overflow a divisor.
     """
-    return (2.0 * math.pi / panels_per_period) / max(frequency, 1.0)
+    return (2.0 * math.pi / panels_per_period) / frequency
 
 
 def _panel_count(a: float, b: float, max_width: float) -> int:

@@ -329,10 +329,87 @@ def test_flags_before_the_subcommand(capsys, command, args):
     assert before == after == split
 
 
-def test_unknown_flag_exits_2():
+def _assert_usage_error(capsys, argv):
+    """Assert that ``argv`` is refused as argparse refused it: a usage line
+    and ``lcdisc: error:`` on stderr, then SystemExit(2)."""
     with pytest.raises(SystemExit) as excinfo:
-        main(["scan-time", "--bogus", "1"])
+        main(argv)
     assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lcdisc")
+    assert "\nlcdisc: error: " in captured.err
+
+
+def test_unknown_flag_exits_2(capsys):
+    _assert_usage_error(capsys, ["scan-time", "--bogus", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-time", "--sig", "0.8"],  # no prefix abbreviations
+    ["scan-time", "--R"],
+    ["--R", "1"],
+    ["scan-time", "ruler", "--R", "1"],
+    ["scan-time", "--R", "1", "-x"],
+], ids=["abbreviated", "no-value", "no-command", "two-commands",
+        "single-dash"])
+def test_malformed_command_lines_exit_2(capsys, argv):
+    _assert_usage_error(capsys, argv)
+
+
+def test_flag_value_forms(capsys):
+    spaced = run_cli(capsys, "dump-density", *GAUSS_ARGS, "--r-max", "5",
+                     "--n-points", "64")
+    joined = run_cli(capsys, "dump-density", "--family=gaussian", "--k0=5",
+                     "--sigma=1", "--r-max=5", "--n-points=64")
+    repeated = run_cli(capsys, "dump-density", *GAUSS_ARGS, "--r-max", "9",
+                       "--n-points", "64", "--r-max", "5")
+    assert spaced[0] == 0 and spaced[1]
+    assert spaced == joined == repeated
+
+
+def test_flag_value_may_start_with_a_dash(capsys):
+    code, out, _ = run_cli(capsys, "optimal-time", "--family", "exponential",
+                           "--kappa", "2", "--d", "3", "--R", "1",
+                           "--t-lo", "-1", "--t-hi", "6")
+    assert code == 0
+    assert json.loads(out)["config"]["t_lo"] == "-1"
+
+
+def test_help_exits_0_and_lists_every_flag(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan-time", flag])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        flags = [line.split()[0] for line in out.splitlines()
+                 if line.startswith("  --")]
+        assert flags == ["--config"] + [
+            "--" + field.name.replace("_", "-")
+            for field in dataclasses.fields(RunConfig)]
+        assert all(command in out for command in cli.COMMANDS)
+
+
+_JSON_SCALARS = (
+    st.text()
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                       1e308, -1e308])
+    | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+    | st.booleans() | st.none())
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=_JSON_DOCUMENTS)
+@example(document={"": [], "\u00e9\x00\n\"": {}, "a": [[-0.0, 1e308]]})
+def test_json_writer_matches_json_dumps(document):
+    assert cli._json_text(document) == json.dumps(document, indent=2,
+                                                  sort_keys=True)
 
 
 def test_numeric_failure_exits_3(capsys):

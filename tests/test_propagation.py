@@ -534,9 +534,10 @@ def _dense_inside_probability(profile, R, t, panels_per_period=32.0):
     rule = piecewise_gauss_panels(
         np.array(breaks), panel_width(2.0 * profile.k_max, panels_per_period))
     rho, w_rho = rule.nodes, rule.weights
+    # the library's k frequency floor: the profile's own scale
+    frequency = max(rho.max(), abs(t), 1.0 / profile.family.momentum_width)
     k_rule = graded_gauss_panels(
-        0.0, profile.k_max,
-        panel_width(max(rho.max(), abs(t)), panels_per_period), 24)
+        0.0, profile.k_max, panel_width(frequency, panels_per_period), 24)
     k, w_k = k_rule.nodes, k_rule.weights
     coeffs = (w_k * k ** 1.5 * profile.magnitude(k) * np.exp(-1j * k * t)
               / math.sqrt(math.pi))
@@ -610,13 +611,10 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
     assert error <= estimates[0] + 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a tiny ball on a narrow Gaussian passes its guard 10x past prob_tol; "
-    "the k panel width capped at a fraction of the profile's width "
-    "(ROADMAP item 6) would mend it"))
 def test_tiny_ball_on_narrow_gaussian_within_tolerance():
-    # p_in gives 1.8491930594e-06 against 1.7509249217e-06 from the dense
-    # reference, 9.8e-8 apart
+    # with k panels that followed only max(rho, |t|), floored at 1, p_in
+    # gave 1.8491930594e-06 against 1.7509249217e-06 from the dense
+    # reference, 9.8e-8 apart and 10x past prob_tol
     profile = make_profile(GaussianFamily(k0=5.875, sigma=0.1))
     R = 0.0078125
     got = inside_probability(profile, R, 0.0)
@@ -624,10 +622,41 @@ def test_tiny_ball_on_narrow_gaussian_within_tolerance():
         propagation.DEFAULT_PROB_TOL
 
 
+# the model has no length scale: (k, r, t) -> (lambda k, r / lambda,
+# t / lambda) leaves p_t unchanged, and lambda = 2^m scales every input
+# exactly; (family, d, R, t), the last the tiny ball on a narrow Gaussian
+_DILATION_CASES = [
+    (GaussianFamily(k0=5.0, sigma=1.0), 3.0, 1.0, 2.0),
+    (ExponentialFamily(kappa=2.0), 1.5, 1.5, 1.0),
+    (GaussianFamily(k0=1.0, sigma=0.5), 0.0, 2.0, 0.0),
+    (GaussianFamily(k0=5.875, sigma=0.1), 0.0, 0.0078125, 0.0),
+]
+
+
+def _dilated(family, scale):
+    if isinstance(family, GaussianFamily):
+        return GaussianFamily(k0=family.k0 * scale, sigma=family.sigma * scale)
+    return ExponentialFamily(kappa=family.kappa * scale)
+
+
+@pytest.mark.parametrize("family,d,R,t", _DILATION_CASES)
+def test_p_t_is_dilation_invariant(family, d, R, t):
+    # no rule may carry a length of its own: a unit length in the panel
+    # widths raised ResourceLimitError at 2^-30 and 2^30
+    reference = outside_probability(make_profile(family, d), R, t)
+    for m in range(-30, 31):
+        scale = 2.0 ** m
+        profile = make_profile(_dilated(family, scale), d / scale)
+        got = outside_probability(profile, R / scale, t / scale)
+        assert abs(got - reference) <= 1e-14, m
+
+
 def _dense_amplitude(profile, r, t):
     """A(r, t) over the profile's own [0, k_max] on graded Gauss panels far
     denser than the library ever uses, summed on the direct j0 table."""
-    width = min(panel_width(max(float(np.max(r)), abs(t)), 16.0), 0.02)
+    frequency = max(float(np.max(r)), abs(t),
+                    1.0 / profile.family.momentum_width)
+    width = min(panel_width(frequency, 16.0), 0.02)
     rule = graded_gauss_panels(0.0, profile.k_max, width, 24)
     k = rule.nodes
     coeffs = (rule.weights * k ** 1.5 * profile.magnitude(k) *
@@ -645,6 +674,9 @@ def _dense_amplitude(profile, r, t):
 # and 4 agreeing to within amp_tol
 @example(family=GaussianFamily(k0=1.63506, sigma=0.11172), r=[0.0, 0.3],
          t=0.0)
+# a k rule whose panels followed only max(r, |t|), floored at 1, outran the
+# ladder on this narrow fast profile and raised NumericFailureError
+@example(family=GaussianFamily(k0=8.0, sigma=0.1), r=[0.0], t=0.0)
 def test_amplitude_within_tolerance_and_estimate(family, r, t):
     profile = make_profile(family)
     r = np.array(r)
@@ -658,17 +690,7 @@ def test_amplitude_within_tolerance_and_estimate(family, r, t):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagation, "_converged", recording)
-        try:
-            got = amplitude_on_radii(profile, r, t)
-        except NumericFailureError as exc:
-            # the k rule's panels follow the oscillation, not the profile,
-            # so a Gaussian narrower than sigma = 0.15 can outrun the
-            # ladder's top density at small r and t (seen from k0 = 7 up);
-            # refusing it is within the contract, returning a value past
-            # the tolerance is not
-            assert isinstance(family, GaussianFamily) and family.sigma < 0.15
-            assert exc.estimate > propagation.DEFAULT_AMP_TOL
-            return
+        got = amplitude_on_radii(profile, r, t)
     error = np.max(np.abs(got - _dense_amplitude(profile, r, t)))
     assert error <= propagation.DEFAULT_AMP_TOL
     assert error <= estimates[0] + 1e-12

@@ -106,8 +106,9 @@ def test_k_rule_maps_the_branch_point_to_a_polynomial(r_peak, t):
     # off at m = 0
     profile = lcdisc.make_profile(lcdisc.GaussianFamily(k0=5.0, sigma=1.0))
     k, w = propagation._k_rule(profile, r_peak, t, DENSITY_LADDER[0])
+    frequency = max(r_peak, t, 1.0 / profile.family.momentum_width)
     coarsest = gauss_panels(0.0, profile.k_max,
-                            panel_width(max(r_peak, t), DENSITY_LADDER[0]))
+                            panel_width(frequency, DENSITY_LADDER[0]))
     a = coarsest.half_widths[0]
     assert 0.0 < k[0] and k[GAUSS_ORDER - 1] < a < k[GAUSS_ORDER]
     plain_k = 0.5 * a * (1.0 + GAUSS_X)

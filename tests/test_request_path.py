@@ -1,17 +1,27 @@
-"""The CLI's request paths reach NumPy only through C: ufuncs, their
+"""The CLI's request paths reach NumPy and the standard library's argparse,
+json, dataclasses, contextlib and copy only through C: ufuncs, their
 reductions, array methods and C functions.
 
 NumPy's Python-level helpers (np.linspace, np.any, np.errstate, ...) cost
 50-550 us each on their first call in a request, after other work has
 evicted them from the caches, against 40-100 us for the ufunc or array
-method that does their arithmetic.  A small ``optimal-time``,
-``error-curve --fixed-t`` and ``monte-carlo --trials-csv`` request run
-under a profile hook, and the test fails when a frame of lcdisc calls
-straight into a function defined in NumPy's Python source.  The array-function dispatchers of ``numpy/_core/multiarray.py``
-(``concatenate``, ``where``, ``bincount``, ...) are the only such
-functions allowed: each returns its arguments for a C function.
+method that does their arithmetic.  The standard library's are as dear:
+argparse's ``parse_args`` took 0.21-0.29 ms a request, and
+``json.dumps(indent=2)``, which runs json's Python encoder, 0.34-0.45 ms.
+A small ``optimal-time``, ``error-curve --fixed-t`` and ``monte-carlo
+--trials-csv`` request run under a profile hook, and the test fails when a
+frame of lcdisc calls straight into a function defined in NumPy's Python
+source or in one of those five modules.  The array-function dispatchers of
+``numpy/_core/multiarray.py`` (``concatenate``, ``where``, ``bincount``,
+...) are the only such functions allowed: each returns its arguments for a
+C function.
 """
 
+import argparse
+import contextlib
+import copy
+import dataclasses
+import json
 import os
 import sys
 
@@ -21,30 +31,33 @@ import pytest
 import lcdisc
 from lcdisc import _csvrows, cli
 
-_NUMPY = os.path.dirname(np.__file__) + os.sep
 _LCDISC = os.path.dirname(lcdisc.__file__) + os.sep
-_DISPATCHERS = os.path.join(_NUMPY, "_core", "multiarray.py")
+# the Python source each rule keeps requests out of, as file-name prefixes
+_NUMPY = (os.path.dirname(np.__file__) + os.sep,)
+_STDLIB = (os.path.dirname(json.__file__) + os.sep, argparse.__file__,
+           dataclasses.__file__, contextlib.__file__, copy.__file__)
+_DISPATCHERS = os.path.join(_NUMPY[0], "_core", "multiarray.py")
 
 _GAUSSIAN = ("--family", "gaussian", "--k0", "5", "--sigma", "1")
 _EXPONENTIAL = ("--family", "exponential", "--kappa", "2")
 
 
-def _numpy_python_calls(argv: list[str]) -> list[str]:
-    """``cli.main(argv)``'s calls from lcdisc into NumPy's Python source,
-    as "numpy file:function <- lcdisc file:function"."""
+def _python_calls(argv: list[str], source: tuple[str, ...]) -> list[str]:
+    """``cli.main(argv)``'s calls from lcdisc into Python files whose names
+    start with one of ``source``, as "callee file:function <- lcdisc
+    file:function"."""
     calls = []
 
     def hook(frame, event, arg):
         if event != "call":
             return
         callee, caller = frame.f_code, frame.f_back
-        if (callee.co_filename.startswith(_NUMPY)
+        if (callee.co_filename.startswith(source)
                 and callee.co_filename != _DISPATCHERS
                 and caller is not None
                 and caller.f_code.co_filename.startswith(_LCDISC)):
             calls.append(
-                f"{os.path.relpath(callee.co_filename, _NUMPY)}:"
-                f"{callee.co_name} <- "
+                f"{callee.co_filename}:{callee.co_name} <- "
                 f"{os.path.basename(caller.f_code.co_filename)}:"
                 f"{caller.f_code.co_name}")
 
@@ -60,11 +73,9 @@ def _numpy_python_calls(argv: list[str]) -> list[str]:
     return calls
 
 
-@pytest.mark.parametrize("command", ["optimal-time", "error-curve",
-                                     "monte-carlo"])
-def test_request_path_calls_no_numpy_python_helper(command, tmp_path):
+def _argv(command: str, tmp_path) -> list[str]:
     out = str(tmp_path / "out")
-    argv = {
+    return {
         "optimal-time": ["optimal-time", *_EXPONENTIAL, "--d", "3",
                          "--R", "1", "--t-lo", "0", "--t-hi", "6"],
         "error-curve": ["error-curve", *_GAUSSIAN, "--d", "1.5",
@@ -75,5 +86,18 @@ def test_request_path_calls_no_numpy_python_helper(command, tmp_path):
                         "--t", "1", "--trials", "1000",
                         "--trials-csv", out, "--output", out + ".json"],
     }[command]
-    calls = _numpy_python_calls(argv)
+
+
+_COMMANDS = ["optimal-time", "error-curve", "monte-carlo"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_request_path_calls_no_numpy_python_helper(command, tmp_path):
+    calls = _python_calls(_argv(command, tmp_path), _NUMPY)
+    assert not calls, "\n".join(sorted(set(calls)))
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_request_path_calls_no_stdlib_python_helper(command, tmp_path):
+    calls = _python_calls(_argv(command, tmp_path), _STDLIB)
     assert not calls, "\n".join(sorted(set(calls)))
