@@ -206,7 +206,9 @@ def optimal_measurement_time(
     warning, since the window may be cutting the true optimum off.
     """
     t_lo, t_hi = (float(t_window[0]), float(t_window[1]))
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise InvalidParameterError("t_window ends must be finite")
+    if not t_lo < t_hi:
         raise InvalidParameterError("t_window must satisfy t_lo < t_hi")
     if n_grid < 8:
         raise InvalidParameterError("n_grid must be at least 8")

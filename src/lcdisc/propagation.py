@@ -198,20 +198,25 @@ def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
     """Coefficients envelope(k) exp(-i k t), one row per k node and one
     column per time of ``t``.
 
-    For an :class:`EvenGrid` cos and sin run on two rows only: the first
-    time's coefficients, as an array holding that time gives them, and
-    the step w = exp(-i k step).  The other columns are their products,
-    filled by doubling (:func:`~lcdisc._kernels.fill_by_doubling`).  Rows
-    of the time-major fill are contiguous; the transpose is copied once,
-    by the contraction.  The squares carry |w|'s rounding along, so column
-    i can be off by i eps/2 where the direct path is off by eps |k t|.
+    For an :class:`EvenGrid` cos and sin run on two rows only, from one
+    :func:`~lcdisc._kernels.exp_ikx` call: exp(-i k t_0) at the first
+    time and the step w = exp(-i k step).  The envelope is multiplied
+    into the first row in place, which gives the bits of an array
+    holding that time.  The other columns are products, filled by
+    doubling (:func:`~lcdisc._kernels.fill_by_doubling`).  Rows of the
+    time-major fill are contiguous; the transpose is copied once, by the
+    contraction.  The squares carry |w|'s rounding along, so column i can
+    be off by i eps/2 where the direct path is off by eps |k t|.  Every
+    coefficient depends on its own k node alone, so the coefficients of
+    joined k nodes are those of each part, bit for bit.
     """
     if not isinstance(t, EvenGrid):
         out = exp_ikx(np.negative(t), k).T
         return np.multiply(envelope[:, None], out, out=out)
+    first, step = exp_ikx(np.array([-t.nodes[0], -t.step]), k)
     out = np.empty((t.size, k.size), dtype=np.complex128)
-    out[0] = _phase_coeffs(envelope, k, t.nodes[:1])[:, 0]
-    return fill_by_doubling(out, exp_ikx(np.array([-t.step]), k)[0]).T
+    np.multiply(envelope, first, out=out[0])
+    return fill_by_doubling(out, step).T
 
 
 def amplitude_on_radii(
@@ -461,12 +466,17 @@ class BallQuadrature:
     Each DENSITY_LADDER level's rho rule, cap weights, k rule and j0 table
     are built on first use and kept, so every :meth:`p_in` call after the
     first costs only the phase coefficients, one gemm per level and the
-    reduction.  A level's k rule is the coarsest level's k rule with every
-    panel, its u = sqrt(k) panel too, split into density /
-    DENSITY_LADDER[0] equal parts (:func:`_k_rule`).  The k rule resolves
-    oscillations up to max(rho_max, t_max), which covers every time up to
-    ``t_max``; a later time would need a finer k rule, so :meth:`p_in`
-    rejects it.
+    reduction.  The guard's first comparison always needs DENSITY_LADDER[0]
+    and [1], so each call fills their coefficients once, over the two
+    levels' k nodes and envelopes joined end to end (joined once, when the
+    two levels are built), and each level contracts its own block of rows;
+    a level above [1] fills its own when a call reaches it.
+
+    A level's k rule is the coarsest level's k rule with every panel, its
+    u = sqrt(k) panel too, split into density / DENSITY_LADDER[0] equal
+    parts (:func:`_k_rule`).  The k rule resolves oscillations up to
+    max(rho_max, t_max), which covers every time up to ``t_max``; a later
+    time would need a finer k rule, so :meth:`p_in` rejects it.
 
     Every level a call reaches stays in memory until the quadrature is
     dropped, up to a bound: a level whose table would take ``kept_bytes``,
@@ -516,6 +526,7 @@ class BallQuadrature:
         self.keep_tables = keep_tables
         self.kept_bytes = 0
         self._levels: dict[float, _Level] = {}
+        self._first_two: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def _level(self, panels_per_period: float) -> _Level:
         level = self._levels.get(panels_per_period)
@@ -539,6 +550,18 @@ class BallQuadrature:
                 envelope=_envelope(profile, k, w))
             self._levels[panels_per_period] = level
         return level
+
+    def _joined(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The k nodes and envelopes of DENSITY_LADDER[0] and [1] joined
+        end to end, built with the two levels and kept, and the first
+        level's k node count."""
+        if self._first_two is None:
+            first, second = map(self._level, DENSITY_LADDER[:2])
+            self._first_two = (
+                np.concatenate((first.k, second.k)),
+                np.concatenate((first.envelope, second.envelope)),
+                first.k.size)
+        return self._first_two
 
     def p_in(self, t_values: np.ndarray | EvenGrid) -> np.ndarray:
         """Probability that a detection at each time falls inside the ball.
@@ -574,10 +597,18 @@ class BallQuadrature:
             # point, or narrower than the smallest normal float, where the
             # probability, of order R^3, underflows: no probability inside
             return np.zeros(t_values.shape)
+        # the guard's first comparison needs both of the first two levels,
+        # so their coefficients are filled together, one block of rows each
+        k, envelope, split = self._joined()
+        joined = _phase_coeffs(envelope, k, times)
+        first_two = dict(zip(DENSITY_LADDER[:2],
+                             (joined[:split], joined[split:])))
 
         def evaluate(panels_per_period: float) -> np.ndarray:
             level = self._level(panels_per_period)
-            coeffs = _phase_coeffs(level.envelope, level.k, times)
+            coeffs = first_two.get(panels_per_period)
+            if coeffs is None:
+                coeffs = _phase_coeffs(level.envelope, level.k, times)
             amp = weighted_j0_gemm(level.table, level.k, coeffs)
             density = amp.real ** 2 + amp.imag ** 2
             return level.weights @ density

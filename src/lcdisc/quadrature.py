@@ -35,14 +35,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from lcdisc.errors import InvalidParameterError, ResourceLimitError
 
 GAUSS_ORDER = 8
-# the reference rule on [-1, 1], built once: leggauss costs far more than
-# mapping it onto panels
-GAUSS_X, GAUSS_W = leggauss(GAUSS_ORDER)
+# the reference rule on [-1, 1], numpy.polynomial.legendre.leggauss(8) bit
+# for bit (the tests pin it), written out so that importing lcdisc does not
+# import numpy.polynomial; the nodes are antisymmetric to the bit
+GAUSS_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+GAUSS_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 # most panels on one interval: a k rule this long makes each 256-row j0
 # table block of a time sweep 256 x 8 x 2^16 doubles, 1 GiB
 MAX_PANELS = 1 << 16

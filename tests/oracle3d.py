@@ -26,36 +26,66 @@ def cells(R: float, grid_n: int) -> tuple[np.ndarray, np.ndarray, float]:
             centres[np.abs(dist - R) < half_diag], h)
 
 
-def inside_probability_3d(profile, R: float, t: float, grid_n: int) -> float:
-    """P_in of the ball of radius R about the origin at time t, the packet
-    centre at (0, 0, offset_d).  Interior cells take a 2x2x2 Gauss rule
-    (cell centres alone leave an O(h^2) volume term); a boundary cell its
-    volume fraction inside at that portion's centroid (no staircase)."""
-    inner, boundary, h = cells(R, grid_n)
+def fold_interior(inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One interior cell of each class of cells mirrored in x or y or with
+    x and y swapped, the one with 0 <= x <= y, and the class's cell count.
+
+    The packet sits on the z axis, so every cell of a class has the same
+    sample radii, to the bit: the axis is symmetric about 0, negation is
+    exact and the sum of three squares is taken in an order in which x and
+    y commute.
+    """
+    x, y = inner[:, 0], inner[:, 1]
+    keep = (0.0 <= x) & (x <= y)
+    x, y = x[keep], y[keep]
+    count = (np.where(x > 0.0, 2.0, 1.0) * np.where(y > 0.0, 2.0, 1.0) *
+             np.where(x < y, 2.0, 1.0))
+    return inner[keep], count
+
+
+def sample_radii(inner: np.ndarray, count: np.ndarray, boundary: np.ndarray,
+                 R: float, d: float, h: float) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Distances from the packet centre (0, 0, d) of the sample points and
+    their weights, in cells: an interior cell's 2x2x2 Gauss points, each
+    weighted ``count`` / 8 (cell centres alone leave an O(h^2) volume
+    term), and a boundary cell's inside centroid, weighted by its volume
+    fraction inside (no staircase)."""
     frac, centroid = cell_inside_fractions(boundary, R, h)
 
     def distance(points):
-        points[:, 2] -= profile.offset_d
+        points[:, 2] -= d
         return np.sqrt(np.sum(points * points, axis=1))
 
     g = 0.5 * h / math.sqrt(3.0)
     rho = [distance(inner + s) for s in itertools.product((-g, g), repeat=3)]
     rho.append(distance(centroid[frac > 0.0]))
-    weights = np.concatenate((np.full(8 * len(inner), 0.125),
-                              frac[frac > 0.0]))
-    # the cells' mirror symmetry repeats most radii many times over: sort
-    # the ~9 M radii once, sum the weights per unique radius, then take one
-    # dot with |A|^2 there (np.unique's inverse index took twice the memory)
-    radii = np.concatenate(rho)
-    del rho
+    weights = np.concatenate((np.tile(0.125 * count, 8), frac[frac > 0.0]))
+    return np.concatenate(rho), weights
+
+
+def per_radius(radii: np.ndarray,
+               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct radii, ascending, and the weights summed at each.  The
+    weights are multiples of 1/512, so every sum is exact, in any order."""
+    # sorting, not np.unique's inverse index, which took twice the memory
     order = radii.argsort()
     radii, weights = radii[order], weights[order]
     del order
     first = np.flatnonzero(np.concatenate(([True], radii[1:] != radii[:-1])))
-    per_radius = np.add.reduceat(weights, first)
-    radii = radii[first]
+    return radii[first], np.add.reduceat(weights, first)
+
+
+def inside_probability_3d(profile, R: float, t: float, grid_n: int) -> float:
+    """P_in of the ball of radius R about the origin at time t, the packet
+    centre at (0, 0, offset_d): one dot of the weights per radius with
+    |A|^2 there.  The interior cells are folded (:func:`fold_interior`)
+    before their radii are sorted, which cuts those radii 8-fold."""
+    inner, boundary, h = cells(R, grid_n)
+    radii, weights = per_radius(*sample_radii(
+        *fold_interior(inner), boundary, R, profile.offset_d, h))
     amp = amplitude_on_radii(profile, radii, t)
-    return float(h ** 3 * np.dot(per_radius, amp.real ** 2 + amp.imag ** 2))
+    return float(h ** 3 * np.dot(weights, amp.real ** 2 + amp.imag ** 2))
 
 
 def cell_inside_fractions(centres: np.ndarray, R: float,

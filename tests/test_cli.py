@@ -376,6 +376,17 @@ def test_flag_value_may_start_with_a_dash(capsys):
     assert json.loads(out)["config"]["t_lo"] == "-1"
 
 
+@pytest.mark.parametrize("t_lo,t_hi", [("-inf", "6"), ("0", "inf"),
+                                       ("nan", "6"), ("0", "nan")])
+def test_non_finite_window_end_exits_2(capsys, t_lo, t_hi):
+    code, out, err = run_cli(capsys, "optimal-time", "--family",
+                             "exponential", "--kappa", "2", "--d", "3",
+                             "--R", "1", "--t-lo", t_lo, "--t-hi", t_hi)
+    assert code == 2
+    assert out == ""
+    assert "t_window ends must be finite" in err
+
+
 def test_help_exits_0_and_lists_every_flag(capsys):
     for flag in ("-h", "--help"):
         with pytest.raises(SystemExit) as excinfo:

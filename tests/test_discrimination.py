@@ -1,5 +1,6 @@
 """Error calculus, time optimization, and the radius-error tradeoff."""
 
+import math
 import warnings
 
 import numpy as np
@@ -300,8 +301,13 @@ def test_search_on_even_times_matches_search_on_arrays(monkeypatch, family):
 
 
 def test_optimal_time_validation(gauss_profile):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="t_lo < t_hi"):
         optimal_measurement_time(gauss_profile, 2.0, (1.0, 1.0))
+    # a non-finite end is named as such, not as a misordered window
+    for window in ((-math.inf, 6.0), (0.0, math.inf), (math.nan, 6.0),
+                   (0.0, math.nan)):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            optimal_measurement_time(gauss_profile, 2.0, window)
     with pytest.raises(InvalidParameterError):
         optimal_measurement_time(gauss_profile, 2.0, (0.0, 1.0), n_grid=4)
 

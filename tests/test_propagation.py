@@ -424,6 +424,84 @@ def test_ball_quadrature_reuses_its_tables(monkeypatch, gauss_d3):
     assert len(fills) == first
 
 
+def _level_coeffs(envelope, k, t):
+    """One level's phase coefficients filled on their own: for an even
+    grid, the first time's as an array holding it, then the step's row."""
+    if not isinstance(t, EvenGrid):
+        return envelope[:, None] * _kernels.exp_ikx(np.negative(t), k).T
+    out = np.empty((t.size, k.size), dtype=np.complex128)
+    out[0] = _level_coeffs(envelope, k, t.nodes[:1])[:, 0]
+    step = _kernels.exp_ikx(np.array([-t.step]), k)[0]
+    return _kernels.fill_by_doubling(out, step).T
+
+
+def _p_in_per_level(ball, times):
+    """``ball.p_in(times)`` with every level's coefficients filled on their
+    own."""
+    def evaluate(panels_per_period):
+        level = ball._level(panels_per_period)
+        amp = _kernels.weighted_j0_gemm(
+            level.table, level.k, _level_coeffs(level.envelope, level.k,
+                                                times))
+        return level.weights @ (amp.real ** 2 + amp.imag ** 2)
+
+    return propagation._converged(evaluate, ball.prob_tol, "ball")[0]
+
+
+@pytest.mark.parametrize("keep", ["kept", "streamed", "first-kept"])
+@pytest.mark.parametrize("family,d,R,t_max,prob_tol,n_levels", [
+    (GaussianFamily(k0=5.0, sigma=1.0), 3.0, 1.0, 6.5, 1e-8, 2),
+    (ExponentialFamily(kappa=2.0), 0.0, 1.0, 6.5, 1e-8, 2),
+    # climbs to DENSITY_LADDER[3], past the two levels filled together
+    (ExponentialFamily(kappa=1.25), 1.5, 1.5, 4.0, 1e-14, 4),
+], ids=["gauss", "expo", "expo-climbs"])
+def test_first_two_levels_share_one_fill(monkeypatch, family, d, R, t_max,
+                                         prob_tol, n_levels, keep):
+    # the first two levels' coefficients come from one fill over their k
+    # nodes joined end to end; each level's result must have the bits of a
+    # fill of its own, on sweeps, arrays and one time, and on a second
+    # call, which reuses the joined nodes
+    profile = make_profile(family, offset_d=d)
+    results = []
+    real = propagation._converged
+
+    def recording(evaluate, tol, what):
+        def recorded(panels_per_period):
+            result = evaluate(panels_per_period)
+            results.append(result.tobytes())
+            return result
+        return real(recorded, tol, what)
+
+    monkeypatch.setattr(propagation, "_converged", recording)
+    if keep == "first-kept":
+        sizing = propagation.BallQuadrature(profile, R, t_max, prob_tol)
+        sizing._level(propagation.DENSITY_LADDER[0])
+        monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES",
+                            sizing.kept_bytes)
+    calls = [EvenGrid.linspace(0.0, t_max, 32),
+             EvenGrid.between(1.0, 2.0, 16),
+             np.array([t_max, 0.0, -1.7]),
+             np.array([1.25])]
+    ball, reference = (
+        propagation.BallQuadrature(profile, R, t_max, prob_tol,
+                                   keep_tables=keep != "streamed")
+        for _ in range(2))
+    for times in calls:
+        # the result, then every level's that the guard compared
+        got = [ball.p_in(times).tobytes(), *results]
+        results.clear()
+        expected = [_p_in_per_level(reference, times).tobytes(), *results]
+        results.clear()
+        assert got == expected
+    ladder = propagation.DENSITY_LADDER[:n_levels]
+    assert sorted(ball._levels) == list(ladder)
+    kept = [isinstance(ball._levels[p].table, _kernels.PanelTable)
+            for p in ladder]
+    assert kept == {"kept": [True] * n_levels,
+                    "streamed": [False] * n_levels,
+                    "first-kept": [True] + [False] * (n_levels - 1)}[keep]
+
+
 @pytest.mark.parametrize("family,d", [
     (GaussianFamily(k0=5.0, sigma=1.0), 3.0),
     # level 2's rho rule spans two blocks of 32 panels
@@ -732,6 +810,24 @@ def test_oracle_fold_matches_per_cell_count():
         assert got_frac == len(inside) / len(points)
         assert np.array_equal(got_centroid, inside.mean(axis=0)
                               if len(inside) else cell)
+
+
+@pytest.mark.parametrize("grid_n", [16, 17])
+@pytest.mark.parametrize("d", [0.0, 0.7, 3.0])
+def test_oracle_folded_interior_keeps_per_radius_sums(grid_n, d):
+    # one interior cell per mirror-and-swap class, weighted by its class's
+    # count, against every interior cell: the same radii and sums, to the
+    # bit; an odd grid has cells on the x = 0 and y = 0 planes
+    inner, boundary, h = oracle3d.cells(1.0, grid_n)
+    kept, count = oracle3d.fold_interior(inner)
+    assert np.sum(count) == len(inner)
+    assert len(kept) < len(inner) / 4
+    folded = oracle3d.per_radius(*oracle3d.sample_radii(
+        kept, count, boundary, 1.0, d, h))
+    unfolded = oracle3d.per_radius(*oracle3d.sample_radii(
+        inner, np.ones(len(inner)), boundary, 1.0, d, h))
+    for got, expected in zip(folded, unfolded):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_amplitude_norm_invariance_against_rescaled_profile(gauss_profile):
