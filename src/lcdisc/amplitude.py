@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,7 +127,13 @@ Family = GaussianFamily | ExponentialFamily
 class MomentumProfile:
     """Normalized momentum profile with a rigid spatial offset.
 
-    Immutable after construction, so instances can be shared freely.
+    Immutable after construction, so instances can be shared freely.  The
+    one thing a profile changes is a private store of the k sides it has
+    built, the k nodes and envelope last built at each DENSITY_LADDER
+    level with the frequency they resolve (``propagation._k_side``); a
+    slot is reused only at that frequency, where a rebuild gives the same
+    bits, so the store never changes a result.  It lives and dies with the
+    profile and takes no part in its equality, hash or repr.
 
     Attributes
     ----------
@@ -145,6 +151,9 @@ class MomentumProfile:
     norm_const: float
     offset_d: float
     k_max: float
+    # ladder level -> (frequency, k nodes, envelope), both arrays read-only
+    _k_sides: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def magnitude(self, k: np.ndarray) -> np.ndarray:
         """Normalized g(k) for nonnegative wavenumbers."""

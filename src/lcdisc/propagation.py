@@ -126,6 +126,13 @@ class RadialAmplitude:
     coverage_warning: bool
 
 
+def _k_frequency(profile: MomentumProfile, r_peak: float, t: float) -> float:
+    """The frequency a k rule resolves: max(r_peak, |t|), but never below
+    the profile's own scale 1 / momentum_width, where the shape, not the
+    oscillation, sets the panel width."""
+    return max(r_peak, abs(t), 1.0 / profile.family.momentum_width)
+
+
 def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
             panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights in k resolving oscillations up to radius ``r_peak``.
@@ -139,11 +146,7 @@ def _k_rule(profile: MomentumProfile, r_peak: float, t: float,
     next: the guard comparing two levels sees the first panel's error too
     (see :mod:`lcdisc.quadrature`).
     """
-    # below the profile's own scale, 1 / momentum_width, the oscillation
-    # sets no width: the shape does
-    width = panel_width(max(r_peak, abs(t),
-                            1.0 / profile.family.momentum_width),
-                        DENSITY_LADDER[0])
+    width = panel_width(_k_frequency(profile, r_peak, t), DENSITY_LADDER[0])
     coarsest = gauss_panels(0.0, profile.k_max, width)
     parts = round(panels_per_period / DENSITY_LADDER[0])
     # the first panel is [0, w]: its centre and half-width are both w / 2;
@@ -193,6 +196,31 @@ def _envelope(profile: MomentumProfile, k: np.ndarray,
     return w * np.power(k, 1.5) * profile.magnitude(k) / _SQRT_PI
 
 
+def _k_side(profile: MomentumProfile, r_peak: float, t: float,
+            panels_per_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k nodes of :func:`_k_rule` and their :func:`_envelope`, both
+    read-only.
+
+    They depend on the profile, the level and :func:`_k_frequency` alone,
+    not on r_peak and t apart, so the profile keeps the pair last built at
+    each level with its frequency and hands it out again while the
+    frequency matches: the radii of a fixed-time p_t that all lie inside
+    |t| share one k rule per level.  Another frequency rebuilds the
+    level's pair and replaces it, so the store holds at most one pair per
+    DENSITY_LADDER level.  A slot is read once, as one tuple, so threads
+    sharing a profile at most rebuild a pair, and never mix two.
+    """
+    frequency = _k_frequency(profile, r_peak, t)
+    kept = profile._k_sides.get(panels_per_period)
+    if kept is not None and kept[0] == frequency:
+        return kept[1], kept[2]
+    k, w = _k_rule(profile, r_peak, t, panels_per_period)
+    envelope = _envelope(profile, k, w)
+    k.flags.writeable = envelope.flags.writeable = False
+    profile._k_sides[panels_per_period] = (frequency, k, envelope)
+    return k, envelope
+
+
 def _phase_coeffs(envelope: np.ndarray, k: np.ndarray,
                   t: np.ndarray | EvenGrid) -> np.ndarray:
     """Coefficients envelope(k) exp(-i k t), one row per k node and one
@@ -228,7 +256,9 @@ def amplitude_on_radii(
     """Evaluate A(r, t) at many radii sharing one quadrature rule.
 
     The radii ``r`` are an array or an :class:`EvenGrid`, whose sums are
-    factored by angle addition.
+    factored by angle addition.  Each level's k nodes and envelope come
+    from the profile's store (:func:`_k_side`), shared with every ball
+    probability whose k rule resolves the same frequency.
 
     Raises
     ------
@@ -256,9 +286,8 @@ def amplitude_on_radii(
     r_peak = float(np.maximum.reduce(radii, axis=None))
 
     def evaluate(panels_per_period: float) -> np.ndarray:
-        k, w = _k_rule(profile, r_peak, t, panels_per_period)
-        coeffs = _phase_coeffs(_envelope(profile, k, w), k,
-                               np.array([t])).ravel()
+        k, envelope = _k_side(profile, r_peak, t, panels_per_period)
+        coeffs = _phase_coeffs(envelope, k, np.array([t])).ravel()
         return weighted_j0_sum(r, k, coeffs)
 
     # the sampler's amplitudes set the radii of the trial CSV, so a change
@@ -453,9 +482,9 @@ class _Level:
     # j0 on the rho nodes x the k nodes, kept, or the rho rule that the
     # gemm fills it from block by block on every call
     table: PanelTable | PanelRule
-    # nodes of a k rule resolving max(rho_max, t_max)
+    # nodes of a k rule resolving max(rho_max, t_max), and w k^{3/2} g(k)
+    # / sqrt(pi) on them: read-only, shared through the profile's store
     k: np.ndarray
-    # w k^{3/2} g(k) / sqrt(pi) on the k nodes
     envelope: np.ndarray
 
 
@@ -476,7 +505,11 @@ class BallQuadrature:
     u = sqrt(k) panel too, split into density / DENSITY_LADDER[0] equal
     parts (:func:`_k_rule`).  The k rule resolves oscillations up to
     max(rho_max, t_max), which covers every time up to ``t_max``; a later
-    time would need a finer k rule, so :meth:`p_in` rejects it.
+    time would need a finer k rule, so :meth:`p_in` rejects it.  Its k
+    nodes and envelope come from the profile's store (:func:`_k_side`):
+    quadratures of one profile whose balls all lie inside ``t_max``, as
+    the radii of a fixed-time error curve do, resolve the same frequency
+    and share one k rule per level, with the bits of their own.
 
     Every level a call reaches stays in memory until the quadrature is
     dropped, up to a bound: a level whose table would take ``kept_bytes``,
@@ -536,8 +569,8 @@ class BallQuadrature:
             rule = _rho_rule(profile, R, panels_per_period)
             rho = rule.nodes
             cap = sphere_cap_weight(rho, R, d)
-            k, w = _k_rule(profile, float(np.maximum.reduce(rho)),
-                           self.t_max, panels_per_period)
+            k, envelope = _k_side(profile, float(np.maximum.reduce(rho)),
+                                  self.t_max, panels_per_period)
             table_bytes = rho.nbytes * k.size
             keep = (self.keep_tables and
                     self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES)
@@ -547,7 +580,7 @@ class BallQuadrature:
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
                 table=PanelTable.fill(rule, k) if keep else rule,
                 k=k,
-                envelope=_envelope(profile, k, w))
+                envelope=envelope)
             self._levels[panels_per_period] = level
         return level
 

@@ -347,6 +347,29 @@ def test_tradeoff_curve_fixed_time(gauss_profile):
     assert reports[-1].P_e <= 1e-6 * 2.0 * 0.4 * 0.6
 
 
+@pytest.mark.parametrize("family", [
+    lcdisc.GaussianFamily(k0=5.0, sigma=1.0),
+    lcdisc.ExponentialFamily(kappa=2.0),
+], ids=["gauss", "expo"])
+def test_tradeoff_curve_fixed_time_shares_k_rules(monkeypatch, family):
+    # at t = 12 every ball (d = 3, R <= 1.3) lies inside |t|, so each
+    # radius's k rule resolves |t| alone and the three radii share one k
+    # rule per ladder level; each p_t keeps the bits of a fresh profile's
+    radii = [0.7, 1.0, 1.3]
+    builds = []
+    real = propagation._k_rule
+    monkeypatch.setattr(propagation, "_k_rule",
+                        lambda *args: builds.append(args[-1]) or real(*args))
+    reports = tradeoff_curve(lcdisc.make_profile(family, offset_d=3.0),
+                             Priors(0.4), np.array(radii), (0.0, 1.0),
+                             fixed_t=12.0)
+    assert builds == list(propagation.DENSITY_LADDER[:2])
+    assert [r.p_t for r in reports] == [
+        outside_probability(lcdisc.make_profile(family, offset_d=3.0), R,
+                            12.0)
+        for R in radii]
+
+
 def test_tradeoff_curve_zero_radius_reaches_prior_error(gauss_profile):
     report = tradeoff_curve(gauss_profile, Priors(0.3), np.array([0.0]),
                             (0.0, 1.0), fixed_t=0.0)[0]

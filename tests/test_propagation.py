@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -500,6 +502,62 @@ def test_first_two_levels_share_one_fill(monkeypatch, family, d, R, t_max,
     assert kept == {"kept": [True] * n_levels,
                     "streamed": [False] * n_levels,
                     "first-kept": [True] + [False] * (n_levels - 1)}[keep]
+
+
+def test_profile_k_sides_follow_the_frequency():
+    # one profile at alternating k-rule frequencies: |t| = 12, then the
+    # ball's rho_max (t = 0.5 < d + R), then the grid's largest radius, then
+    # |t| = 12 again.  A slot built at another frequency must never serve a
+    # call: every result has the bits of the same call on a fresh profile
+    def fresh():
+        return make_profile(GaussianFamily(k0=5.0, sigma=1.0), offset_d=3.0)
+
+    calls = [lambda p: inside_probability(p, 1.0, 12.0),
+             lambda p: inside_probability(p, 1.0, 0.5),
+             lambda p: amplitude_on_radii(
+                 p, EvenGrid.linspace(0.0, 6.0, 97), 0.5),
+             lambda p: inside_probability(p, 1.0, 12.0)]
+    profile = fresh()
+    for call in calls:
+        assert (np.asarray(call(profile)).tobytes()
+                == np.asarray(call(fresh())).tobytes())
+        assert 0 < len(profile._k_sides) <= len(propagation.DENSITY_LADDER)
+    for _, k, envelope in profile._k_sides.values():
+        for stored in (k, envelope):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+    # the store is no part of the profile's value
+    assert profile == fresh() and hash(profile) == hash(fresh())
+    assert "_k_sides" not in repr(profile)
+
+
+def test_profile_k_sides_shared_across_threads():
+    # threads that share one profile at two frequencies keep replacing each
+    # other's slots; each reads a slot's (frequency, k, envelope) at once,
+    # so every result keeps the bits of a fresh profile's
+    family = ExponentialFamily(kappa=2.0)
+    expected = {t: inside_probability(make_profile(family, 3.0), 1.0, t)
+                for t in (0.5, 12.0)}
+    profile = make_profile(family, 3.0)
+    got = []
+
+    def work(t):
+        for _ in range(20):
+            got.append(inside_probability(profile, 1.0, t) == expected[t])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in (0.5, 12.0, 0.5, 12.0)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [True] * 80
 
 
 @pytest.mark.parametrize("family,d", [
