@@ -34,16 +34,15 @@ one of a few offsets that many points share.
 
 Only a panel rule's many-column contractions fill tables, and arbitrary
 radii, as users pass, whose sin(k r) / k table takes one np.sin per entry.
-A :class:`PanelTable` keeps a panel table, so repeated gemms at the same k
-nodes only contract.
+A :class:`PanelTable` keeps the table that its first gemm of many columns
+fills, so later gemms at the same k nodes only contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -329,7 +328,7 @@ def _check_k(k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _contract(tables: Iterator[np.ndarray], n_rows: int,
+def _contract(tables: Iterable[np.ndarray], n_rows: int,
               coeffs: np.ndarray) -> np.ndarray:
     """``table @ coeffs`` for the j0 tables of consecutive row blocks,
     stacked into ``n_rows`` rows of complex128.
@@ -408,46 +407,50 @@ def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:
         yield _ACTIVE.j0_table(rule.panels(lo, lo + step), k)
 
 
-@dataclass(frozen=True)
 class PanelTable:
-    """The j0 table of a :class:`PanelRule`'s nodes at fixed k nodes, kept
+    """The j0 table of a :class:`PanelRule`'s nodes at the k nodes ``k``,
     as the blocks of _GEMM_CHUNK_PANELS panels that :func:`weighted_j0_gemm`
-    would otherwise fill and drop on every call."""
+    would otherwise fill and drop on every call of many columns.  The first
+    such call fills them and keeps them; a call of one column fills none."""
 
-    blocks: tuple[np.ndarray, ...]
-
-    @classmethod
-    def fill(cls, rule: PanelRule, k: np.ndarray) -> "PanelTable":
-        return cls(tuple(_panel_blocks(rule, _check_k(k))))
+    def __init__(self, rule: PanelRule, k: np.ndarray):
+        self.rule = rule
+        self.k = k
+        self.blocks: tuple[np.ndarray, ...] | None = None
 
     @property
     def size(self) -> int:
         """Row count, the rule's node count."""
-        return sum(block.shape[0] for block in self.blocks)
+        return self.rule.size
+
+    def filled(self) -> tuple[np.ndarray, ...]:
+        """The blocks, filled on the first call and kept."""
+        if self.blocks is None:
+            self.blocks = tuple(_panel_blocks(self.rule, self.k))
+        return self.blocks
 
 
 def weighted_j0_gemm(r: PanelRule | PanelTable, k: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
-    The radii r[i] are the nodes of the :class:`PanelRule` ``r``.  The j0
-    table for a block of panels is built once and reused across all columns
-    through one real BLAS product, which is what makes time sweeps cheap.
-    A PanelRule's blocks are filled one at a time and each dropped after its
-    product; a :class:`PanelTable` ``r``, filled at the nodes ``k``, brings
-    its blocks.  A PanelRule with one column fills no table: each run's sums
-    come from one real product by angle addition (:func:`_panel_sums`), and
-    differ from the table's by rounding only.
+    The radii r[i] are the nodes of the :class:`PanelRule` ``r``, or of
+    the rule of the :class:`PanelTable` ``r``, whose k nodes are ``k``.
+    One column fills no table: each run's sums come from one real product
+    by angle addition (:func:`_panel_sums`), and differ from the table's by
+    rounding only.  For many columns the j0 table of a block of panels is
+    contracted with all of them through one real BLAS product, which is
+    what makes time sweeps cheap.  A PanelRule's blocks are filled one at a
+    time and each dropped after its product; a PanelTable's are filled on
+    its first such call and kept.
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    if isinstance(r, PanelTable):
-        tables = iter(r.blocks)
-    elif coeffs.shape[1] == 1:
+    rule = r.rule if isinstance(r, PanelTable) else r
+    if coeffs.shape[1] == 1:
         # a table that serves one column costs more to fill than it saves
-        return _panel_sums(r, k, coeffs[:, 0])[:, None]
-    else:
-        tables = _panel_blocks(r, k)
-    return _contract(tables, r.size, coeffs)
+        return _panel_sums(rule, k, coeffs[:, 0])[:, None]
+    tables = _panel_blocks(r, k) if r is rule else r.filled()
+    return _contract(tables, rule.size, coeffs)

@@ -279,7 +279,13 @@ def tradeoff_curve(
     at radius R stays feasible at a larger radius, which is what makes the
     resulting curve non-increasing.
     """
-    radii = [float(R) for R in R_list]
+    try:
+        radii = np.asarray(R_list, dtype=float)
+    except (TypeError, ValueError):
+        radii = None
+    if radii is None or radii.ndim != 1:
+        raise InvalidParameterError("R_list must be a 1-D sequence of radii")
+    radii = radii.tolist()
     if not radii:
         raise InvalidParameterError("R_list must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):

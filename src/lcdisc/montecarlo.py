@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -276,6 +277,22 @@ def _simulate(
                       guess_plus=guess_plus, correct=guess_plus == true_plus)
 
 
+def _as_int(name: str, value: int) -> int:
+    """``value`` as an int; a float, even a whole one, is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed: int) -> int:
+    seed = _as_int("seed", seed)
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidParameterError("seed must lie in [0, 2**128)")
+    return seed
+
+
 def run_trials(
     profile: MomentumProfile,
     priors: Priors,
@@ -297,8 +314,8 @@ def run_trials(
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if not 0 <= seed < 2 ** 128:
-        raise InvalidParameterError("seed must lie in [0, 2**128)")
+    n_trials = _as_int("n_trials", n_trials)
+    seed = _check_seed(seed)
     sampler = DetectionSampler.for_profile(profile, t, r_max, amp_tol)
     for start in range(0, n_trials, CHUNK_TRIALS):
         yield _simulate(sampler, priors, R, profile.offset_d, strategy, seed,
@@ -323,9 +340,12 @@ def estimate_error(
     ``on_batch``, when given, observes every batch of trials in order (used
     by the CLI to write a per-trial CSV without a second pass).
     """
+    n_trials = _as_int("n_trials", n_trials)
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(
             f"n_trials must be at least {MIN_TRIALS} for a usable estimate")
+    # before the p_t is computed, not only once run_trials starts
+    _check_seed(seed)
     p_t = outside_probability(profile, R, t, prob_tol)
     analytic = strategy_error(strategy, priors, p_t)
     n_errors = 0

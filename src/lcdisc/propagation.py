@@ -263,8 +263,9 @@ def amplitude_on_radii(
     Raises
     ------
     InvalidParameterError
-        If ``t`` is not finite, ``amp_tol`` is not finite and positive, or
-        a radius is negative or not finite.
+        If ``t`` is not finite, ``amp_tol`` is not finite and positive, the
+        radii have more than one dimension, or a radius is negative or not
+        finite.
     NumericFailureError
         If no two neighbouring densities agree to within ``amp_tol``.
     ResourceLimitError
@@ -277,6 +278,9 @@ def amplitude_on_radii(
     if not (math.isfinite(amp_tol) and amp_tol > 0.0):
         raise InvalidParameterError("amp_tol must be finite and > 0")
     radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1:
+        raise InvalidParameterError(
+            "radii must be one radius or a 1-D array of radii")
     r = r if isinstance(r, EvenGrid) else radii
     if not np.logical_and.reduce(np.isfinite(radii) & (radii >= 0.0),
                                  axis=None):
@@ -448,17 +452,17 @@ def inside_probability_sweep(
 ) -> np.ndarray:
     """Vectorized :func:`inside_probability` over many times.
 
-    All times share each density's j0 table, filled, contracted and
-    dropped one block at a time; a single time fills none.  This is one
-    :meth:`BallQuadrature.p_in` call on a quadrature whose ``t_max`` is the
-    largest ``|t|`` and which keeps no table.
+    This is one :meth:`BallQuadrature.p_in` call on a quadrature whose
+    ``t_max`` is the largest ``|t|``: a single time fills no j0 table, and
+    many times share each density's table, kept for the call.
 
     Raises
     ------
     InvalidParameterError
         If ``R`` or the profile's ``offset_d`` is negative or not finite,
-        if ``t_values`` is empty or holds a time that is not finite, or if
-        ``prob_tol`` is not finite and positive.
+        if ``t_values`` has more than one dimension, is empty or holds a
+        time that is not finite, or if ``prob_tol`` is not finite and
+        positive.
     NumericFailureError
         If no two neighbouring densities agree to within ``prob_tol``.
     ResourceLimitError
@@ -469,8 +473,7 @@ def inside_probability_sweep(
     # time a NaN t_max, which the constructor rejects
     t_max = float(np.maximum.reduce(np.abs(np.asarray(t_values, dtype=float)),
                                     axis=None, initial=0.0))
-    return BallQuadrature(profile, R, t_max, prob_tol,
-                          keep_tables=False).p_in(t_values)
+    return BallQuadrature(profile, R, t_max, prob_tol).p_in(t_values)
 
 
 @dataclass(frozen=True)
@@ -479,8 +482,9 @@ class _Level:
 
     # 4 pi w rho^2 cap on the nodes of the rho rule
     weights: np.ndarray
-    # j0 on the rho nodes x the k nodes, kept, or the rho rule that the
-    # gemm fills it from block by block on every call
+    # j0 on the rho nodes x the k nodes, kept once a call of many times
+    # fills it, or, past MAX_KEPT_TABLE_BYTES, the rho rule that the gemm
+    # fills it from block by block on every such call
     table: PanelTable | PanelRule
     # nodes of a k rule resolving max(rho_max, t_max), and w k^{3/2} g(k)
     # / sqrt(pi) on them: read-only, shared through the profile's store
@@ -492,14 +496,17 @@ class BallQuadrature:
     """Ball probabilities of one (profile, R) at any times with
     ``|t| <= t_max``.
 
-    Each DENSITY_LADDER level's rho rule, cap weights, k rule and j0 table
-    are built on first use and kept, so every :meth:`p_in` call after the
-    first costs only the phase coefficients, one gemm per level and the
-    reduction.  The guard's first comparison always needs DENSITY_LADDER[0]
-    and [1], so each call fills their coefficients once, over the two
-    levels' k nodes and envelopes joined end to end (joined once, when the
-    two levels are built), and each level contracts its own block of rows;
-    a level above [1] fills its own when a call reaches it.
+    Each DENSITY_LADDER level's rho rule, cap weights and k rule are built
+    on first use and kept, and its j0 table on the first call of many times,
+    so every such call after that costs only the phase coefficients, one
+    gemm per level and the reduction.  A call of one time fills no table:
+    its sums come by angle addition
+    (:func:`~lcdisc._kernels.weighted_j0_gemm`).  The guard's first
+    comparison always needs DENSITY_LADDER[0] and [1], so each call fills
+    their coefficients once, over the two levels' k nodes and envelopes
+    joined end to end (joined once, when the two levels are built), and
+    each level contracts its own block of rows; a level above [1] fills
+    its own when a call reaches it.
 
     A level's k rule is the coarsest level's k rule with every panel, its
     u = sqrt(k) panel too, split into density / DENSITY_LADDER[0] equal
@@ -513,22 +520,11 @@ class BallQuadrature:
 
     Every level a call reaches stays in memory until the quadrature is
     dropped, up to a bound: a level whose table would take ``kept_bytes``,
-    the bytes of the tables kept so far, past MAX_KEPT_TABLE_BYTES keeps its
-    rules but not its table.  Such a level, and every level with
-    ``keep_tables`` False, fills, contracts and drops its table one block
-    at a time on each call of many times, and fills none for a call of one
-    time, whose sums come by angle addition
-    (:func:`~lcdisc._kernels.weighted_j0_gemm`).  The bound caps memory; it
-    is not a speed threshold.
-
-    A quadrature called once should pass False.  Kept, a level's table is
-    filled on the first call however many times it has; on an exponential
-    kappa=2 profile (d=0, R=25, t_max=7) one time took 41 ms and peaked at
-    44.5 MiB kept against 13 ms and 10.5 MiB streaming.  A sweep of 16
-    times there fills the tables either way and took the same time, but
-    peaked at 44.5 MiB kept against 10.9 MiB.  A p_t at R=64 (d=0, t=10)
-    would keep 34 MiB (Gaussian k0=5, sigma=1) or 257 MiB (exponential
-    kappa=2).
+    the bytes of the tables charged so far, past MAX_KEPT_TABLE_BYTES keeps
+    its rules but not its table.  A level's table is charged when the level
+    is built, filled or not.  Such a level fills, contracts and drops its
+    table one block at a time on each call of many times, with the bits of
+    a kept one.  The bound caps memory; it is not a speed threshold.
 
     Raises
     ------
@@ -538,8 +534,7 @@ class BallQuadrature:
     """
 
     def __init__(self, profile: MomentumProfile, R: float, t_max: float,
-                 prob_tol: float = DEFAULT_PROB_TOL,
-                 keep_tables: bool = True):
+                 prob_tol: float = DEFAULT_PROB_TOL):
         if not (math.isfinite(R) and R >= 0.0):
             raise InvalidParameterError(
                 "ball radius R must be finite and >= 0")
@@ -556,7 +551,6 @@ class BallQuadrature:
         self.R = float(R)
         self.t_max = float(t_max)
         self.prob_tol = prob_tol
-        self.keep_tables = keep_tables
         self.kept_bytes = 0
         self._levels: dict[float, _Level] = {}
         self._first_two: tuple[np.ndarray, np.ndarray, int] | None = None
@@ -572,13 +566,12 @@ class BallQuadrature:
             k, envelope = _k_side(profile, float(np.maximum.reduce(rho)),
                                   self.t_max, panels_per_period)
             table_bytes = rho.nbytes * k.size
-            keep = (self.keep_tables and
-                    self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES)
+            keep = self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES
             if keep:
                 self.kept_bytes += table_bytes
             level = _Level(
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
-                table=PanelTable.fill(rule, k) if keep else rule,
+                table=PanelTable(rule, k) if keep else rule,
                 k=k,
                 envelope=envelope)
             self._levels[panels_per_period] = level
@@ -605,8 +598,9 @@ class BallQuadrature:
         Raises
         ------
         InvalidParameterError
-            If ``t_values`` is empty, or holds a time that is not finite or
-            whose magnitude exceeds ``t_max``.
+            If ``t_values`` has more than one dimension or is empty, or
+            holds a time that is not finite or whose magnitude exceeds
+            ``t_max``.
         NumericFailureError
             If no two neighbouring densities agree to within ``prob_tol``.
         ResourceLimitError
@@ -617,6 +611,9 @@ class BallQuadrature:
         times = (t_values if isinstance(t_values, EvenGrid)
                  else np.array(t_values, dtype=float, copy=None, ndmin=1))
         t_values = np.asarray(times)
+        if t_values.ndim > 1:
+            raise InvalidParameterError(
+                "t_values must be one time or a 1-D array of times")
         if t_values.size == 0:
             raise InvalidParameterError("t_values must hold at least one time")
         if not np.logical_and.reduce(np.isfinite(t_values), axis=None):

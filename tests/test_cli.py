@@ -168,6 +168,23 @@ def test_error_curve_csv_fixed_time(capsys):
         assert row[5] == row[1] + row[4]
 
 
+@pytest.mark.parametrize("radius_args,R", [
+    (("--R", "1.5"), 1.5),
+    (("--R-min", "0.75", "--R-max", "2", "--R-count", "1"), 0.75),
+], ids=["single-R", "R-count-1"])
+def test_error_curve_csv_one_radius(capsys, radius_args, R):
+    # a single --R, and --R-count 1, which takes --R-min alone
+    code, out, _ = run_cli(capsys, "error-curve", *GAUSS_ARGS, *radius_args,
+                           "--fixed-t", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "R,t_star,p_t,P_e,scan_T,total_T"
+    rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
+    assert len(rows) == 1
+    assert rows[0][0] == R
+    assert rows[0][1] == 0.0
+
+
 def test_error_curve_json(capsys):
     code, out, _ = run_cli(capsys, "error-curve", *GAUSS_ARGS, "--pi0", "0.3",
                            "--R-list", "1,2", "--fixed-t", "0",

@@ -234,7 +234,9 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     assert len(set(map(id, balls))) == 1
     assert balls[0].kept_bytes == budget
     # this search reaches the first two levels only
-    n1, n2 = len(level1.table.blocks), len(level2.table.blocks)
+    n1, n2 = (len(range(0, level.table.rule.centres.size,
+                        _kernels._GEMM_CHUNK_PANELS))
+              for level in (level1, level2))
     assert fills.count(level1.k.size) == n1
     assert fills.count(level2.k.size) == n2 * len(balls)
     assert len(fills) == n1 + n2 * len(balls)
@@ -250,10 +252,12 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
 def test_scalar_outside_probability_fills_no_table(monkeypatch, family, d,
                                                    R, t):
     # a p_t at one time contracts one column per ladder level, by angle
-    # addition, and agrees with the kept tables' contraction
+    # addition, and agrees with the kept tables' contraction, which a call
+    # of two columns fills
     profile = lcdisc.make_profile(family, offset_d=d)
     kept = propagation.BallQuadrature(profile, R, t)
-    expected = 1.0 - float(kept.p_in(np.array([t]))[0])
+    expected = 1.0 - float(kept.p_in(np.array([t, t]))[0])
+    assert all(level.table.blocks for level in kept._levels.values())
 
     def no_fill(rule, k):
         raise AssertionError("a scalar p_t filled a j0 table")

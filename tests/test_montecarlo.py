@@ -236,6 +236,24 @@ def test_estimate_requires_min_trials(gauss_profile):
                        seed=0)
 
 
+@pytest.mark.parametrize("n_trials,seed", [(1000.5, 1), (1000, 1.5)],
+                         ids=["float-trials", "float-seed"])
+def test_trials_and_seed_must_be_integers(monkeypatch, gauss_profile,
+                                          n_trials, seed):
+    # rejected before the p_t or the sampler does any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "outside_probability", no_work)
+    monkeypatch.setattr(montecarlo.DetectionSampler, "for_profile", no_work)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0,
+                       n_trials=n_trials, seed=seed)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        next(run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, n_trials,
+                        seed))
+
+
 def test_offset_inside_test_uses_direction(gauss_d3):
     # With the packet center off the ball center, whether a firing lands
     # inside depends on direction, not only on rho; check the quoted

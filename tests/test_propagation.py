@@ -14,6 +14,7 @@ from lcdisc import (
     GaussianFamily,
     InvalidParameterError,
     NumericFailureError,
+    Priors,
     ResourceLimitError,
     amplitude_on_radii,
     default_r_max,
@@ -24,6 +25,7 @@ from lcdisc import (
     quantile_radius,
     radial_density_grid,
     sphere_cap_weight,
+    tradeoff_curve,
 )
 from lcdisc import _kernels, propagation
 from lcdisc.discrimination import MAX_TIME_GRID
@@ -480,13 +482,14 @@ def test_first_two_levels_share_one_fill(monkeypatch, family, d, R, t_max,
         sizing._level(propagation.DENSITY_LADDER[0])
         monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES",
                             sizing.kept_bytes)
+    elif keep == "streamed":
+        monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", 0)
     calls = [EvenGrid.linspace(0.0, t_max, 32),
              EvenGrid.between(1.0, 2.0, 16),
              np.array([t_max, 0.0, -1.7]),
              np.array([1.25])]
     ball, reference = (
-        propagation.BallQuadrature(profile, R, t_max, prob_tol,
-                                   keep_tables=keep != "streamed")
+        propagation.BallQuadrature(profile, R, t_max, prob_tol)
         for _ in range(2))
     for times in calls:
         # the result, then every level's that the guard compared
@@ -560,39 +563,131 @@ def test_profile_k_sides_shared_across_threads():
     assert got == [True] * 80
 
 
+def test_kept_tables_filled_across_threads():
+    # threads that share one quadrature may each fill a level's table on
+    # its first call of many times; one fill is kept, and every result
+    # keeps the bits of a fresh quadrature's
+    profile = make_profile(ExponentialFamily(kappa=2.0), 0.0)
+    ts = np.array([0.0, 2.5, 7.0])
+    expected = propagation.BallQuadrature(profile, 6.0, 7.0).p_in(ts)
+    ball = propagation.BallQuadrature(profile, 6.0, 7.0)
+    got = []
+
+    def work():
+        for _ in range(5):
+            got.append(ball.p_in(ts).tobytes() == expected.tobytes())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [True] * 20
+    assert all(level.table.blocks for level in ball._levels.values())
+
+
+def _n_blocks(rule):
+    """How many j0 table blocks a gemm fills on the nodes of ``rule``."""
+    return len(range(0, rule.centres.size, _kernels._GEMM_CHUNK_PANELS))
+
+
+def _counting_fills(monkeypatch):
+    """A list that gains one entry per j0 table block filled."""
+    fills = []
+    real = _kernels._ACTIVE.j0_table
+    monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
+                        lambda rule, k: fills.append(1) or real(rule, k))
+    return fills
+
+
 @pytest.mark.parametrize("family,d", [
     (GaussianFamily(k0=5.0, sigma=1.0), 3.0),
     # level 2's rho rule spans two blocks of 32 panels
     (ExponentialFamily(kappa=2.0), 0.0),
 ], ids=["gauss", "expo"])
-def test_single_sweep_streams_its_tables(monkeypatch, family, d):
-    # a quadrature that keeps no table, as a single sweep's, fills every
-    # block again on each call, to the bits of one that keeps them, whose
-    # blocks are contracted one at a time too
+def test_levels_past_the_budget_stream_their_tables(monkeypatch, family, d):
+    # a quadrature whose levels are all past MAX_KEPT_TABLE_BYTES keeps no
+    # table and fills every block again on each call, to the bits of one
+    # that keeps them, whose blocks are contracted one at a time too
     profile = make_profile(family, offset_d=d)
     ts = np.array([0.0, 2.5, 7.0])
     kept = propagation.BallQuadrature(profile, 6.0, 7.0)
     expected = [kept.p_in(ts), kept.p_in(ts[:2])]
-    fills = []
-    real = _kernels._ACTIVE.j0_table
-    monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
-                        lambda rule, k: fills.append(1) or real(rule, k))
-    ball = propagation.BallQuadrature(profile, 6.0, 7.0, keep_tables=False)
+    fills = _counting_fills(monkeypatch)
+    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", 0)
+    ball = propagation.BallQuadrature(profile, 6.0, 7.0)
     assert ball.p_in(ts).tobytes() == expected[0].tobytes()
     first = len(fills)
     assert first > 2  # more blocks than levels
     assert ball.p_in(ts[:2]).tobytes() == expected[1].tobytes()
     second = len(fills) - first
+    assert ball.kept_bytes == 0
+    assert not any(isinstance(level.table, _kernels.PanelTable)
+                   for level in ball._levels.values())
     # every block again, as many as a quadrature that keeps them fills once
-    fills.clear()
+    monkeypatch.undo()
+    fills = _counting_fills(monkeypatch)
     propagation.BallQuadrature(profile, 6.0, 7.0).p_in(ts[:2])
     assert second == len(fills)
 
-    def no_keep(*args):
-        raise AssertionError("a single sweep kept a table")
 
-    monkeypatch.setattr(propagation.PanelTable, "fill", no_keep)
-    inside_probability_sweep(profile, 6.0, ts)
+@pytest.mark.parametrize("family,d", [
+    (GaussianFamily(k0=5.0, sigma=1.0), 3.0),
+    (ExponentialFamily(kappa=2.0), 0.0),
+], ids=["gauss", "expo"])
+def test_only_calls_of_many_times_fill_tables(monkeypatch, family, d):
+    # one default quadrature: a call of one time fills no table and gives
+    # the bits of inside_probability; the next call of 16 times fills each
+    # block once and keeps it, and a further call fills none, with the bits
+    # of a fresh quadrature's.  A level past the budget streams on every
+    # call, with the kept bits
+    profile = make_profile(family, offset_d=d)
+    R, t = 6.0, -7.0
+    ts = EvenGrid.linspace(0.0, 7.0, 16)
+    expected_one = inside_probability(profile, R, t)
+    expected_many = propagation.BallQuadrature(profile, R, 7.0).p_in(ts)
+
+    def no_fill(rule, k):
+        raise AssertionError("a call of one time filled a j0 table")
+
+    ball = propagation.BallQuadrature(profile, R, abs(t))
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels._ACTIVE, "j0_table", no_fill)
+        assert ball.p_in(np.array([t]))[0] == expected_one
+    tables = [level.table for level in ball._levels.values()]
+    assert all(isinstance(table, _kernels.PanelTable) for table in tables)
+    assert all(table.blocks is None for table in tables)
+
+    fills = _counting_fills(monkeypatch)
+    assert ball.p_in(ts).tobytes() == expected_many.tobytes()
+    blocks = sum(_n_blocks(level.table.rule)
+                 for level in ball._levels.values())
+    assert len(fills) == blocks
+    assert all(level.table.blocks is not None
+               for level in ball._levels.values())
+    assert ball.p_in(ts).tobytes() == expected_many.tobytes()
+    assert len(fills) == blocks
+
+    # room for the first level's table only: the levels above it stream on
+    # every call of many times
+    sizing = propagation.BallQuadrature(profile, R, 7.0)
+    sizing._level(propagation.DENSITY_LADDER[0])
+    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES",
+                        sizing.kept_bytes)
+    fills.clear()
+    ball = propagation.BallQuadrature(profile, R, 7.0)
+    for _ in range(2):
+        assert ball.p_in(ts).tobytes() == expected_many.tobytes()
+    first, *above = (ball._levels[p].table for p in sorted(ball._levels))
+    assert isinstance(first, _kernels.PanelTable)
+    assert above and all(isinstance(rule, PanelRule) for rule in above)
+    assert len(fills) == blocks + sum(map(_n_blocks, above))
 
 
 def test_inside_probability_validation(gauss_profile):
@@ -619,6 +714,19 @@ def test_inside_probability_validation(gauss_profile):
 def test_non_finite_or_empty_input_raises(gauss_profile, call):
     with pytest.raises(InvalidParameterError):
         call(gauss_profile)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: inside_probability_sweep(g, 1.0, np.array([[0.0, 1.0],
+                                                         [2.0, 3.0]])),
+    lambda g: inside_probability_sweep(g, 1.0, np.array([[0.5]])),
+    lambda g: amplitude_on_radii(g, np.array([[0.0, 1.0], [2.0, 3.0]]), 0.0),
+    lambda g: tradeoff_curve(g, Priors(0.5), [[1.0]], (0.0, 5.0),
+                             fixed_t=0.0),
+], ids=["sweep_2x2", "sweep_1x1", "radii_2x2", "curve_radii_1x1"])
+def test_arrays_of_more_than_one_dimension_raise(call):
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        call(make_profile(GaussianFamily(k0=5.0, sigma=1.0), offset_d=1.0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -738,13 +846,16 @@ def test_ball_probability_within_tolerance_and_estimate(family, d, R, t):
         estimates.append(result[1])
         return result
 
+    # one time takes the sums by angle addition, two the j0 tables
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagation, "_converged", recording)
-        got = ball.p_in(np.array([t]))[0]
+        got = [ball.p_in(np.array(ts))[0] for ts in ([t], [t, t])]
     density = 32.0 if max(d + R, t) < 4.0 else 8.0
-    error = abs(got - _dense_inside_probability(profile, R, t, density))
-    assert error <= ball.prob_tol
-    assert error <= estimates[0] + 1e-12
+    dense = _dense_inside_probability(profile, R, t, density)
+    for value, estimate in zip(got, estimates):
+        error = abs(value - dense)
+        assert error <= ball.prob_tol
+        assert error <= estimate + 1e-12
 
 
 def test_tiny_ball_on_narrow_gaussian_within_tolerance():
@@ -961,7 +1072,8 @@ def test_sweep_matches_direct_table(monkeypatch, family, d, R, times):
     # the angle-addition table against the direct table on the same rules
     profile = make_profile(family, offset_d=d)
     got = inside_probability_sweep(profile, R, times)
-    monkeypatch.setattr(propagation, "weighted_j0_gemm",
-                        lambda rule, k, c: _direct_sums(rule.nodes, k, c))
+    monkeypatch.setattr(
+        propagation, "weighted_j0_gemm",
+        lambda r, k, c: _direct_sums(getattr(r, "rule", r).nodes, k, c))
     expected = inside_probability_sweep(profile, R, times)
     assert np.max(np.abs(got - expected)) <= 1e-14
