@@ -34,9 +34,10 @@ from lcdisc.quadrature import gauss_panels
 
 TAIL_MASS_BOUND = 1e-10
 
-# candidates for k_max live on a geometric grid with this many segments
+# candidates for k_max live on a geometric grid with this many segments,
+# this many to a decade, ending at the family's far cutoff
 _TAIL_GRID_SEGMENTS = 4096
-_TAIL_GRID_SPAN = 1e4
+_TAIL_GRID_PER_DECADE = 1024
 
 
 class HelicityChannel(enum.Enum):
@@ -69,10 +70,6 @@ class GaussianFamily:
         return self.k0 + 30.0 * self.sigma
 
     @property
-    def sigma_eff(self) -> float:
-        return self.sigma
-
-    @property
     def momentum_width(self) -> float:
         """The k scale over which the shape changes."""
         return self.sigma
@@ -103,12 +100,6 @@ class ExponentialFamily:
     def far_cutoff(self) -> float:
         # integrand k^3 exp(-2k/kappa) is below 1e-26 of its peak past 40 kappa
         return 40.0 * self.kappa
-
-    @property
-    def sigma_eff(self) -> float:
-        # position-space tails extend over a scale ~ kappa, so the effective
-        # momentum width entering coverage estimates is 1/kappa
-        return 1.0 / self.kappa
 
     @property
     def momentum_width(self) -> float:
@@ -159,19 +150,16 @@ class MomentumProfile:
         """Normalized g(k) for nonnegative wavenumbers."""
         return self.norm_const * self.family.shape(k)
 
-    @property
-    def sigma_eff(self) -> float:
-        return self.family.sigma_eff
-
 
 def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
     """Construct a normalized profile and its truncation point.
 
     The norm integral and its tails are the family's closed-form
-    ``tail_mass``; ``k_max`` is the smallest point of a geometric grid up to
-    the far cutoff whose tail is below ``TAIL_MASS_BOUND`` of the total.  A
-    norm integral that overflows or underflows, or a grid none of whose
-    points leaves so small a tail, raises ``NumericFailureError``.
+    ``tail_mass``; ``k_max`` is the smallest point of a geometric grid over
+    the four decades below the far cutoff whose tail is below
+    ``TAIL_MASS_BOUND`` of the total.  A norm integral that overflows or
+    underflows, or a grid none of whose points leaves so small a tail,
+    raises ``NumericFailureError``.
     """
     family._validate()
     if not (math.isfinite(offset_d) and offset_d >= 0.0):
@@ -183,20 +171,15 @@ def make_profile(family: Family, offset_d: float = 0.0) -> MomentumProfile:
         raise NumericFailureError("normalization integral is not finite "
                                   "and positive", estimate=math.inf)
 
-    # bisect for the first edge of np.geomspace(k_near, k_far, 4097) whose
-    # tail is below the bound, computing only the dozen edges it probes as
-    # np.geomspace does: 10^(i step + log10(k_near)), both ends exact
+    # bisect for the first edge k_far 10^((i - 4096) / 1024) whose tail is
+    # below the bound, computing only the dozen edges it probes; each edge
+    # is the far cutoff times a power of ten fixed by i alone, so the
+    # candidates, and k_max, dilate exactly with the family
     k_far = family.far_cutoff()
-    k_near = k_far / _TAIL_GRID_SPAN
-    log_near = np.log10(k_near)
-    step = (np.log10(k_far) - log_near) / _TAIL_GRID_SEGMENTS
 
     def edge(i: int) -> float:
-        if i == 0:
-            return k_near
-        if i == _TAIL_GRID_SEGMENTS:
-            return k_far
-        return float(np.power(10.0, i * step + log_near))
+        return k_far * 10.0 ** ((i - _TAIL_GRID_SEGMENTS)
+                                / _TAIL_GRID_PER_DECADE)
 
     bound = TAIL_MASS_BOUND * total
     cut = bisect.bisect_left(range(_TAIL_GRID_SEGMENTS + 1), True,

@@ -484,7 +484,7 @@ def _cmd_amplitude_info(config: RunConfig) -> dict:
         "norm_const": profile.norm_const,
         "k_max": profile.k_max,
         "momentum_norm": momentum_norm(profile),
-        "sigma_eff": profile.sigma_eff,
+        "momentum_width": profile.family.momentum_width,
         "default_r_max": default_r_max(profile, config.t),
         "grid_r_max": grid.r_grid[-1],
         "grid_norm": grid.grid_norm,

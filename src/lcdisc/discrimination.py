@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcdisc.amplitude import MomentumProfile
-from lcdisc.errors import InvalidParameterError, ResourceLimitError
+from lcdisc.errors import InvalidParameterError, ResourceLimitError, as_int
 from lcdisc.lightcone import scan_time_ball
 from lcdisc.propagation import (
     DEFAULT_PROB_TOL,
@@ -210,6 +210,7 @@ def optimal_measurement_time(
         raise InvalidParameterError("t_window ends must be finite")
     if not t_lo < t_hi:
         raise InvalidParameterError("t_window must satisfy t_lo < t_hi")
+    n_grid = as_int("n_grid", n_grid)
     if n_grid < 8:
         raise InvalidParameterError("n_grid must be at least 8")
     if n_grid > MAX_TIME_GRID:
@@ -218,7 +219,7 @@ def optimal_measurement_time(
     # one quadrature for the whole search: its tables are built once and
     # every sweep below only contracts them
     ball = BallQuadrature(profile, R, max(abs(t_lo), abs(t_hi)), prob_tol)
-    coarse = EvenGrid.linspace(t_lo, t_hi, int(n_grid))
+    coarse = EvenGrid.linspace(t_lo, t_hi, n_grid)
     ts = coarse.nodes
     ps = _clipped_outside(ball.p_in(coarse))
     candidates = list(zip(ts.tolist(), ps.tolist()))
@@ -290,6 +291,7 @@ def tradeoff_curve(
         raise InvalidParameterError("R_list must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParameterError("R_list must be strictly increasing")
+    n_grid = as_int("n_grid", n_grid)
     reports = []
     for R in radii:
         if fixed_t is not None:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
 
 from __future__ import annotations
+
+import operator
 
 
 class LcdiscError(Exception):
@@ -36,3 +39,12 @@ class InvalidStateError(LcdiscError):
 
 class ConfigError(LcdiscError):
     """A configuration file or option set could not be interpreted."""
+
+
+def as_int(name: str, value: int) -> int:
+    """``value`` as an int; a float, even a whole one, is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be an integer, got {value!r}") from None

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -57,7 +56,7 @@ from lcdisc.discrimination import (
     outside_probability,
     strategy_error,
 )
-from lcdisc.errors import InvalidParameterError, InvalidStateError
+from lcdisc.errors import InvalidParameterError, InvalidStateError, as_int
 from lcdisc.propagation import (
     DEFAULT_AMP_TOL,
     DEFAULT_PROB_TOL,
@@ -277,20 +276,17 @@ def _simulate(
                       guess_plus=guess_plus, correct=guess_plus == true_plus)
 
 
-def _as_int(name: str, value: int) -> int:
-    """``value`` as an int; a float, even a whole one, is rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
+def _check_run(strategy: str, n_trials: int, seed: int) -> tuple[int, int]:
+    """The run's arguments checked before any work; ``n_trials`` and
+    ``seed`` as ints."""
+    if strategy not in STRATEGIES:
         raise InvalidParameterError(
-            f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_seed(seed: int) -> int:
-    seed = _as_int("seed", seed)
+            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    n_trials = as_int("n_trials", n_trials)
+    seed = as_int("seed", seed)
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameterError("seed must lie in [0, 2**128)")
-    return seed
+    return n_trials, seed
 
 
 def run_trials(
@@ -311,11 +307,7 @@ def run_trials(
     the grid widens until it covers the mass (see
     :func:`lcdisc.propagation.radial_density_grid`).
     """
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    n_trials = _as_int("n_trials", n_trials)
-    seed = _check_seed(seed)
+    n_trials, seed = _check_run(strategy, n_trials, seed)
     sampler = DetectionSampler.for_profile(profile, t, r_max, amp_tol)
     for start in range(0, n_trials, CHUNK_TRIALS):
         yield _simulate(sampler, priors, R, profile.offset_d, strategy, seed,
@@ -340,12 +332,11 @@ def estimate_error(
     ``on_batch``, when given, observes every batch of trials in order (used
     by the CLI to write a per-trial CSV without a second pass).
     """
-    n_trials = _as_int("n_trials", n_trials)
+    # before the p_t is computed, not only once run_trials starts
+    n_trials, _ = _check_run(strategy, n_trials, seed)
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(
             f"n_trials must be at least {MIN_TRIALS} for a usable estimate")
-    # before the p_t is computed, not only once run_trials starts
-    _check_seed(seed)
     p_t = outside_probability(profile, R, t, prob_tol)
     analytic = strategy_error(strategy, priors, p_t)
     n_errors = 0

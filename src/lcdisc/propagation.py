@@ -69,6 +69,7 @@ from lcdisc.errors import (
     InvalidParameterError,
     NumericFailureError,
     ResourceLimitError,
+    as_int,
 )
 from lcdisc.quadrature import (
     GAUSS_ORDER,
@@ -302,8 +303,12 @@ def amplitude_on_radii(
 
 
 def default_r_max(profile: MomentumProfile, t: float) -> float:
-    """Grid extent covering light-speed drift plus dispersion tails."""
-    return profile.offset_d + abs(t) + 10.0 / profile.sigma_eff
+    """Grid extent covering light-speed drift plus dispersion tails.
+
+    The tails are taken as ten of the profile's lengths, 1 /
+    ``momentum_width``, so the extent dilates exactly with the profile.
+    """
+    return profile.offset_d + abs(t) + 10.0 / profile.family.momentum_width
 
 
 def radial_density_grid(
@@ -325,13 +330,14 @@ def radial_density_grid(
     extent = default_r_max(profile, t) if r_max is None else float(r_max)
     if not (math.isfinite(extent) and extent > 0.0):
         raise InvalidParameterError("r_max must be finite and > 0")
+    n_points = as_int("n_points", n_points)
     if n_points < 16:
         raise InvalidParameterError("n_points must be at least 16")
     if n_points > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"n_points exceeds the cap of {MAX_GRID_POINTS}")
     for _ in range(1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)):
-        radii = EvenGrid.linspace(0.0, extent, int(n_points))
+        radii = EvenGrid.linspace(0.0, extent, n_points)
         r_grid = radii.nodes
         amp = amplitude_on_radii(profile, radii, t, amp_tol)
         density = np.abs(amp) ** 2

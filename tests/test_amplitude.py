@@ -108,9 +108,9 @@ def test_cutoff_regression(gauss_profile, expo_profile):
     assert EXPO_K_MAX_RANGE[0] < expo_profile.k_max < EXPO_K_MAX_RANGE[1]
 
 
-def test_sigma_eff(gauss_profile, expo_profile):
-    assert gauss_profile.sigma_eff == 1.0
-    assert expo_profile.sigma_eff == pytest.approx(0.5)
+def test_momentum_width(gauss_profile, expo_profile):
+    assert gauss_profile.family.momentum_width == 1.0
+    assert expo_profile.family.momentum_width == 2.0
 
 
 def test_offset_recorded(gauss_profile, gauss_d10):
@@ -173,13 +173,16 @@ def test_exponential_norm_property(kappa):
     assert momentum_norm(profile) == pytest.approx(1.0, abs=1e-8)
 
 
+def _grid_edges(family):
+    """The 4097 candidate cuts, 1024 to a decade up to the far cutoff."""
+    k_far = family.far_cutoff()
+    return [k_far * 10.0 ** ((i - 4096) / 1024) for i in range(4097)]
+
+
 def _segment_major_k_max(family):
     """The grid edge that the norm integral by 8-point Gauss segments on the
     k_max grid, summed from the top down, picks as k_max."""
-    k_far = family.far_cutoff()
-    edges = np.geomspace(k_far / amplitude._TAIL_GRID_SPAN, k_far,
-                         amplitude._TAIL_GRID_SEGMENTS + 1)
-    edges = np.concatenate(([0.0], edges))
+    edges = np.array([0.0] + _grid_edges(family))
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = mid[:, None] + half[:, None] * GAUSS_X[None, :]
@@ -246,12 +249,10 @@ def test_extreme_finite_parameters_give_a_profile_or_numeric_failure(family):
 
 
 def _grid_k_max(family):
-    """The first edge of the 4097-point np.geomspace grid up to the far
-    cutoff whose tail is below the bound, found by bisecting the whole
-    grid; None where no edge leaves so small a tail."""
-    k_far = family.far_cutoff()
-    edges = np.geomspace(k_far / amplitude._TAIL_GRID_SPAN, k_far,
-                         amplitude._TAIL_GRID_SEGMENTS + 1).tolist()
+    """The first edge of the 4097-point geometric grid up to the far cutoff
+    whose tail is below the bound, found by bisecting the whole grid; None
+    where no edge leaves so small a tail."""
+    edges = _grid_edges(family)
     bound = lcdisc.TAIL_MASS_BOUND * family.tail_mass(0.0)
     cut = bisect.bisect_left(edges, True,
                              key=lambda k: family.tail_mass(k) < bound)

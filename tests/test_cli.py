@@ -101,7 +101,7 @@ def test_amplitude_info_json(capsys, gauss_profile):
                                                  rel=1e-11)
     assert result["k_max"] == pytest.approx(gauss_profile.k_max, rel=1e-11)
     assert result["momentum_norm"] == pytest.approx(1.0, abs=1e-9)
-    assert result["sigma_eff"] == 1.0
+    assert result["momentum_width"] == 1.0
     assert result["default_r_max"] == 10.0
     assert result["grid_r_max"] == 10.0
     assert result["coverage_warning"] is False
@@ -496,19 +496,19 @@ NARROW_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
 
 
 def test_default_radial_grid_widens_to_cover_the_mass(capsys):
-    # the default extent, 8.5, misses 2.7e-4 of this profile's mass; three
-    # doublings reach 68
+    # the default extent, 3 + 10 / 0.55, misses mass of this profile; two
+    # doublings reach 84.73
     code, out, _ = run_cli(capsys, "amplitude-info", *NARROW_ARGS)
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["default_r_max"] == 8.5
-    assert result["grid_r_max"] == 68
+    assert result["default_r_max"] == 21.1818181818
+    assert result["grid_r_max"] == 84.7272727273
     assert result["coverage_warning"] is False
-    assert result["grid_norm"] == pytest.approx(0.999999828488, abs=1e-11)
-    assert result["r99"] == pytest.approx(3.67989624939, rel=1e-10)
+    assert result["grid_norm"] == pytest.approx(0.999999927146, abs=1e-11)
+    assert result["r99"] == pytest.approx(3.67995171054, rel=1e-10)
     code, out, _ = run_cli(capsys, "dump-density", *NARROW_ARGS)
     assert code == 0
-    assert out.splitlines()[-1].split(",")[0] == "68"
+    assert out.splitlines()[-1].split(",")[0] == "84.7272727273"
 
 
 def test_help_is_independent_of_hash_seed():
@@ -541,9 +541,9 @@ _JSON_COMMANDS = {
               {"L1", "L2", "observer_position"}),
     "amplitude-info": ([*GAUSS_ARGS, "--t", "1.3", "--n-points", "256"],
                        "result", None,
-                       {"norm_const", "k_max", "momentum_norm", "sigma_eff",
-                        "default_r_max", "grid_r_max", "grid_norm",
-                        "coverage_warning", "r99"}),
+                       {"norm_const", "k_max", "momentum_norm",
+                        "momentum_width", "default_r_max", "grid_r_max",
+                        "grid_norm", "coverage_warning", "r99"}),
     "optimal-time": ([*GAUSS_ARGS, "--d", "3", "--R", "1", "--t-hi", "6",
                       "--t-grid", "12", "--pi0", "0.3"],
                      "result", discrimination.OptimalTime,
@@ -796,7 +796,8 @@ EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
 
 
 def test_monte_carlo_honours_r_max(capsys):
-    # 8.5 is this request's default extent; given explicitly it is kept
+    # 8.5, under this request's default extent 3 + 10 / 0.55, misses mass;
+    # given explicitly it is kept
     code, _, err = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
                            "--r-max", "8.5")
     assert code == 3
@@ -816,12 +817,26 @@ def test_monte_carlo_honours_r_max(capsys):
      "--seed", "3"],
 ], ids=["exponential", "narrow-gaussian"])
 def test_monte_carlo_widens_default_grid(capsys, args):
-    # the default extent misses mass for both; the sampler widens it 8x
+    # the default extent misses mass for both; the sampler widens it 4x for
+    # the exponential and 8x for the Gaussian
     code, out, _ = run_cli(capsys, "monte-carlo", *args)
     assert code == 0
     estimate = json.loads(out)["estimate"]
     assert abs(estimate["empirical_rate"] - estimate["analytic_rate"]) <= \
         3.0 * estimate["std_err"]
+
+
+def test_monte_carlo_is_dilation_invariant(capsys):
+    # kappa 2 at R 0.75 and the same case dilated by 1/16; the default grid
+    # extent once added 10 kappa to a length, and the second exited 3
+    estimates = []
+    for kappa, R in (("2", "0.75"), ("0.125", "12")):
+        code, out, _ = run_cli(capsys, "monte-carlo", "--family",
+                               "exponential", "--kappa", kappa, "--R", R,
+                               "--trials", "20000", "--seed", "5")
+        assert code == 0
+        estimates.append(json.loads(out)["estimate"])
+    assert estimates[0] == estimates[1]
 
 
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])

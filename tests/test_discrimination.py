@@ -316,6 +316,27 @@ def test_optimal_time_validation(gauss_profile):
         optimal_measurement_time(gauss_profile, 2.0, (0.0, 1.0), n_grid=4)
 
 
+def test_time_grid_must_be_an_integer(monkeypatch, gauss_d3):
+    # rejected before any work, a whole float too; NumPy integers pass
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before n_grid was checked")
+
+    monkeypatch.setattr(discrimination, "BallQuadrature", no_work)
+    monkeypatch.setattr(discrimination, "outside_probability", no_work)
+    for n_grid in (8.9, 32.0):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            optimal_measurement_time(gauss_d3, 1.0, (0.0, 6.5),
+                                     n_grid=n_grid)
+        for fixed_t in (None, 1.0):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                tradeoff_curve(gauss_d3, Priors(0.5), [1.0], (0.0, 6.5),
+                               n_grid=n_grid, fixed_t=fixed_t)
+    monkeypatch.undo()
+    assert optimal_measurement_time(gauss_d3, 1.0, (0.0, 6.5),
+                                    n_grid=np.int64(8)) == \
+        optimal_measurement_time(gauss_d3, 1.0, (0.0, 6.5), n_grid=8)
+
+
 def test_build_report_fields():
     report = build_report(Priors(0.3), R=2.0, t_meas=1.5, p_t=0.25)
     assert isinstance(report, DiscriminationReport)

@@ -12,6 +12,7 @@ from lcdisc import (
     DetectionSampler,
     ErrorEstimate,
     ExponentialFamily,
+    GaussianFamily,
     InvalidParameterError,
     InvalidStateError,
     Priors,
@@ -254,6 +255,39 @@ def test_trials_and_seed_must_be_integers(monkeypatch, gauss_profile,
                         seed))
 
 
+def test_unknown_strategy_is_rejected_before_any_work(monkeypatch,
+                                                     gauss_profile):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the strategy was checked")
+
+    monkeypatch.setattr(montecarlo, "outside_probability", no_work)
+    monkeypatch.setattr(montecarlo.DetectionSampler, "for_profile", no_work)
+    with pytest.raises(InvalidParameterError, match="unknown strategy"):
+        estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0, n_trials=1000,
+                       seed=1, strategy="bogus")
+    with pytest.raises(InvalidParameterError, match="unknown strategy"):
+        next(run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 1000, 1,
+                        strategy="bogus"))
+
+
+@pytest.mark.parametrize("family,d,R,t", [
+    (lambda scale: ExponentialFamily(kappa=2.0 * scale), 1.5, 1.5, 1.0),
+    (lambda scale: GaussianFamily(k0=5.0 * scale, sigma=scale), 1.0, 1.5, 0.5),
+], ids=["exponential", "gaussian"])
+def test_estimate_is_dilation_invariant(family, d, R, t):
+    # every length the sampler chooses, its default grid extent too, is
+    # the profile's own, so lambda = 2^m makes the same decisions
+    def estimate(scale):
+        est = estimate_error(make_profile(family(scale), d / scale),
+                             Priors(0.5), R / scale, t / scale,
+                             n_trials=20000, seed=7)
+        return est.n_errors, est.n_unknown, est.p_t
+
+    reference = estimate(1.0)
+    assert estimate(2.0 ** -4) == reference
+    assert estimate(2.0 ** 4) == reference
+
+
 def test_offset_inside_test_uses_direction(gauss_d3):
     # With the packet center off the ball center, whether a firing lands
     # inside depends on direction, not only on rho; check the quoted
@@ -388,10 +422,10 @@ def test_r_max_reaches_the_sampler():
 
 
 def test_default_grid_doubles_until_it_covers(monkeypatch):
-    # 8.5 -> 17 -> 34 -> 68: the third doubling covers the mass
+    # 21.18 -> 42.36 -> 84.73: the second doubling covers the mass
     sampler = DetectionSampler.for_profile(_expo_offset(), 1.0)
-    assert sampler._r[-1] == 68.0
-    monkeypatch.setattr(propagation, "MAX_EXTENT_DOUBLINGS", 2)
+    assert sampler._r[-1] == 4.0 * (3.0 + 10.0 / 0.55)
+    monkeypatch.setattr(propagation, "MAX_EXTENT_DOUBLINGS", 1)
     with pytest.raises(InvalidStateError, match="increase r_max"):
         DetectionSampler.for_profile(_expo_offset(), 1.0)
 

@@ -105,8 +105,8 @@ def test_default_r_max(gauss_profile, gauss_d10, expo_profile):
     assert default_r_max(gauss_profile, 0.0) == 10.0
     assert default_r_max(gauss_profile, 7.5) == 17.5
     assert default_r_max(gauss_d10, -3.0) == 23.0
-    # 1/kappa dispersion scale: kappa=2 gives a 20-unit tail allowance.
-    assert default_r_max(expo_profile, 0.0) == 20.0
+    # ten lengths 1/kappa: kappa=2 gives a 5-unit tail allowance
+    assert default_r_max(expo_profile, 0.0) == 5.0
 
 
 @pytest.mark.parametrize("fixture,t", [
@@ -155,6 +155,20 @@ def test_grid_validation(gauss_profile):
         radial_density_grid(gauss_profile, 0.0, r_max=0.0)
     with pytest.raises(InvalidParameterError):
         radial_density_grid(gauss_profile, 0.0, n_points=8)
+
+
+def test_grid_points_must_be_an_integer(monkeypatch, gauss_profile):
+    # rejected before any work, a whole float too; NumPy integers pass
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before n_points was checked")
+
+    monkeypatch.setattr(propagation, "amplitude_on_radii", no_work)
+    for n_points in (100.5, 100.0):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            radial_density_grid(gauss_profile, 0.0, n_points=n_points)
+    monkeypatch.undo()
+    grid = radial_density_grid(gauss_profile, 0.0, n_points=np.int64(100))
+    assert grid.r_grid.size == 100
 
 
 def test_exponential_density_peaks_at_center(expo_profile):
@@ -889,13 +903,42 @@ def _dilated(family, scale):
 @pytest.mark.parametrize("family,d,R,t", _DILATION_CASES)
 def test_p_t_is_dilation_invariant(family, d, R, t):
     # no rule may carry a length of its own: a unit length in the panel
-    # widths raised ResourceLimitError at 2^-30 and 2^30
+    # widths raised ResourceLimitError at 2^-30 and 2^30.  Even m give the
+    # same bits; at odd m the envelope's k^{3/2} scales by 2^{1.5 m}, which
+    # is not a power of two, and rounds differently
     reference = outside_probability(make_profile(family, d), R, t)
-    for m in range(-30, 31):
+    for m in range(-40, 41):
         scale = 2.0 ** m
         profile = make_profile(_dilated(family, scale), d / scale)
         got = outside_probability(profile, R / scale, t / scale)
-        assert abs(got - reference) <= 1e-14, m
+        if m % 2 == 0:
+            assert got == reference, m
+        else:
+            assert abs(got - reference) <= 1e-15, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.builds(GaussianFamily, k0=st.floats(0.05, 50.0),
+                        sigma=st.floats(0.01, 32.0)) |
+       st.builds(ExponentialFamily, kappa=st.floats(1e-3, 1e3)),
+       d=st.just(0.0) | st.floats(0.0, 10.0),
+       t=st.just(0.0) | st.floats(-20.0, 20.0))
+# the old exponential extent added 10 kappa, a wavenumber, to d + |t|
+@example(family=ExponentialFamily(2.0), d=0.0, t=0.0)
+def test_k_max_and_default_extent_dilate_exactly(family, d, t):
+    # the cut's candidates and the default grid extent are the profile's
+    # own scale times numbers fixed by the family's shape, so lambda = 2^m
+    # moves them by exact powers of two
+    profile = make_profile(family, d)
+    norm_power = 1 if isinstance(family, GaussianFamily) else 2
+    for m in range(-40, 41):
+        scale = 2.0 ** m
+        dilated = make_profile(_dilated(family, scale), d / scale)
+        assert dilated.k_max == profile.k_max * scale, m
+        assert dilated.norm_const == \
+            profile.norm_const / scale ** norm_power, m
+        assert default_r_max(dilated, t / scale) == \
+            default_r_max(profile, t) / scale, m
 
 
 def _dense_amplitude(profile, r, t):
@@ -911,20 +954,27 @@ def _dense_amplitude(profile, r, t):
     return _direct_sums(r, k, coeffs[:, None])[:, 0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(family=_FAMILIES,
-       r=st.lists(st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 20.0),
-                  min_size=1, max_size=4),
-       t=st.just(0.0) | st.floats(-10.0, 10.0))
+@settings(max_examples=90, deadline=None)
+@given(case=st.tuples(
+    _FAMILIES,
+    st.lists(st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 20.0),
+             min_size=1, max_size=4),
+    st.just(0.0) | st.floats(-10.0, 10.0)) | st.tuples(
+    # narrow Gaussians near the origin, where a unit length in the rules
+    # once made the ladder's levels agree on a wrong value or refuse
+    st.builds(GaussianFamily, k0=st.floats(0.5, 16.0),
+              sigma=st.floats(0.01, 0.1)),
+    st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+    st.just(0.0) | st.floats(-2.0, 2.0)))
 # a narrow profile inside the first k panel, whose graded panels a k rule
 # that halved its width per level kept: A(0) was 8.8e-5 off with levels 2
 # and 4 agreeing to within amp_tol
-@example(family=GaussianFamily(k0=1.63506, sigma=0.11172), r=[0.0, 0.3],
-         t=0.0)
+@example(case=(GaussianFamily(k0=1.63506, sigma=0.11172), [0.0, 0.3], 0.0))
 # a k rule whose panels followed only max(r, |t|), floored at 1, outran the
 # ladder on this narrow fast profile and raised NumericFailureError
-@example(family=GaussianFamily(k0=8.0, sigma=0.1), r=[0.0], t=0.0)
-def test_amplitude_within_tolerance_and_estimate(family, r, t):
+@example(case=(GaussianFamily(k0=8.0, sigma=0.1), [0.0], 0.0))
+def test_amplitude_within_tolerance_and_estimate(case):
+    family, r, t = case
     profile = make_profile(family)
     r = np.array(r)
     estimates = []
