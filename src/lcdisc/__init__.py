@@ -54,7 +54,6 @@ from lcdisc.lightcone import (
 from lcdisc.montecarlo import (
     DetectionSampler,
     ErrorEstimate,
-    Outcome,
     TrialBatch,
     estimate_error,
     philox_uniforms,
@@ -87,7 +86,6 @@ __all__ = [
     "MomentumProfile",
     "NumericFailureError",
     "OptimalTime",
-    "Outcome",
     "Priors",
     "RadialAmplitude",
     "ResourceLimitError",

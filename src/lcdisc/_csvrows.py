@@ -231,19 +231,14 @@ def float_rows(columns: Sequence[np.ndarray]) -> str:
 def index_width(stop: int) -> int:
     """Bytes of the index field of a slice ending before ``stop``."""
     digits = len(str(stop - 1))
-    return 4 * -(-digits // 4) if stop <= 2 ** 63 else digits
+    return 4 * -(-digits // 4)
 
 
 def write_indices(start: int, stop: int, rows: RowBuffer,
                   offset: int) -> None:
     """The integers ``start .. stop - 1`` (>= 0) as ``%d`` writes them, one
-    a row; int64 digit groups where they fit, ``str`` beyond."""
+    a row, as int64 digit groups: ``stop`` is at most 2^63."""
     width = index_width(stop)
-    if stop > 2 ** 63:
-        rows.field(offset, width)[:] = np.array(
-            list(map(str, range(start, stop))), dtype=f"S{width}").view(
-                f"V{width}")
-        return
     _write_digits(np.arange(start, stop, dtype=np.int64), rows, offset,
                   width // 4)
     # the indices grow with the row, so those below 10^j are a first run

@@ -418,11 +418,6 @@ class PanelTable:
         self.k = k
         self.blocks: tuple[np.ndarray, ...] | None = None
 
-    @property
-    def size(self) -> int:
-        """Row count, the rule's node count."""
-        return self.rule.size
-
     def filled(self) -> tuple[np.ndarray, ...]:
         """The blocks, filled on the first call and kept."""
         if self.blocks is None:

@@ -399,7 +399,7 @@ _TRIAL_PREFIX = byte_table(f",{_CHANNELS[plus]},"
                             for plus, _, _ in _TRIAL_CODES)
 _TRIAL_SUFFIX = byte_table(
     f",{inside},"
-    f"{_CHANNELS[plus] if inside else montecarlo.Outcome.UNKNOWN.value},"
+    f"{_CHANNELS[plus] if inside else 'unknown'},"
     f"{_CHANNELS[guess]},{int(plus == guess)}\n"
     for plus, inside, guess in _TRIAL_CODES)
 

@@ -41,7 +41,6 @@ bit.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -56,17 +55,24 @@ from lcdisc.discrimination import (
     outside_probability,
     strategy_error,
 )
-from lcdisc.errors import InvalidParameterError, InvalidStateError, as_int
+from lcdisc.errors import (
+    InvalidParameterError,
+    InvalidStateError,
+    ResourceLimitError,
+    as_int,
+)
 from lcdisc.propagation import (
     DEFAULT_AMP_TOL,
     DEFAULT_PROB_TOL,
     RadialAmplitude,
-    radial_cell_masses,
     radial_density_grid,
 )
 
 DEFAULT_CDF_CELLS = 4096
 MIN_TRIALS = 1000
+# most trials of one run; 2^30 of them already take over ten minutes at
+# the 1.71 M trials/s the trial loop runs
+MAX_TRIALS = 1 << 30
 CHUNK_TRIALS = 65536
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -77,21 +83,13 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-class Outcome(enum.Enum):
-    """Result classes of the restricted measurement."""
-
-    CHANNEL_PLUS = "plus"
-    CHANNEL_MINUS = "minus"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class TrialBatch:
     """The consecutive trials ``start, start + 1, ...`` as parallel arrays.
 
     ``true_plus`` and ``guess_plus`` are True where the channel is
     HelicityChannel.PLUS.  Inside the ball the outcome is the true channel
-    and the guess always matches it; outside, the outcome is UNKNOWN and
+    and the guess always matches it; outside, the outcome is unknown and
     the guess comes from the configured strategy.
     """
 
@@ -187,12 +185,11 @@ class DetectionSampler:
         r = grid.r_grid
         if r.size < 2 or r[-1] <= r[0]:
             raise InvalidStateError("radial grid is degenerate")
-        cell_mass = radial_cell_masses(grid)
-        total = float(np.add.reduce(cell_mass))
-        if not (math.isfinite(total) and total > 0.0):
-            raise InvalidStateError("radial grid carries no probability mass")
         self._r = r
-        self._cdf = np.concatenate(([0.0], cell_mass.cumsum())) / total
+        # a grid that passes the coverage check has a finite norm of at
+        # least 1 - COVERAGE_BOUND
+        self._cdf = np.concatenate(
+            ([0.0], grid.cell_masses.cumsum())) / grid.grid_norm
         self.time_t = grid.time_t
 
     @classmethod
@@ -278,11 +275,14 @@ def _simulate(
 
 def _check_run(strategy: str, n_trials: int, seed: int) -> tuple[int, int]:
     """The run's arguments checked before any work; ``n_trials`` and
-    ``seed`` as ints."""
+    ``seed`` as ints.  More than MAX_TRIALS trials raise
+    :class:`ResourceLimitError`."""
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     n_trials = as_int("n_trials", n_trials)
+    if n_trials > MAX_TRIALS:
+        raise ResourceLimitError(f"n_trials exceeds the cap of {MAX_TRIALS}")
     seed = as_int("seed", seed)
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameterError("seed must lie in [0, 2**128)")

@@ -51,6 +51,7 @@ first call in a request costs more than the arithmetic they wrap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -103,6 +104,9 @@ _TINY = float(np.finfo(float).tiny)
 class RadialAmplitude:
     """Amplitude samples on a uniform radial grid about the packet center.
 
+    The record is its samples; the density, the cell masses, the grid norm
+    and the coverage flag are derived from them once, when first read.
+
     Attributes
     ----------
     time_t : float
@@ -111,20 +115,36 @@ class RadialAmplitude:
         Strictly increasing nonnegative radii.
     amp : numpy.ndarray
         Complex A(r, t) on the grid.
-    density : numpy.ndarray
-        |amp|^2, elementwise.
-    grid_norm : float
-        Trapezoid value of 4 pi * integral r^2 density dr over the grid.
-    coverage_warning : bool
-        True when the grid captures less than 1 - COVERAGE_BOUND of the mass.
     """
 
     time_t: float
     r_grid: np.ndarray
     amp: np.ndarray
-    density: np.ndarray
-    grid_norm: float
-    coverage_warning: bool
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """|amp|^2, elementwise."""
+        return np.abs(self.amp) ** 2
+
+    @functools.cached_property
+    def cell_masses(self) -> np.ndarray:
+        """Trapezoid probability mass 4 pi r^2 |A|^2 dr of each grid cell."""
+        r = self.r_grid
+        f = 4.0 * math.pi * r * r * self.density
+        return 0.5 * (f[1:] + f[:-1]) * (r[1:] - r[:-1])
+
+    @functools.cached_property
+    def grid_norm(self) -> float:
+        """Trapezoid value of 4 pi * integral r^2 density dr over the grid,
+        the sum of the cell masses."""
+        return float(np.add.reduce(self.cell_masses))
+
+    @functools.cached_property
+    def coverage_warning(self) -> bool:
+        """True unless the grid norm is finite and captures at least
+        1 - COVERAGE_BOUND of the mass."""
+        norm = self.grid_norm
+        return not (math.isfinite(norm) and norm >= 1.0 - COVERAGE_BOUND)
 
 
 def _k_frequency(profile: MomentumProfile, r_peak: float, t: float) -> float:
@@ -323,8 +343,8 @@ def radial_density_grid(
     An explicit ``r_max`` is used as given.  Without one the grid starts at
     :func:`default_r_max` and doubles its extent, at most
     MAX_EXTENT_DOUBLINGS times, until it covers all but COVERAGE_BOUND of
-    the mass.  The result records the trapezoid grid norm and flags a
-    coverage warning when the grid still misses more than COVERAGE_BOUND.
+    the mass.  The result's trapezoid grid norm and coverage warning tell
+    whether the grid still misses more than COVERAGE_BOUND.
     More than MAX_GRID_POINTS radii raise :class:`ResourceLimitError`.
     """
     extent = default_r_max(profile, t) if r_max is None else float(r_max)
@@ -338,39 +358,20 @@ def radial_density_grid(
             f"n_points exceeds the cap of {MAX_GRID_POINTS}")
     for _ in range(1 + (MAX_EXTENT_DOUBLINGS if r_max is None else 0)):
         radii = EvenGrid.linspace(0.0, extent, n_points)
-        r_grid = radii.nodes
-        amp = amplitude_on_radii(profile, radii, t, amp_tol)
-        density = np.abs(amp) ** 2
-        f = r_grid * r_grid * density
-        # np.trapezoid's arithmetic, in its order
-        grid_norm = float(4.0 * math.pi * np.add.reduce(
-            (r_grid[1:] - r_grid[:-1]) * (f[1:] + f[:-1]) / 2.0))
-        covered = grid_norm >= 1.0 - COVERAGE_BOUND
-        if covered:
+        grid = RadialAmplitude(
+            time_t=float(t), r_grid=radii.nodes,
+            amp=amplitude_on_radii(profile, radii, t, amp_tol))
+        if not grid.coverage_warning:
             break
         extent *= 2.0
-    return RadialAmplitude(
-        time_t=float(t),
-        r_grid=r_grid,
-        amp=amp,
-        density=density,
-        grid_norm=grid_norm,
-        coverage_warning=not covered,
-    )
-
-
-def radial_cell_masses(grid: RadialAmplitude) -> np.ndarray:
-    """Trapezoid probability mass 4 pi r^2 |A|^2 dr of each grid cell."""
-    r = grid.r_grid
-    f = 4.0 * math.pi * r * r * grid.density
-    return 0.5 * (f[1:] + f[:-1]) * (r[1:] - r[:-1])
+    return grid
 
 
 def quantile_radius(grid: RadialAmplitude, q: float) -> float:
     """Radius enclosing the fraction ``q`` of the grid's probability mass."""
     if not 0.0 <= q <= 1.0:
         raise InvalidParameterError("quantile must lie in [0, 1]")
-    cum = np.concatenate(([0.0], np.cumsum(radial_cell_masses(grid))))
+    cum = np.concatenate(([0.0], np.cumsum(grid.cell_masses)))
     return float(np.interp(q * cum[-1], cum, grid.r_grid))
 
 

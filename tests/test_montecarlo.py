@@ -16,6 +16,7 @@ from lcdisc import (
     InvalidParameterError,
     InvalidStateError,
     Priors,
+    ResourceLimitError,
     TrialBatch,
     estimate_error,
     make_profile,
@@ -125,10 +126,19 @@ def test_sampler_rejects_undersized_grid(gauss_profile):
 
 def test_sampler_rejects_zero_mass(gauss_profile):
     grid = radial_density_grid(gauss_profile, 0.0)
-    dead = dataclasses.replace(grid, density=np.zeros_like(grid.density),
-                               coverage_warning=False)
+    dead = dataclasses.replace(grid, amp=np.zeros_like(grid.amp))
     with pytest.raises(InvalidStateError):
         DetectionSampler(dead)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf],
+                         ids=["nan", "inf"])
+def test_sampler_rejects_non_finite_amplitude(gauss_profile, bad):
+    grid = radial_density_grid(gauss_profile, 0.0)
+    amp = grid.amp.copy()
+    amp[100] = bad
+    with pytest.raises(InvalidStateError):
+        DetectionSampler(dataclasses.replace(grid, amp=amp))
 
 
 def test_sampler_rejects_zero_width_grid(gauss_profile):
@@ -253,6 +263,23 @@ def test_trials_and_seed_must_be_integers(monkeypatch, gauss_profile,
     with pytest.raises(InvalidParameterError, match="integer"):
         next(run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, n_trials,
                         seed))
+
+
+def test_trial_count_is_capped_before_any_work(monkeypatch, gauss_profile):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the trial count was checked")
+
+    monkeypatch.setattr(montecarlo, "outside_probability", no_work)
+    monkeypatch.setattr(montecarlo.DetectionSampler, "for_profile", no_work)
+    n_trials = montecarlo.MAX_TRIALS + 1
+    with pytest.raises(ResourceLimitError, match="cap"):
+        estimate_error(gauss_profile, Priors(0.5), 1.0, 0.0,
+                       n_trials=n_trials, seed=1)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        next(run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, n_trials, 1))
+    # the cap itself passes
+    assert montecarlo._check_run("paper", montecarlo.MAX_TRIALS, 1) == \
+        (montecarlo.MAX_TRIALS, 1)
 
 
 def test_unknown_strategy_is_rejected_before_any_work(monkeypatch,

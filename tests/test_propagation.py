@@ -138,10 +138,55 @@ def test_grid_norm_unit_on_explicit_grids(gauss_profile):
 
 def test_grid_fields_consistent(gauss_profile):
     grid = radial_density_grid(gauss_profile, 2.0, n_points=256)
+    # the record holds its samples; every other value is derived
+    assert [f.name for f in dataclasses.fields(grid)] == \
+        ["time_t", "r_grid", "amp"]
     assert grid.time_t == 2.0
     assert grid.r_grid[0] == 0.0
     assert np.all(np.diff(grid.r_grid) > 0.0)
     assert np.array_equal(grid.density, np.abs(grid.amp) ** 2)
+
+
+def _trapezoid_norm(grid):
+    """The grid norm in np.trapezoid's order of operations, as
+    radial_density_grid once computed it."""
+    r = grid.r_grid
+    f = r * r * grid.density
+    return float(4.0 * math.pi * np.add.reduce(
+        (r[1:] - r[:-1]) * (f[1:] + f[:-1]) / 2.0))
+
+
+def _check_derived(grid):
+    assert np.array_equal(grid.density, np.abs(grid.amp) ** 2)
+    r = grid.r_grid
+    f = 4.0 * math.pi * r * r * grid.density
+    assert np.array_equal(grid.cell_masses,
+                          0.5 * (f[1:] + f[:-1]) * (r[1:] - r[:-1]))
+    norm = grid.grid_norm
+    assert norm == np.add.reduce(grid.cell_masses)
+    assert grid.coverage_warning == (
+        not (math.isfinite(norm) and norm >= 1.0 - propagation.COVERAGE_BOUND))
+    # a few ulps apart at most: the same terms, rounded in another order
+    assert abs(norm - _trapezoid_norm(grid)) <= 1e-15 * max(1.0, norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian=st.booleans(), width=st.floats(0.5, 2.0),
+       d=st.floats(0.0, 3.0), t=st.floats(-4.0, 4.0),
+       r_max=st.none() | st.floats(0.5, 30.0),
+       n_points=st.integers(16, 600), scale=st.floats(0.25, 2.0))
+def test_grid_record_derives_from_its_samples(gaussian, width, d, t, r_max,
+                                              n_points, scale):
+    family = (GaussianFamily(k0=5.0 * width, sigma=width) if gaussian
+              else ExponentialFamily(kappa=2.0 * width))
+    grid = radial_density_grid(make_profile(family, offset_d=d), t,
+                               r_max=r_max, n_points=n_points)
+    _check_derived(grid)
+    # a record with other samples derives its own values, not the
+    # first record's
+    for amp in (scale * grid.amp, np.zeros_like(grid.amp)):
+        _check_derived(dataclasses.replace(grid, amp=amp))
+    assert dataclasses.replace(grid, amp=0.5 * grid.amp).coverage_warning
 
 
 def test_grid_coverage_warning_on_short_grid(gauss_profile):
