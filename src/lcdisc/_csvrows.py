@@ -3,10 +3,11 @@ write.
 
 Each field of a row owns a fixed range of bytes in every row of a (rows,
 width) buffer (:class:`RowBuffer`); the bytes a row does not use stay zero,
-and dropping every zero byte leaves the text.  Digits come four at a time
-from a table of 0000..9999, so a field costs a few array operations per
-group of four digits, not a string conversion per value.  Rows are built
-a slice of at most ``SLICE_ROWS`` at a time, which bounds the temporaries.
+and dropping every zero byte leaves the ASCII rows, which are written as
+bytes, never decoded.  Digits come four at a time from a table of
+0000..9999, so a field costs a few array operations per group of four
+digits, not a string conversion per value.  Rows are built a slice of at
+most ``SLICE_ROWS`` at a time, which bounds the temporaries.
 
 A float (:class:`FloatCells`) takes this path only where its 12-digit
 rounding is provable; every other value, NaN and the infinities among
@@ -94,8 +95,9 @@ class RowBuffer:
                           buffer=self.bytes, offset=offset,
                           strides=(self.bytes.shape[1],))
 
-    def text(self) -> str:
-        return self._buffer.translate(None, b"\0").decode("ascii")
+    def data(self) -> bytearray:
+        """The rows with every zero byte dropped."""
+        return self._buffer.translate(None, b"\0")
 
 
 def _write_digits(value: np.ndarray, rows: RowBuffer, offset: int,
@@ -209,10 +211,10 @@ class FloatCells:
                 f"V{self.width}")
 
 
-def float_rows(columns: Sequence[np.ndarray]) -> str:
+def float_rows(columns: Sequence[np.ndarray]) -> bytes:
     """The CSV rows of the float ``columns``, ``",".join(map(fmt, row))``
-    and a newline each."""
-    texts = []
+    and a newline each, as ASCII bytes."""
+    chunks = []
     for lo in range(0, len(columns[0]), SLICE_ROWS):
         cells = [FloatCells(np.asarray(column[lo:lo + SLICE_ROWS],
                                        dtype=float)) for column in columns]
@@ -224,8 +226,8 @@ def float_rows(columns: Sequence[np.ndarray]) -> str:
             rows.bytes[:, offset] = ord(",")
             offset += 1
         rows.bytes[:, -1] = ord("\n")
-        texts.append(rows.text())
-    return "".join(texts)
+        chunks.append(rows.data())
+    return b"".join(chunks)
 
 
 def index_width(stop: int) -> int:

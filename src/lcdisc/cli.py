@@ -18,7 +18,8 @@ Every CSV row (the trial CSV, ``error-curve`` and ``dump-density``) comes
 from one NumPy row builder, :mod:`lcdisc._csvrows`, which writes the bytes
 ``fmt`` and ``%d`` would.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure, resource
+limit or invalid state, which the message names.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ from lcdisc.discrimination import (
 from lcdisc.errors import (
     ConfigError,
     InvalidParameterError,
+    InvalidStateError,
     LcdiscError,
+    NumericFailureError,
     ResourceLimitError,
 )
 from lcdisc.lightcone import ruler_min_time, scan_time_ball
@@ -271,17 +274,20 @@ def _radii(config: RunConfig) -> list[float]:
 
 
 class _Output:
-    """``with _Output(path) as write``: ``write`` writes to ``path``, or to
-    stdout if None.  OSError is ConfigError, and a file that a failing
-    command leaves unfinished is removed."""
+    """``with _Output(path) as write``: ``write`` writes bytes to ``path``,
+    or to stdout if None.  OSError is ConfigError, and a file that a
+    failing command leaves unfinished is removed."""
 
     def __init__(self, path: str | None):
         self.path = path
 
-    def __enter__(self) -> Callable[[str], int]:
+    def __enter__(self) -> Callable[[bytes], int]:
+        if self.path is None:
+            # text already written to stdout goes first
+            sys.stdout.flush()
+            return sys.stdout.buffer.write
         try:
-            self.handle = (sys.stdout if self.path is None
-                           else open(self.path, "w", encoding="utf-8"))
+            self.handle = open(self.path, "wb")
         except OSError as exc:
             raise ConfigError(f"cannot write output file: {exc}")
         return self.handle.write
@@ -298,10 +304,12 @@ class _Output:
             raise ConfigError(f"cannot write output file: {exc}")
 
 
-def _csv_head(command: str, config: RunConfig, columns: Iterable[str]) -> str:
+def _csv_head(command: str, config: RunConfig,
+              columns: Iterable[str]) -> bytes:
     """The CSV header, which echoes the config, and the column names."""
     echo = " ".join(f"{k}={v}" for k, v in config.echo_items())
-    return f"# lcdisc {command}\n# config: {echo}\n{','.join(columns)}\n"
+    return (f"# lcdisc {command}\n# config: {echo}\n{','.join(columns)}\n"
+            .encode())
 
 
 def _json_text(value: Any, indent: str = "") -> str:
@@ -346,9 +354,9 @@ _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
     document = {"command": command, "config": dict(config.echo_items()),
                 **_round12(payload)}
-    text = _json_text(document) + "\n"
+    data = (_json_text(document) + "\n").encode()
     with _Output(config.output) as write:
-        write(text)
+        write(data)
 
 
 # error-curve's CSV columns and JSON keys, with the report field of each
@@ -408,12 +416,12 @@ _TRIAL_COLUMNS = ("trial", "true_state", "rho", "inside", "outcome", "guess",
                   "correct")
 
 
-def _trial_rows(batch: montecarlo.TrialBatch) -> str:
-    """The trial CSV rows of ``batch``."""
+def _trial_rows(batch: montecarlo.TrialBatch) -> bytes:
+    """The trial CSV rows of ``batch``, as ASCII bytes."""
     code = (batch.true_plus.view(np.uint8) << 2 |
             batch.inside.view(np.uint8) << 1 | batch.guess_plus.view(np.uint8))
     prefix, suffix = _TRIAL_PREFIX.itemsize, _TRIAL_SUFFIX.itemsize
-    texts = []
+    chunks = []
     for lo in range(0, batch.rho.size, SLICE_ROWS):
         hi = min(lo + SLICE_ROWS, batch.rho.size)
         cells = FloatCells(batch.rho[lo:hi])
@@ -425,8 +433,8 @@ def _trial_rows(batch: montecarlo.TrialBatch) -> str:
         _TRIAL_SUFFIX.take(code[lo:hi],
                            out=rows.field(index + prefix + cells.width,
                                           suffix))
-        texts.append(rows.text())
-    return "".join(texts)
+        chunks.append(rows.data())
+    return b"".join(chunks)
 
 
 def _cmd_monte_carlo(config: RunConfig) -> dict:
@@ -505,6 +513,12 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
+# the label of each error kind that exits 3
+_FAILURE_KINDS = {NumericFailureError: "numeric failure",
+                  ResourceLimitError: "resource limit",
+                  InvalidStateError: "invalid state"}
+
+
 # every flag's config key: "--config" and each RunConfig key, "_" as "-"
 _FLAGS = {"--config": "config",
           **{"--" + key.replace("_", "-"): key for key in _KEY_PARSERS}}
@@ -576,8 +590,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lcdisc: configuration error: {exc}", file=sys.stderr)
         return 2
     except LcdiscError as exc:
-        # NumericFailureError, InvalidStateError or ResourceLimitError
-        print(f"lcdisc: numeric failure: {exc}", file=sys.stderr)
+        kind = _FAILURE_KINDS.get(type(exc), "failure")
+        print(f"lcdisc: {kind}: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -34,7 +34,11 @@ other trials changes no draw.
 Trials are simulated as arrays, in batches of at most ``CHUNK_TRIALS``, so
 memory does not grow with the number of trials.  A trial's draws depend only
 on the seed and its index, and the array code does each trial's arithmetic
-in the scalar order, so the chunk size never changes a result.  Any
+in the scalar order, so the chunk size never changes a result.  The Philox
+rounds run in place on uint64 buffers allocated once per block: the words
+that no trial changes go through rounds 1-3 as Python ints, words 0 and 2
+then share one (2, n) array and words 1 and 3 another, and only the words
+a trial reads become doubles (three of block 1, one of block 2).  Any
 implementation following this contract reproduces the trial sequence bit for
 bit.
 """
@@ -70,8 +74,8 @@ from lcdisc.propagation import (
 
 DEFAULT_CDF_CELLS = 4096
 MIN_TRIALS = 1000
-# most trials of one run; 2^30 of them already take over ten minutes at
-# the 1.71 M trials/s the trial loop runs
+# most trials of one run; 2^30 of them take about four minutes at the
+# 4.5 M trials/s of estimate_error, and nine with a trial CSV of some 50 GB
 MAX_TRIALS = 1 << 30
 CHUNK_TRIALS = 65536
 
@@ -81,6 +85,13 @@ _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+# trials per pass of the Philox rounds, whose six (2, n) uint64 buffers
+# then take 1.5 MiB and stay in cache: on a 2-vCPU Xeon guest (2 MiB of L2
+# a core) one 65536-trial block took 6.2-6.4 ms with this bound, 6.8 ms
+# with 8192 or 24576 and 9.5 ms unsliced; below 8192 the ufunc calls cost
+# more than the cache saves
+_PHILOX_SLICE = 16384
 
 
 @dataclass(frozen=True)
@@ -116,46 +127,106 @@ class ErrorEstimate:
     p_t: float
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``.
+# the multipliers of words 0 and 2 as :func:`_round` takes them (high and
+# low 32-bit halves, and the whole), each alone and as the columns of a
+# stacked round: (M0, M1) while the rows hold words (0, 2), (M1, M0) while
+# they hold (2, 0)
+_ROW_M = tuple((np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m))
+               for m in _PHILOX_M)
+_COLUMN_M = tuple(
+    tuple(np.array([[first], [second]], dtype=np.uint64)
+          for first, second in zip(_ROW_M[order], _ROW_M[1 - order]))
+    for order in (0, 1))
+
+
+def _round(x: np.ndarray, m: tuple, other: np.ndarray | None, key,
+           hi: np.ndarray, cross: np.ndarray, mid: np.ndarray,
+           low: np.ndarray) -> None:
+    """The products of one Philox round, in place: ``hi`` becomes the high
+    word of ``m * x`` xor ``other`` (unless None) xor ``key``, and ``x``
+    the low word.  ``cross``, ``mid`` and ``low`` are scratch.
 
     The high word is the 32-bit-halves product of Hacker's Delight's
     mulhu: no partial sum below can carry out of 64 bits.
     """
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _SHIFT32, x & _LOW32
-    low = x_lo * m_lo
-    mid = x_hi * m_lo
-    mid += low >> _SHIFT32
-    cross = x_lo * m_hi
-    cross += mid & _LOW32
-    hi = x_hi * m_hi
-    hi += mid >> _SHIFT32
-    hi += cross >> _SHIFT32
-    return hi, x * np.uint64(m)
+    m_hi, m_lo, m_full = m
+    np.right_shift(x, _SHIFT32, out=hi)
+    np.bitwise_and(x, _LOW32, out=cross)
+    np.multiply(cross, m_lo, out=low)
+    np.multiply(hi, m_lo, out=mid)
+    np.right_shift(low, _SHIFT32, out=low)
+    np.add(mid, low, out=mid)
+    np.multiply(cross, m_hi, out=cross)
+    np.bitwise_and(mid, _LOW32, out=low)
+    np.add(cross, low, out=cross)
+    np.multiply(hi, m_hi, out=hi)
+    np.right_shift(mid, _SHIFT32, out=mid)
+    np.add(hi, mid, out=hi)
+    np.right_shift(cross, _SHIFT32, out=cross)
+    np.add(hi, cross, out=hi)
+    np.multiply(x, m_full, out=x)
+    if other is not None:
+        np.bitwise_xor(hi, other, out=hi)
+    np.bitwise_xor(hi, key, out=hi)
 
 
-def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
+def _philox_block(seed: int, index: np.ndarray, block: int,
+                  words: int = 4) -> np.ndarray:
     """Uniforms of counter block ``block`` of the trials ``index``, shape
-    ``(4, len(index))``: row j is word j of the block ``(block, i, 0, 0)``."""
+    ``(words, len(index))``: row j is word j of the block ``(block, i, 0, 0)``.
+
+    A round maps the words (w0, w1, w2, w3) under the round key (k0, k1)
+    to (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1, lo(M0 w0)).
+    Only word 1 of the counter depends on the trial, so rounds 1-3 take
+    the words that do not as Python ints and multiply one word per trial
+    each.  Rounds 4-10 hold words 0 and 2 in the rows of one (2, n) array
+    and words 1 and 3 in another, both in the order that flips each round:
+    the low words of the products, which the multiply leaves in place of
+    the first array, are the next round's words 3 and 1.  The rounds run
+    on at most ``_PHILOX_SLICE`` trials at a time, in six buffers
+    allocated once per call, each ufunc writing into one of them.
+    """
     index = np.asarray(index, dtype=np.uint64)
-    # the words that no trial changes stay length-1 arrays, which broadcast,
-    # so the first rounds multiply them once, not once per trial; arrays,
-    # not scalars, since uint64 scalar arithmetic warns on overflow
-    zero = np.zeros(1, dtype=np.uint64)
-    ctr = [np.array([block], dtype=np.uint64), index, zero, zero]
-    k0, k1 = seed & _MASK64, seed >> 64
-    for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        ctr = [hi1 ^ ctr[1] ^ np.uint64(k0), lo1,
-               hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    words = np.empty((4, index.size), dtype=np.uint64)
-    for row, word in zip(words, ctr):
-        row[...] = word
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    n = index.size
+    k0 = [(seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS)]
+    k1 = [((seed >> 64) + r * _PHILOX_W[1]) & _MASK64
+          for r in range(_PHILOX_ROUNDS)]
+    # rounds 1-3 on the words that no trial changes; round 1 maps
+    # (block, i, 0, 0) to (i ^ k0, 0, hi(M0 block) ^ k1, lo(M0 block))
+    hi, lo = divmod(_PHILOX_M[0] * block, 1 << 64)
+    # round 2: word 2 becomes hi(M0 w0) ^ key_2, words 0 and 1 constants
+    key_2 = np.uint64(lo ^ k1[1])
+    hi, w1 = divmod(_PHILOX_M[1] * (hi ^ k1[0]), 1 << 64)
+    w0 = hi ^ k0[1]
+    # round 3: word 0 becomes hi(M1 w2) ^ key_0 and word 2 w3 ^ xor_2;
+    # word 3, a constant, is the last
+    key_0 = np.uint64(w1 ^ k0[2])
+    hi, w3 = divmod(_PHILOX_M[0] * w0, 1 << 64)
+    xor_2 = np.uint64(hi ^ k1[2])
+    keys = [np.array([[k0[r]], [k1[r]]] if r % 2 else [[k1[r]], [k0[r]]],
+                     dtype=np.uint64) for r in range(3, _PHILOX_ROUNDS)]
+    uniforms = np.empty((words, n))
+    buffers = np.empty((6, 2, min(n, _PHILOX_SLICE)), dtype=np.uint64)
+    for start in range(0, n, _PHILOX_SLICE):
+        a, b, *scratch = buffers[:, :, :min(n - start, _PHILOX_SLICE)]
+        row_scratch = [buffer[0] for buffer in scratch[:3]]
+        np.bitwise_xor(index[start:start + _PHILOX_SLICE], np.uint64(k0[0]),
+                       out=a[0])
+        _round(a[0], _ROW_M[0], None, key_2, b[1], *row_scratch)
+        _round(b[1], _ROW_M[1], None, key_0, a[1], *row_scratch)
+        np.bitwise_xor(a[0], xor_2, out=a[0])
+        b[0].fill(w3)
+        # a holds words (2, 0) and b words (3, 1)
+        for r, key in enumerate(keys, start=3):
+            _round(a, _COLUMN_M[r % 2], b[::-1], key, *scratch)
+            a, b, scratch = scratch[0], a, [b, *scratch[1:]]
+        # a holds words (0, 2) and b words (1, 3)
+        rows = uniforms[:, start:start + _PHILOX_SLICE]
+        for words_in, words_out in ((a, rows[0::2]), (b, rows[1::2])):
+            words_in = words_in[:len(words_out)]
+            np.right_shift(words_in, _SHIFT11, out=words_in)
+            np.multiply(words_in, 2.0 ** -53, out=words_out)
+    return uniforms
 
 
 def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
@@ -165,7 +236,7 @@ def philox_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
     ``Generator(Philox(key=seed, counter=i << 64)).random(5)[j]``.
     """
     return np.concatenate([_philox_block(seed, index, 1),
-                           _philox_block(seed, index, 2)[:1]])
+                           _philox_block(seed, index, 2, 1)])
 
 
 class DetectionSampler:
@@ -252,7 +323,8 @@ def _simulate(
     radius R iff d^2 + rho^2 + 2 d rho cos(theta) <= R^2.
     """
     index = np.arange(start, stop, dtype=np.uint64)
-    u = _philox_block(seed, index, 1)
+    # word 3 of block 1, phi, is never read
+    u = _philox_block(seed, index, 1, 3)
     true_plus = u[0] < priors.pi0
     rho = sampler.radii(u[1])
     cos_theta = 2.0 * u[2] - 1.0
@@ -264,7 +336,7 @@ def _simulate(
         outside = ~inside
         guess_plus = true_plus.copy()
         guess_plus[outside] = \
-            _philox_block(seed, index[outside], 2)[0] < priors.pi0
+            _philox_block(seed, index[outside], 2, 1)[0] < priors.pi0
     else:
         # MAP: larger prior wins, tie broken toward PLUS (state 0)
         guess_plus = np.where(inside, true_plus, priors.pi0 >= priors.pi1)

@@ -474,6 +474,7 @@ def test_huge_grid_sizes_exit_3(capsys, argv):
     # refused before the grid is allocated
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
+    assert "lcdisc: resource limit:" in err
     assert "cap" in err and out == ""
 
 
@@ -486,7 +487,8 @@ def test_huge_trial_count_exits_3_before_any_work(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "monte-carlo", *GAUSS_ARGS, "--d", "1",
                              "--R", "1.5", "--trials", "1000000000000000")
     assert code == 3
-    assert "cap" in err and out == ""
+    assert "lcdisc: resource limit: n_trials exceeds the cap" in err
+    assert out == ""
 
 
 def test_overflowing_norm_exits_3_without_warning():
@@ -501,6 +503,29 @@ def test_overflowing_norm_exits_3_without_warning():
     assert result.returncode == 3
     assert "numeric failure" in result.stderr
     assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-curve", *GAUSS_ARGS, "--R-list", "0.5,1,2", "--fixed-t", "1",
+     "--format", "csv"],
+    ["dump-density", *GAUSS_ARGS, "--r-max", "5", "--n-points", "40000"],
+], ids=["error-curve", "dump-density"])
+def test_csv_on_stdout_is_the_file_bytes(tmp_path, argv):
+    # a CSV written to stdout is the bytes the same request writes to a
+    # file, head and rows in order; dump-density's 40000 rows take three
+    # slices of the row builder
+    src = Path(lcdisc.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "lcdisc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+    assert result.returncode == 0 and result.stderr == b""
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    written = path.read_bytes()
+    # the file's config echo names its path
+    echo = f" output={path}".encode()
+    assert written.count(echo) == 1
+    assert result.stdout == written.replace(echo, b"")
 
 
 NARROW_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
@@ -750,7 +775,7 @@ def test_trial_rows_match_per_row_oracle(start, rows):
         cos_theta=np.zeros(code.size), inside=inside, guess_plus=guess_plus,
         correct=guess_plus == true_plus)
     expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
-    assert cli._trial_rows(batch) == expected
+    assert cli._trial_rows(batch) == expected.encode("ascii")
 
 
 def _float_rows_oracle(columns):
@@ -782,7 +807,8 @@ def test_float_rows_match_per_cell_oracle(rows):
     # subnormals), the second is zeros, the third exponent notation, the
     # fourth fixed notation with carries and ties
     columns = [np.array(column) for column in zip(*rows)]
-    assert _csvrows.float_rows(columns) == _float_rows_oracle(columns)
+    assert _csvrows.float_rows(columns) == \
+        _float_rows_oracle(columns).encode("ascii")
 
 
 @pytest.mark.parametrize("start,size", [
@@ -799,7 +825,7 @@ def test_trial_indices_across_digit_counts(start, size):
         cos_theta=np.zeros(size), inside=(code & 2) > 0,
         guess_plus=guess_plus, correct=guess_plus == true_plus)
     expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
-    assert cli._trial_rows(batch) == expected
+    assert cli._trial_rows(batch) == expected.encode("ascii")
 
 
 EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
@@ -812,6 +838,7 @@ def test_monte_carlo_honours_r_max(capsys):
     code, _, err = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
                            "--r-max", "8.5")
     assert code == 3
+    assert "lcdisc: invalid state: radial grid misses too much mass" in err
     assert "increase r_max" in err
     code, out, _ = run_cli(capsys, "monte-carlo", *EXPO_ARGS,
                            "--r-max", "60")
@@ -902,11 +929,13 @@ _TINY_BALL = ("monte-carlo --family=gaussian --k0=1.0 --sigma=1.0 --d={0!r} "
 @example(argv=_TINY_BALL.format(4.0194834632912396e-283).split())
 @example(argv=_TINY_BALL.format(2.2250738585072014e-308).split())
 def test_fuzz_monte_carlo_exit_codes(argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out, \
+    # the CLI writes its artifacts to stdout's binary buffer
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3)
     if code == 0:
-        estimate = json.loads(out.getvalue())["estimate"]
+        estimate = json.loads(out.buffer.getvalue())["estimate"]
         assert 0.0 <= estimate["empirical_rate"] <= 1.0
         assert 0.0 <= estimate["p_t"] <= 1.0

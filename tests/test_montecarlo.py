@@ -349,6 +349,58 @@ def test_philox_uniforms_match_numpy_drawn(seed, index):
     assert np.array_equal(philox_uniforms(seed, index), expected)
 
 
+def _numpy_block(seed, i, block, words):
+    """Words 0 .. words - 1 of counter block ``block`` of trial ``i``, as
+    numpy's own Philox gives them: block 1 is draws 0-3, block 2 draws 4-7."""
+    draws = Generator(Philox(key=seed, counter=i << 64)).random(8)
+    return draws[4 * (block - 1):4 * (block - 1) + words]
+
+
+_BLOCK_WORDS = st.tuples(st.sampled_from([1, 2]), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1),
+       index=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6),
+       block_words=_BLOCK_WORDS)
+@example(seed=2 ** 128 - 1, index=[2 ** 64 - 1, 0], block_words=(2, 1))
+def test_philox_block_matches_numpy(seed, index, block_words):
+    block, words = block_words
+    got = montecarlo._philox_block(seed, np.array(index, dtype=np.uint64),
+                                   block, words)
+    expected = np.array([_numpy_block(seed, i, block, words)
+                         for i in index]).T
+    assert got.shape == (words, len(index))
+    assert np.array_equal(got, expected)
+
+
+_SLICE = montecarlo._PHILOX_SLICE
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), base=st.integers(0, 2 ** 64 - 1),
+       size=st.integers(1, 2 * _SLICE + 3), block_words=_BLOCK_WORDS,
+       probes=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+@example(seed=1, base=2 ** 64 - _SLICE, size=_SLICE + 1, block_words=(1, 4),
+         probes=[])
+@example(seed=2 ** 127 + 12345, base=0, size=2 * _SLICE + 1,
+         block_words=(2, 1), probes=[])
+def test_philox_block_across_slices(seed, base, size, block_words, probes):
+    # consecutive trial indices, which wrap past 2^64 - 1, in an array long
+    # enough to take several passes of the rounds; the first and last
+    # trial of every pass, and a few drawn ones, against numpy
+    block, words = block_words
+    index = np.arange(size, dtype=np.uint64) + np.uint64(base)
+    got = montecarlo._philox_block(seed, index, block, words)
+    assert got.shape == (words, size)
+    edges = np.arange(0, size, _SLICE)
+    positions = {0, size - 1, *edges.tolist(), *(edges[1:] - 1).tolist(),
+                 *(int(p * size) for p in probes)}
+    for j in sorted(positions):
+        assert np.array_equal(
+            got[:, j], _numpy_block(seed, int(index[j]), block, words)), j
+
+
 def _scalar_trial(sampler, priors, R, d, strategy, seed, index):
     """One trial drawn the way the randomness contract reads, one uniform
     at a time from numpy's own Philox; the reference for the array path."""
@@ -402,10 +454,10 @@ def test_block_2_only_for_the_trials_that_read_it(gauss_d3, monkeypatch,
     block_2_index = []
     real_block = montecarlo._philox_block
 
-    def counting_block(seed, index, block):
+    def counting_block(seed, index, block, words):
         if block == 2:
             block_2_index.append(np.array(index))
-        return real_block(seed, index, block)
+        return real_block(seed, index, block, words)
 
     monkeypatch.setattr(montecarlo, "_philox_block", counting_block)
     monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 700)

@@ -8,10 +8,11 @@ evicted them from the caches, against 40-100 us for the ufunc or array
 method that does their arithmetic.  The standard library's are as dear:
 argparse's ``parse_args`` took 0.21-0.29 ms a request, and
 ``json.dumps(indent=2)``, which runs json's Python encoder, 0.34-0.45 ms.
-A small ``optimal-time``, ``error-curve --fixed-t`` and ``monte-carlo
---trials-csv`` request run under a profile hook, and the test fails when a
-frame of lcdisc calls straight into a function defined in NumPy's Python
-source or in one of those five modules.  The array-function dispatchers of
+A small ``optimal-time``, ``error-curve --fixed-t`` (its CSV to a file and
+to stdout), ``monte-carlo --trials-csv`` and ``dump-density`` request run
+under a profile hook, and the test fails when a frame of lcdisc calls
+straight into a function defined in NumPy's Python source or in one of
+those five modules.  The array-function dispatchers of
 ``numpy/_core/multiarray.py`` (``concatenate``, ``where``, ``bincount``,
 ...) are the only such functions allowed: each returns its arguments for a
 C function.
@@ -85,10 +86,16 @@ def _argv(command: str, tmp_path) -> list[str]:
         "monte-carlo": ["monte-carlo", *_GAUSSIAN, "--d", "1.5", "--R", "1",
                         "--t", "1", "--trials", "1000",
                         "--trials-csv", out, "--output", out + ".json"],
+        # CSV on stdout, through its binary buffer
+        "error-curve-stdout": ["error-curve", *_EXPONENTIAL, "--d", "1.5",
+                               "--R-list", "0.7,1", "--fixed-t", "2"],
+        "dump-density": ["dump-density", *_GAUSSIAN, "--d", "1", "--t", "1",
+                         "--n-points", "512"],
     }[command]
 
 
-_COMMANDS = ["optimal-time", "error-curve", "monte-carlo"]
+_COMMANDS = ["optimal-time", "error-curve", "monte-carlo",
+             "error-curve-stdout", "dump-density"]
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
