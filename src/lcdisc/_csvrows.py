@@ -7,7 +7,8 @@ and dropping every zero byte leaves the ASCII rows, which are written as
 bytes, never decoded.  Digits come four at a time from a table of
 0000..9999, so a field costs a few array operations per group of four
 digits, not a string conversion per value.  Rows are built a slice of at
-most ``SLICE_ROWS`` at a time, which bounds the temporaries.
+most ``SLICE_ROWS`` at a time, and each slice goes to the writer as soon
+as it is built, so the temporaries are bounded and no CSV is held whole.
 
 A float (:class:`FloatCells`) takes this path only where its 12-digit
 rounding is provable; every other value, NaN and the infinities among
@@ -17,7 +18,7 @@ them, goes through :func:`fmt` itself.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,10 +212,11 @@ class FloatCells:
                 f"V{self.width}")
 
 
-def float_rows(columns: Sequence[np.ndarray]) -> bytes:
+def float_rows(columns: Sequence[np.ndarray],
+               write: Callable[[bytes], object]) -> None:
     """The CSV rows of the float ``columns``, ``",".join(map(fmt, row))``
-    and a newline each, as ASCII bytes."""
-    chunks = []
+    and a newline each, passed to ``write`` as ASCII bytes, one slice at a
+    time."""
     for lo in range(0, len(columns[0]), SLICE_ROWS):
         cells = [FloatCells(np.asarray(column[lo:lo + SLICE_ROWS],
                                        dtype=float)) for column in columns]
@@ -226,8 +228,7 @@ def float_rows(columns: Sequence[np.ndarray]) -> bytes:
             rows.bytes[:, offset] = ord(",")
             offset += 1
         rows.bytes[:, -1] = ord("\n")
-        chunks.append(rows.data())
-    return b"".join(chunks)
+        write(rows.data())
 
 
 def index_width(stop: int) -> int:

@@ -379,7 +379,7 @@ def _cmd_error_curve(config: RunConfig) -> dict | None:
                            for row in zip(*columns)]}
     with _Output(config.output) as write:
         write(_csv_head("error-curve", config, _CURVE_FIELDS))
-        write(float_rows(columns))
+        float_rows(columns, write)
 
 
 def _cmd_optimal_time(config: RunConfig) -> dict:
@@ -416,12 +416,13 @@ _TRIAL_COLUMNS = ("trial", "true_state", "rho", "inside", "outcome", "guess",
                   "correct")
 
 
-def _trial_rows(batch: montecarlo.TrialBatch) -> bytes:
-    """The trial CSV rows of ``batch``, as ASCII bytes."""
+def _trial_rows(batch: montecarlo.TrialBatch,
+                write: Callable[[bytes], object]) -> None:
+    """The trial CSV rows of ``batch``, passed to ``write`` as ASCII bytes,
+    one slice at a time."""
     code = (batch.true_plus.view(np.uint8) << 2 |
             batch.inside.view(np.uint8) << 1 | batch.guess_plus.view(np.uint8))
     prefix, suffix = _TRIAL_PREFIX.itemsize, _TRIAL_SUFFIX.itemsize
-    chunks = []
     for lo in range(0, batch.rho.size, SLICE_ROWS):
         hi = min(lo + SLICE_ROWS, batch.rho.size)
         cells = FloatCells(batch.rho[lo:hi])
@@ -433,8 +434,7 @@ def _trial_rows(batch: montecarlo.TrialBatch) -> bytes:
         _TRIAL_SUFFIX.take(code[lo:hi],
                            out=rows.field(index + prefix + cells.width,
                                           suffix))
-        chunks.append(rows.data())
-    return b"".join(chunks)
+        write(rows.data())
 
 
 def _cmd_monte_carlo(config: RunConfig) -> dict:
@@ -454,7 +454,7 @@ def _cmd_monte_carlo(config: RunConfig) -> dict:
     # batch, so memory does not grow with the trial count
     with _Output(config.trials_csv) as write:
         write(_csv_head("monte-carlo", config, _TRIAL_COLUMNS))
-        result = estimate(lambda batch: write(_trial_rows(batch)))
+        result = estimate(lambda batch: _trial_rows(batch, write))
     return {"estimate": vars(result)}
 
 
@@ -466,8 +466,8 @@ def _cmd_dump_density(config: RunConfig) -> None:
     with _Output(config.output) as write:
         write(_csv_head("dump-density", config,
                         ("r", "re_amp", "im_amp", "density")))
-        write(float_rows([grid.r_grid, grid.amp.real, grid.amp.imag,
-                          grid.density]))
+        float_rows([grid.r_grid, grid.amp.real, grid.amp.imag,
+                    grid.density], write)
 
 
 def _cmd_scan_time(config: RunConfig) -> dict:

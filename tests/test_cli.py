@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -689,9 +690,9 @@ def test_trials_csv_is_written_batch_by_batch(capsys, tmp_path, monkeypatch):
     sizes = []
     real_rows = cli._trial_rows
 
-    def trial_rows(batch):
+    def trial_rows(batch, write):
         sizes.append((tmp_path / "trials.csv").stat().st_size)
-        return real_rows(batch)
+        real_rows(batch, write)
 
     monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 1000)
     monkeypatch.setattr(cli, "_trial_rows", trial_rows)
@@ -775,7 +776,9 @@ def test_trial_rows_match_per_row_oracle(start, rows):
         cos_theta=np.zeros(code.size), inside=inside, guess_plus=guess_plus,
         correct=guess_plus == true_plus)
     expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
-    assert cli._trial_rows(batch) == expected.encode("ascii")
+    chunks = []
+    cli._trial_rows(batch, chunks.append)
+    assert b"".join(chunks) == expected.encode("ascii")
 
 
 def _float_rows_oracle(columns):
@@ -807,8 +810,28 @@ def test_float_rows_match_per_cell_oracle(rows):
     # subnormals), the second is zeros, the third exponent notation, the
     # fourth fixed notation with carries and ties
     columns = [np.array(column) for column in zip(*rows)]
-    assert _csvrows.float_rows(columns) == \
-        _float_rows_oracle(columns).encode("ascii")
+    chunks = []
+    _csvrows.float_rows(columns, chunks.append)
+    assert b"".join(chunks) == _float_rows_oracle(columns).encode("ascii")
+
+
+def test_float_rows_hold_one_slice_at_a_time():
+    # each slice goes to write as it is built, so the traced peak, one
+    # slice's temporaries of about 5.7 MB, stays under the 13.2 MB written;
+    # a list of the slices and their join would hold twice that
+    n = 12 * _csvrows.SLICE_ROWS
+    r = np.linspace(0.0, 20.0, n)
+    columns = [r, np.cos(r) * np.exp(-r), np.sin(r) * np.exp(-r),
+               np.exp(-2.0 * r)]
+    sizes = []
+    tracemalloc.start()
+    try:
+        _csvrows.float_rows(columns, lambda data: sizes.append(len(data)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 12
+    assert peak < sum(sizes)
 
 
 @pytest.mark.parametrize("start,size", [
@@ -825,7 +848,9 @@ def test_trial_indices_across_digit_counts(start, size):
         cos_theta=np.zeros(size), inside=(code & 2) > 0,
         guess_plus=guess_plus, correct=guess_plus == true_plus)
     expected = "".join(row + "\n" for row in _trial_rows_oracle(batch))
-    assert cli._trial_rows(batch) == expected.encode("ascii")
+    chunks = []
+    cli._trial_rows(batch, chunks.append)
+    assert b"".join(chunks) == expected.encode("ascii")
 
 
 EXPO_ARGS = ["--family", "exponential", "--kappa", "0.55", "--d", "2",
