@@ -34,8 +34,14 @@ one of a few offsets that many points share.
 
 Only a panel rule's many-column contractions fill tables, and arbitrary
 radii, as users pass, whose sin(k r) / k table takes one np.sin per entry.
-A :class:`PanelTable` keeps the table that its first gemm of many columns
-fills, so later gemms at the same k nodes only contract.
+A :class:`PanelTable` is the only table of a panel rule, and it decides
+itself whether it keeps its blocks: on its first gemm of many columns it
+keeps them if twice its bytes fit in MAX_KEPT_TABLE_BYTES, so later gemms
+at the same k nodes only contract; otherwise it streams, filling and
+dropping one block at a time on every such gemm, with the same bits.
+Twice, because a quadrature's ladder levels each take at least twice the
+table bytes of the level below: the tables kept over all its levels then
+stay under the bound.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ _GEMM_CHUNK_PANELS = 32
 # GAUSS_X[_MIRROR:] are the positive Gauss nodes, GAUSS_X[:_MIRROR] their
 # negatives in reverse order, to the bit (GAUSS_ORDER is even)
 _MIRROR = GAUSS_ORDER // 2
+# a PanelTable keeps its blocks if twice its bytes fit in this, so a
+# quadrature's kept tables stay under it; it is the size
+# quadrature.MAX_PANELS lets one streamed 256-row block reach
+MAX_KEPT_TABLE_BYTES = 1 << 30
 
 
 def fill_by_doubling(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -409,43 +419,60 @@ def _panel_blocks(rule: PanelRule, k: np.ndarray) -> Iterator[np.ndarray]:
 
 class PanelTable:
     """The j0 table of a :class:`PanelRule`'s nodes at the k nodes ``k``,
-    as the blocks of _GEMM_CHUNK_PANELS panels that :func:`weighted_j0_gemm`
-    would otherwise fill and drop on every call of many columns.  The first
-    such call fills them and keeps them; a call of one column fills none."""
+    as blocks of _GEMM_CHUNK_PANELS panels, and the only first argument of
+    :func:`weighted_j0_gemm`; ``size`` is the rule's node count, the
+    table's rows.
+
+    A call of one column fills no block.  The first call of many columns
+    keeps the blocks it fills if twice the table's bytes fit in
+    MAX_KEPT_TABLE_BYTES; otherwise the table streams, and every such call
+    fills, contracts and drops its blocks one at a time, with the bits of
+    kept ones.  The bound caps memory; it is not a speed threshold.
+    """
 
     def __init__(self, rule: PanelRule, k: np.ndarray):
         self.rule = rule
         self.k = k
         self.blocks: tuple[np.ndarray, ...] | None = None
 
-    def filled(self) -> tuple[np.ndarray, ...]:
-        """The blocks, filled on the first call and kept."""
+    # e2ebench counts a gemm's rows as np.size of its first argument
+    @property
+    def size(self) -> int:
+        return self.rule.size
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the whole table, kept or not: float64, rows x k nodes."""
+        return 8 * self.size * self.k.size
+
+    def filled(self) -> Iterable[np.ndarray]:
+        """The kept blocks, or, past the bound, blocks filled as asked for."""
         if self.blocks is None:
-            self.blocks = tuple(_panel_blocks(self.rule, self.k))
+            blocks = _panel_blocks(self.rule, self.k)
+            if 2 * self.nbytes > MAX_KEPT_TABLE_BYTES:
+                return blocks
+            self.blocks = tuple(blocks)
         return self.blocks
 
 
-def weighted_j0_gemm(r: PanelRule | PanelTable, k: np.ndarray,
+def weighted_j0_gemm(r: PanelTable, k: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
     """Batched form: out[i, m] = sum_j coeffs[j, m] * j0(k[j] * r[i]).
 
-    The radii r[i] are the nodes of the :class:`PanelRule` ``r``, or of
-    the rule of the :class:`PanelTable` ``r``, whose k nodes are ``k``.
-    One column fills no table: each run's sums come from one real product
-    by angle addition (:func:`_panel_sums`), and differ from the table's by
-    rounding only.  For many columns the j0 table of a block of panels is
-    contracted with all of them through one real BLAS product, which is
-    what makes time sweeps cheap.  A PanelRule's blocks are filled one at a
-    time and each dropped after its product; a PanelTable's are filled on
-    its first such call and kept.
+    The radii r[i] are the nodes of the rule of the :class:`PanelTable`
+    ``r``, whose k nodes are ``k``.  One column fills no table: each run's
+    sums come from one real product by angle addition
+    (:func:`_panel_sums`), and differ from the table's by rounding only.
+    For many columns the j0 table of a block of panels is contracted with
+    all of them through one real BLAS product, which is what makes time
+    sweeps cheap; the table keeps its blocks or streams them
+    (:meth:`PanelTable.filled`).
     """
     k = _check_k(k)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != k.shape[0]:
         raise ValueError("coeffs must have shape (len(k), n_columns)")
-    rule = r.rule if isinstance(r, PanelTable) else r
     if coeffs.shape[1] == 1:
         # a table that serves one column costs more to fill than it saves
-        return _panel_sums(rule, k, coeffs[:, 0])[:, None]
-    tables = _panel_blocks(r, k) if r is rule else r.filled()
-    return _contract(tables, rule.size, coeffs)
+        return _panel_sums(r.rule, k, coeffs[:, 0])[:, None]
+    return _contract(r.filled(), r.size, coeffs)

@@ -134,18 +134,6 @@ class RunConfig:
         return items
 
 
-def _round12(value: Any) -> Any:
-    """``value`` with every float in it, in nested dicts and lists too,
-    rounded to 12 significant digits; ints and bools are left as they are."""
-    if isinstance(value, float):
-        return float(fmt(value))
-    if isinstance(value, dict):
-        return {key: _round12(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_round12(item) for item in value]
-    return value
-
-
 def _float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part != ""]
 
@@ -314,9 +302,11 @@ def _csv_head(command: str, config: RunConfig,
 
 def _json_text(value: Any, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a document of
-    str-keyed dicts, lists, str, int, float, bool and None, built from
-    json's C string encoder and the number reprs (with an indent,
-    ``json.dumps`` runs json's Python encoder)."""
+    str-keyed dicts, lists, str, int, float, bool and None, with every
+    float rounded to 12 significant digits (:func:`fmt`) on the way, built
+    from json's C string encoder and the number reprs (with an indent,
+    ``json.dumps`` runs json's Python encoder).  Ints and bools are written
+    as they are."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -330,6 +320,7 @@ def _json_text(value: Any, indent: str = "") -> str:
     if isinstance(value, float):
         if value != value:
             return "NaN"
+        value = float(fmt(value))
         return _INFINITIES.get(value) or float.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
@@ -353,7 +344,7 @@ _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 def _emit_json(command: str, config: RunConfig, payload: dict) -> None:
     document = {"command": command, "config": dict(config.echo_items()),
-                **_round12(payload)}
+                **payload}
     data = (_json_text(document) + "\n").encode()
     with _Output(config.output) as write:
         write(data)

@@ -254,8 +254,10 @@ class DetectionSampler:
                 "radial grid misses too much mass for sampling; "
                 "increase r_max")
         r = grid.r_grid
-        if r.size < 2 or r[-1] <= r[0]:
-            raise InvalidStateError("radial grid is degenerate")
+        if r.size < 2 or not (r[0] >= 0.0 and
+                              np.logical_and.reduce(r[1:] > r[:-1])):
+            raise InvalidStateError("radial grid radii must be nonnegative "
+                                    "and strictly increasing")
         self._r = r
         # a grid that passes the coverage check has a finite norm of at
         # least 1 - COVERAGE_BOUND

@@ -88,9 +88,6 @@ COVERAGE_BOUND = 1e-6
 MAX_EXTENT_DOUBLINGS = 4
 # most radii of a radial grid; 2^20 of them already take tens of seconds
 MAX_GRID_POINTS = 1 << 20
-# most bytes of j0 table one BallQuadrature keeps over all its levels, the
-# size quadrature.MAX_PANELS lets one streamed 256-row block reach
-MAX_KEPT_TABLE_BYTES = 1 << 30
 
 # panels per oscillation period, coarse to fine; ball probabilities and
 # amplitudes climb it from its first level
@@ -489,10 +486,8 @@ class _Level:
 
     # 4 pi w rho^2 cap on the nodes of the rho rule
     weights: np.ndarray
-    # j0 on the rho nodes x the k nodes, kept once a call of many times
-    # fills it, or, past MAX_KEPT_TABLE_BYTES, the rho rule that the gemm
-    # fills it from block by block on every such call
-    table: PanelTable | PanelRule
+    # j0 on the rho nodes x the k nodes, which keeps or streams its blocks
+    table: PanelTable
     # nodes of a k rule resolving max(rho_max, t_max), and w k^{3/2} g(k)
     # / sqrt(pi) on them: read-only, shared through the profile's store
     k: np.ndarray
@@ -526,12 +521,13 @@ class BallQuadrature:
     and share one k rule per level, with the bits of their own.
 
     Every level a call reaches stays in memory until the quadrature is
-    dropped, up to a bound: a level whose table would take ``kept_bytes``,
-    the bytes of the tables charged so far, past MAX_KEPT_TABLE_BYTES keeps
-    its rules but not its table.  A level's table is charged when the level
-    is built, filled or not.  Such a level fills, contracts and drops its
-    table one block at a time on each call of many times, with the bits of
-    a kept one.  The bound caps memory; it is not a speed threshold.
+    dropped.  Its table keeps its blocks if twice its bytes fit in
+    :data:`~lcdisc._kernels.MAX_KEPT_TABLE_BYTES`, and otherwise fills,
+    contracts and drops them one at a time on each call of many times, with
+    the bits of kept ones (:class:`~lcdisc._kernels.PanelTable`).  Each
+    level's table takes at least twice the bytes of the level below, as
+    the k nodes double and the rho nodes never shrink, so the tables one
+    quadrature keeps stay under the bound.
 
     Raises
     ------
@@ -558,7 +554,6 @@ class BallQuadrature:
         self.R = float(R)
         self.t_max = float(t_max)
         self.prob_tol = prob_tol
-        self.kept_bytes = 0
         self._levels: dict[float, _Level] = {}
         self._first_two: tuple[np.ndarray, np.ndarray, int] | None = None
 
@@ -572,13 +567,9 @@ class BallQuadrature:
             cap = sphere_cap_weight(rho, R, d)
             k, envelope = _k_side(profile, float(np.maximum.reduce(rho)),
                                   self.t_max, panels_per_period)
-            table_bytes = rho.nbytes * k.size
-            keep = self.kept_bytes + table_bytes <= MAX_KEPT_TABLE_BYTES
-            if keep:
-                self.kept_bytes += table_bytes
             level = _Level(
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
-                table=PanelTable(rule, k) if keep else rule,
+                table=PanelTable(rule, k),
                 k=k,
                 envelope=envelope)
             self._levels[panels_per_period] = level

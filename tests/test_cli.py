@@ -213,15 +213,14 @@ def test_error_curve_zero_radius_row(capsys):
 
 def test_optimal_time_matches_library(capsys, gauss_d10):
     from lcdisc import optimal_measurement_time
-    from lcdisc.cli import _round12
     code, out, _ = run_cli(capsys, "optimal-time", *GAUSS_ARGS,
                            "--d", "10", "--R", "2", "--t-lo", "6",
                            "--t-hi", "14", "--t-grid", "12")
     assert code == 0
     result = json.loads(out)["result"]
     best = optimal_measurement_time(gauss_d10, 2.0, (6.0, 14.0), n_grid=12)
-    assert result["t_star"] == _round12(best.t_star)
-    assert result["p_t_star"] == _round12(best.p_t_star)
+    assert result["t_star"] == float(fmt(best.t_star))
+    assert result["p_t_star"] == float(fmt(best.p_t_star))
 
 
 def test_error_curve_radius_grid(capsys):
@@ -310,6 +309,8 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     ["error-curve", *GAUSS_ARGS, "--R-list", "1", "--fixed-t", "0",
      "--prob-tol", "inf"],
     ["amplitude-info", *GAUSS_ARGS, "--n-points", "256", "--amp-tol", "nan"],
+    ["error-curve", *GAUSS_ARGS, "--R-min", "1", "--R-max", "2",
+     "--R-count", "0"],
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -433,12 +434,24 @@ _JSON_DOCUMENTS = st.recursive(
     max_leaves=20)
 
 
+def _round12(value):
+    """``value`` with every float in it, in nested dicts and lists too,
+    rounded to 12 significant digits, as the JSON writer writes it."""
+    if isinstance(value, float):
+        return float(fmt(value))
+    if isinstance(value, dict):
+        return {key: _round12(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_round12(item) for item in value]
+    return value
+
+
 @settings(max_examples=200, deadline=None)
 @given(document=_JSON_DOCUMENTS)
 @example(document={"": [], "\u00e9\x00\n\"": {}, "a": [[-0.0, 1e308]]})
 def test_json_writer_matches_json_dumps(document):
-    assert cli._json_text(document) == json.dumps(document, indent=2,
-                                                  sort_keys=True)
+    assert cli._json_text(document) == json.dumps(_round12(document),
+                                                  indent=2, sort_keys=True)
 
 
 def test_numeric_failure_exits_3(capsys):

@@ -211,9 +211,9 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     first, second = propagation.DENSITY_LADDER[:2]
     sizing = propagation.BallQuadrature(profile, 1.0, 6.5)
     level1 = sizing._level(first)
-    budget = sizing.kept_bytes
+    budget = 2 * level1.table.nbytes
     level2 = sizing._level(second)
-    assert 0 < budget < sizing.kept_bytes
+    assert 0 < budget < 2 * level2.table.nbytes
     expected = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
 
     fills, balls = [], []
@@ -224,7 +224,7 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
         balls.append(self)
         return real_p_in(self, t_values)
 
-    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", budget)
+    monkeypatch.setattr(_kernels, "MAX_KEPT_TABLE_BYTES", budget)
     monkeypatch.setattr(_kernels._ACTIVE, "j0_table",
                         lambda rule, k: fills.append(k.size) or
                         real_fill(rule, k))
@@ -232,7 +232,8 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     got = optimal_measurement_time(profile, 1.0, (0.0, 6.5))
     assert got == expected
     assert len(set(map(id, balls))) == 1
-    assert balls[0].kept_bytes == budget
+    assert [balls[0]._levels[p].table.blocks is not None
+            for p in (first, second)] == [True, False]
     # this search reaches the first two levels only
     n1, n2 = (len(range(0, level.table.rule.centres.size,
                         _kernels._GEMM_CHUNK_PANELS))
@@ -408,6 +409,8 @@ def test_tradeoff_curve_validation(gauss_profile):
     with pytest.raises(InvalidParameterError):
         tradeoff_curve(gauss_profile, Priors(0.5), np.array([2.0, 1.0]),
                        (0.0, 1.0))
+    with pytest.raises(InvalidParameterError, match="1-D sequence"):
+        tradeoff_curve(gauss_profile, Priors(0.5), ["1", "two"], (0.0, 1.0))
 
 
 def test_sweep_clips_once_with_one_warning(monkeypatch, gauss_profile):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import lcdisc
 from lcdisc import _kernels, propagation
 from lcdisc._kernels import (
+    PanelTable,
     available_backends,
     backend_name,
     cos_sin_rows,
@@ -51,7 +52,8 @@ def test_gemm_looks_up_table_fill_per_block(monkeypatch):
     rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.25)
     assert rule.centres.size == 80
     k = np.linspace(0.0, 12.0, 40)
-    got = weighted_j0_gemm(rule, k, np.ones((40, 2), dtype=complex))
+    got = weighted_j0_gemm(PanelTable(rule, k), k,
+                           np.ones((40, 2), dtype=complex))
     assert calls == [32, 32, 16]
     assert got.shape == (rule.size, 2)
 
@@ -111,7 +113,8 @@ def test_j0_small_argument_series():
         sums = [(radii, weighted_j0_sum(radii, k, coeffs)),
                 (grid.nodes, weighted_j0_sum(grid, k, coeffs)),
                 (rule.nodes,
-                 weighted_j0_gemm(rule, k, coeffs[:, None])[:, 0])]
+                 weighted_j0_gemm(PanelTable(rule, k), k,
+                                  coeffs[:, None])[:, 0])]
     scale = np.sum(np.abs(coeffs))
     for x, got in sums:
         small = x * _K_MAX < _kernels._SIN_LIMIT_KX
@@ -128,7 +131,7 @@ def test_gemm_matches_sum():
     rule = piecewise_gauss_panels(np.array([0.0, 20.0]), 0.25)
     k = np.sort(rng.uniform(0.0, 12.0, 96))
     coeffs = rng.normal(size=(96, 3)) + 1j * rng.normal(size=(96, 3))
-    table = weighted_j0_gemm(rule, k, coeffs)
+    table = weighted_j0_gemm(PanelTable(rule, k), k, coeffs)
     for col in range(3):
         direct = weighted_j0_sum(rule.nodes, k, coeffs[:, col])
         scale = np.sum(np.abs(coeffs[:, col]))
@@ -144,7 +147,7 @@ def test_gemm_matches_two_real_products():
     coeffs = rng.normal(size=(80, 5)) + 1j * rng.normal(size=(80, 5))
     table = panel_j0_table(rule, k)
     expected = table @ coeffs.real + 1j * (table @ coeffs.imag)
-    got = weighted_j0_gemm(rule, k, coeffs)
+    got = weighted_j0_gemm(PanelTable(rule, k), k, coeffs)
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
 
@@ -158,8 +161,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         weighted_j0_sum(r, np.array([1.0, 2.0]), np.array([1.0]))
     rule = piecewise_gauss_panels(np.array([0.0, 1.0]), 1.0)
+    k = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
-        weighted_j0_gemm(rule, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        weighted_j0_gemm(PanelTable(rule, k), k, np.array([1.0, 2.0]))
 
 
 def test_empty_inputs():
@@ -309,7 +313,8 @@ def test_gemm_blocks_cut_runs(monkeypatch):
 
     monkeypatch.setattr(_kernels._ACTIVE, "j0_table", recording)
     k = np.linspace(0.0, 12.0, 30)
-    got = weighted_j0_gemm(rule, k, np.eye(30, dtype=complex))
+    got = weighted_j0_gemm(PanelTable(rule, k), k,
+                           np.eye(30, dtype=complex))
     assert seen == [(32, (0,)), (32, (0, 8)), (6, (0,))]
     assert np.max(np.abs(got.real - _reference_j0(
         np.multiply.outer(rule.nodes, k)))) <= 1e-13
@@ -328,7 +333,7 @@ def test_panel_table_through_gemm():
     assert np.max(np.abs(table - _reference_j0(np.outer(rule.nodes, k)))) \
         <= 1e-13
     assert np.all(table[:, 0] == 1.0)
-    got = weighted_j0_gemm(rule, k, coeffs)
+    got = weighted_j0_gemm(PanelTable(rule, k), k, coeffs)
     expected = _reference_j0(np.outer(rule.nodes, k)) @ coeffs
     scale = np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
@@ -342,7 +347,7 @@ def _one_column_gap(rule, k, coeffs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels._ACTIVE, "j0_table", no_fill)
-        got = weighted_j0_gemm(rule, k, coeffs[:, None])
+        got = weighted_j0_gemm(PanelTable(rule, k), k, coeffs[:, None])
     assert got.shape == (rule.size, 1)
     expected = panel_j0_table(rule, k) @ coeffs
     return np.max(np.abs(got[:, 0] - expected)) / np.sum(np.abs(coeffs))

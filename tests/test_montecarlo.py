@@ -148,6 +148,22 @@ def test_sampler_rejects_zero_width_grid(gauss_profile):
         DetectionSampler(flat)
 
 
+@pytest.mark.parametrize("radii", [[0.0, 0.5, 0.3, 1.0],
+                                   [-0.5, 0.0, 0.5, 1.0]],
+                         ids=["descending", "negative"])
+def test_sampler_rejects_radii_out_of_order(radii):
+    # each grid passes the coverage check, scaled to a grid norm of 1; the
+    # descending one's CDF is [0, 0.152, 0.0695, 1], which no inverse
+    # transform can search
+    r = np.array(radii)
+    unit = propagation.RadialAmplitude(0.0, r, np.ones(4, dtype=complex))
+    grid = propagation.RadialAmplitude(0.0, r,
+                                       unit.amp / math.sqrt(unit.grid_norm))
+    assert not grid.coverage_warning
+    with pytest.raises(InvalidStateError, match="strictly increasing"):
+        DetectionSampler(grid)
+
+
 def test_run_trial_fields(gauss_profile):
     batch, = run_trials(gauss_profile, Priors(0.5), 1.0, 0.0, 1000, 1)
     assert batch.start == 0

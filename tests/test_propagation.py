@@ -538,11 +538,11 @@ def test_first_two_levels_share_one_fill(monkeypatch, family, d, R, t_max,
     monkeypatch.setattr(propagation, "_converged", recording)
     if keep == "first-kept":
         sizing = propagation.BallQuadrature(profile, R, t_max, prob_tol)
-        sizing._level(propagation.DENSITY_LADDER[0])
-        monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES",
-                            sizing.kept_bytes)
+        first = sizing._level(propagation.DENSITY_LADDER[0])
+        monkeypatch.setattr(_kernels, "MAX_KEPT_TABLE_BYTES",
+                            2 * first.table.nbytes)
     elif keep == "streamed":
-        monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", 0)
+        monkeypatch.setattr(_kernels, "MAX_KEPT_TABLE_BYTES", 0)
     calls = [EvenGrid.linspace(0.0, t_max, 32),
              EvenGrid.between(1.0, 2.0, 16),
              np.array([t_max, 0.0, -1.7]),
@@ -559,8 +559,7 @@ def test_first_two_levels_share_one_fill(monkeypatch, family, d, R, t_max,
         assert got == expected
     ladder = propagation.DENSITY_LADDER[:n_levels]
     assert sorted(ball._levels) == list(ladder)
-    kept = [isinstance(ball._levels[p].table, _kernels.PanelTable)
-            for p in ladder]
+    kept = [ball._levels[p].table.blocks is not None for p in ladder]
     assert kept == {"kept": [True] * n_levels,
                     "streamed": [False] * n_levels,
                     "first-kept": [True] + [False] * (n_levels - 1)}[keep]
@@ -679,21 +678,42 @@ def test_levels_past_the_budget_stream_their_tables(monkeypatch, family, d):
     kept = propagation.BallQuadrature(profile, 6.0, 7.0)
     expected = [kept.p_in(ts), kept.p_in(ts[:2])]
     fills = _counting_fills(monkeypatch)
-    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES", 0)
+    monkeypatch.setattr(_kernels, "MAX_KEPT_TABLE_BYTES", 0)
     ball = propagation.BallQuadrature(profile, 6.0, 7.0)
     assert ball.p_in(ts).tobytes() == expected[0].tobytes()
     first = len(fills)
     assert first > 2  # more blocks than levels
     assert ball.p_in(ts[:2]).tobytes() == expected[1].tobytes()
     second = len(fills) - first
-    assert ball.kept_bytes == 0
-    assert not any(isinstance(level.table, _kernels.PanelTable)
-                   for level in ball._levels.values())
+    assert all(level.table.blocks is None
+               for level in ball._levels.values())
     # every block again, as many as a quadrature that keeps them fills once
     monkeypatch.undo()
     fills = _counting_fills(monkeypatch)
     propagation.BallQuadrature(profile, 6.0, 7.0).p_in(ts[:2])
     assert second == len(fills)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.one_of(
+           st.builds(GaussianFamily, k0=st.floats(0.5, 16.0),
+                     sigma=st.floats(0.1, 4.0)),
+           st.builds(ExponentialFamily, kappa=st.floats(0.25, 8.0))),
+       d=st.floats(0.0, 10.0), R=st.floats(1e-3, 10.0),
+       t_max=st.floats(0.0, 40.0))
+def test_each_level_table_takes_twice_the_bytes_below(family, d, R, t_max):
+    # the k nodes double from one ladder level to the next and the rho
+    # nodes never shrink, so each level's table takes at least twice the
+    # bytes of the level below.  A table keeps its blocks when twice its
+    # bytes fit in the bound, so the tables a quadrature keeps over all its
+    # levels stay under the bound, here at every bound that keeps a level
+    ball = propagation.BallQuadrature(make_profile(family, offset_d=d), R,
+                                      t_max)
+    sizes = [ball._level(p).table.nbytes for p in propagation.DENSITY_LADDER]
+    assert sizes[0] > 0
+    assert all(above >= 2 * below for below, above in zip(sizes, sizes[1:]))
+    for bound in (2 * size for size in sizes):
+        assert sum(size for size in sizes if 2 * size <= bound) <= bound
 
 
 @pytest.mark.parametrize("family,d", [
@@ -719,9 +739,8 @@ def test_only_calls_of_many_times_fill_tables(monkeypatch, family, d):
     with monkeypatch.context() as patch:
         patch.setattr(_kernels._ACTIVE, "j0_table", no_fill)
         assert ball.p_in(np.array([t]))[0] == expected_one
-    tables = [level.table for level in ball._levels.values()]
-    assert all(isinstance(table, _kernels.PanelTable) for table in tables)
-    assert all(table.blocks is None for table in tables)
+    assert all(level.table.blocks is None
+               for level in ball._levels.values())
 
     fills = _counting_fills(monkeypatch)
     assert ball.p_in(ts).tobytes() == expected_many.tobytes()
@@ -736,17 +755,18 @@ def test_only_calls_of_many_times_fill_tables(monkeypatch, family, d):
     # room for the first level's table only: the levels above it stream on
     # every call of many times
     sizing = propagation.BallQuadrature(profile, R, 7.0)
-    sizing._level(propagation.DENSITY_LADDER[0])
-    monkeypatch.setattr(propagation, "MAX_KEPT_TABLE_BYTES",
-                        sizing.kept_bytes)
+    monkeypatch.setattr(
+        _kernels, "MAX_KEPT_TABLE_BYTES",
+        2 * sizing._level(propagation.DENSITY_LADDER[0]).table.nbytes)
     fills.clear()
     ball = propagation.BallQuadrature(profile, R, 7.0)
     for _ in range(2):
         assert ball.p_in(ts).tobytes() == expected_many.tobytes()
     first, *above = (ball._levels[p].table for p in sorted(ball._levels))
-    assert isinstance(first, _kernels.PanelTable)
-    assert above and all(isinstance(rule, PanelRule) for rule in above)
-    assert len(fills) == blocks + sum(map(_n_blocks, above))
+    assert first.blocks is not None
+    assert above and all(table.blocks is None for table in above)
+    assert len(fills) == blocks + sum(_n_blocks(table.rule)
+                                      for table in above)
 
 
 def test_inside_probability_validation(gauss_profile):
@@ -1169,6 +1189,6 @@ def test_sweep_matches_direct_table(monkeypatch, family, d, R, times):
     got = inside_probability_sweep(profile, R, times)
     monkeypatch.setattr(
         propagation, "weighted_j0_gemm",
-        lambda r, k, c: _direct_sums(getattr(r, "rule", r).nodes, k, c))
+        lambda r, k, c: _direct_sums(r.rule.nodes, k, c))
     expected = inside_probability_sweep(profile, R, times)
     assert np.max(np.abs(got - expected)) <= 1e-14

@@ -78,6 +78,25 @@ def test_even_grid_rejects_a_step_that_underflows(build):
         build()
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: gauss_panels(0.0, math.inf, 0.1), "limits must be finite"),
+    (lambda: gauss_panels(0.0, 1.0, 0.0), "width must be positive"),
+    (lambda: piecewise_gauss_panels(np.array([1.0]), 0.1),
+     "at least two breakpoints"),
+    (lambda: piecewise_gauss_panels(np.array([0.0, 2.0, 1.0]), 0.1),
+     "sorted ascending"),
+], ids=["infinite", "zero-width", "one-breakpoint", "unsorted"])
+def test_panel_rules_reject_bad_input(build, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        build()
+
+
+def test_empty_interval_gets_no_panels():
+    rule = gauss_panels(1.0, 1.0, 0.1)
+    assert rule.size == 0
+    assert rule.nodes.size == rule.weights.size == 0
+
+
 def test_even_grid_of_equal_ends_is_linspace():
     grid = EvenGrid.linspace(-0.0, -0.0, 4)
     assert _bits(grid.nodes) == _bits(np.linspace(-0.0, -0.0, 4))
