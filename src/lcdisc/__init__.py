@@ -14,9 +14,7 @@ from lcdisc.amplitude import (
     TAIL_MASS_BOUND,
     ExponentialFamily,
     GaussianFamily,
-    HelicityChannel,
     MomentumProfile,
-    channel_overlap,
     make_profile,
     momentum_norm,
 )
@@ -24,16 +22,11 @@ from lcdisc.discrimination import (
     DiscriminationReport,
     OptimalTime,
     Priors,
-    accessible_error,
     build_report,
-    inaccessible_error,
-    map_error,
     optimal_measurement_time,
     outside_probability,
     outside_probability_sweep,
-    posteriors_on_unknown,
     strategy_error,
-    total_error,
     tradeoff_curve,
 )
 from lcdisc.errors import (
@@ -45,7 +38,6 @@ from lcdisc.errors import (
     ResourceLimitError,
 )
 from lcdisc.lightcone import (
-    Ruler,
     RulerTiming,
     lorentz_factor,
     ruler_min_time,
@@ -79,7 +71,6 @@ __all__ = [
     "ErrorEstimate",
     "ExponentialFamily",
     "GaussianFamily",
-    "HelicityChannel",
     "InvalidParameterError",
     "InvalidStateError",
     "LcdiscError",
@@ -89,29 +80,23 @@ __all__ = [
     "Priors",
     "RadialAmplitude",
     "ResourceLimitError",
-    "Ruler",
     "RulerTiming",
     "TAIL_MASS_BOUND",
     "TrialBatch",
     "__version__",
-    "accessible_error",
     "amplitude_on_radii",
     "build_report",
-    "channel_overlap",
     "default_r_max",
     "estimate_error",
-    "inaccessible_error",
     "inside_probability",
     "inside_probability_sweep",
     "lorentz_factor",
     "make_profile",
-    "map_error",
     "momentum_norm",
     "optimal_measurement_time",
     "outside_probability",
     "outside_probability_sweep",
     "philox_uniforms",
-    "posteriors_on_unknown",
     "quantile_radius",
     "radial_density_grid",
     "ruler_min_time",
@@ -119,6 +104,5 @@ __all__ = [
     "scan_time_ball",
     "sphere_cap_weight",
     "strategy_error",
-    "total_error",
     "tradeoff_curve",
 ]

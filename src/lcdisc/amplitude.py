@@ -23,7 +23,6 @@ overlap is a Kronecker delta in the helicity sign.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -38,13 +37,6 @@ TAIL_MASS_BOUND = 1e-10
 # this many to a decade, ending at the family's far cutoff
 _TAIL_GRID_SEGMENTS = 4096
 _TAIL_GRID_PER_DECADE = 1024
-
-
-class HelicityChannel(enum.Enum):
-    """The two orthogonal photon helicity states."""
-
-    PLUS = +1
-    MINUS = -1
 
 
 @dataclass(frozen=True)
@@ -217,11 +209,3 @@ def momentum_norm(profile: MomentumProfile) -> float:
     g = profile.magnitude(rule.nodes)
     return float(2.0 * math.pi * np.dot(rule.weights, rule.nodes * g * g))
 
-
-def channel_overlap(channel_a: HelicityChannel, channel_b: HelicityChannel) -> float:
-    """Inner product of two candidate states sharing one profile.
-
-    The states differ only in helicity, so the overlap reduces to a Kronecker
-    delta in the helicity sign: 1 for equal channels, 0 otherwise.
-    """
-    return 1.0 if channel_a is channel_b else 0.0

@@ -49,7 +49,6 @@ from lcdisc._csvrows import (
 from lcdisc.amplitude import (
     ExponentialFamily,
     GaussianFamily,
-    HelicityChannel,
     MomentumProfile,
     make_profile,
     momentum_norm,
@@ -386,8 +385,7 @@ def _cmd_optimal_time(config: RunConfig) -> dict:
 
 
 # channel names indexed by "is PLUS"
-_CHANNELS = (HelicityChannel.MINUS.name.lower(),
-             HelicityChannel.PLUS.name.lower())
+_CHANNELS = ("minus", "plus")
 
 
 # the trial CSV's text before and after rho, indexed by the row's code

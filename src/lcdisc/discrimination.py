@@ -92,8 +92,6 @@ class DiscriminationReport:
     t_meas: float
     p_t: float
     P_e: float
-    posterior0: float
-    posterior1: float
     scan_T: float
     total_T: float
 
@@ -105,8 +103,8 @@ def outside_probability(
     prob_tol: float = DEFAULT_PROB_TOL,
 ) -> float:
     """Probability p_t that the detector fires outside the ball."""
-    return float(outside_probability_sweep(profile, R, np.array([t]),
-                                           prob_tol)[0])
+    return float(_clipped_outside(
+        inside_probability_sweep(profile, R, np.array([t]), prob_tol))[0])
 
 
 def outside_probability_sweep(
@@ -132,49 +130,14 @@ def _clipped_outside(p_in: np.ndarray) -> np.ndarray:
     return np.maximum(p_out, 0.0)
 
 
-def posteriors_on_unknown(priors: Priors) -> tuple[float, float]:
-    """Posterior probabilities given an outside outcome.
-
-    Both states produce the same spatial density, so Bayes' rule leaves the
-    priors unchanged: the p_t factors cancel exactly.
-    """
-    return priors.pi0, priors.pi1
-
-
-def inaccessible_error(priors: Priors, p_t: float) -> float:
-    """Error contributed by outside outcomes under probability matching."""
-    _check_probability(p_t)
-    post0, post1 = posteriors_on_unknown(priors)
-    return (priors.pi0 * post1 + priors.pi1 * post0) * p_t
-
-
-def accessible_error() -> float:
-    """Error for outcomes inside the ball: exactly zero.
-
-    The two channels are orthogonal, and the measurement restricted to the
-    ball separates them perfectly, so in-domain outcomes never mislead.
-    """
-    return 0.0
-
-
-def total_error(priors: Priors, p_t: float) -> float:
-    """Total identification error 2 pi0 pi1 p_t (probability matching)."""
-    return accessible_error() + inaccessible_error(priors, p_t)
-
-
-def map_error(priors: Priors, p_t: float) -> float:
-    """Error under the MAP guess, min(pi0, pi1) p_t; an extension, not the
-    default rule."""
-    _check_probability(p_t)
-    return min(priors.pi0, priors.pi1) * p_t
-
-
 def strategy_error(strategy: str, priors: Priors, p_t: float) -> float:
-    """Analytic error rate for a named guessing strategy."""
+    """Analytic error rate for a named guessing strategy: 2 pi0 pi1 p_t for
+    the paper's probability matching, min(pi0, pi1) p_t for MAP."""
+    _check_probability(p_t)
     if strategy == STRATEGY_PAPER:
-        return total_error(priors, p_t)
+        return 2.0 * (priors.pi0 * priors.pi1) * p_t
     if strategy == STRATEGY_MAP:
-        return map_error(priors, p_t)
+        return min(priors.pi0, priors.pi1) * p_t
     raise InvalidParameterError(
         f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
@@ -250,15 +213,12 @@ def optimal_measurement_time(
 def build_report(priors: Priors, R: float, t_meas: float,
                  p_t: float) -> DiscriminationReport:
     """Assemble a report from an already-computed p_t."""
-    post0, post1 = posteriors_on_unknown(priors)
     scan = scan_time_ball(R)
     return DiscriminationReport(
         R=float(R),
         t_meas=float(t_meas),
         p_t=float(p_t),
-        P_e=total_error(priors, p_t),
-        posterior0=post0,
-        posterior1=post1,
+        P_e=strategy_error(STRATEGY_PAPER, priors, p_t),
         scan_T=scan,
         total_T=float(t_meas) + scan,
     )

@@ -14,17 +14,6 @@ from lcdisc.errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
-class Ruler:
-    """A rigid rod of known positive length."""
-
-    length: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise InvalidParameterError("ruler length must be finite and > 0")
-
-
-@dataclass(frozen=True)
 class RulerTiming:
     """Minimal identification time for a pair of rulers.
 
@@ -62,14 +51,15 @@ def ruler_min_time(
     the bound is max(x, 1-x) * L_min, which reduces to L_min/2 for the
     midpoint and L_min for an endpoint observer.
     """
-    ruler1, ruler2 = Ruler(L1), Ruler(L2)
+    for length in (L1, L2):
+        if not (math.isfinite(length) and length > 0.0):
+            raise InvalidParameterError("ruler length must be finite and > 0")
     x = float(observer_position)
     if not (math.isfinite(x) and 0.0 <= x <= 1.0):
         raise InvalidParameterError("observer_position must lie in [0, 1]")
-    l_min = min(ruler1.length, ruler2.length)
     return RulerTiming(
-        min_time=max(x, 1.0 - x) * l_min,
-        indistinguishable=ruler1.length == ruler2.length,
+        min_time=max(x, 1.0 - x) * min(L1, L2),
+        indistinguishable=L1 == L2,
     )
 
 

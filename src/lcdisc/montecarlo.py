@@ -98,10 +98,10 @@ _PHILOX_SLICE = 16384
 class TrialBatch:
     """The consecutive trials ``start, start + 1, ...`` as parallel arrays.
 
-    ``true_plus`` and ``guess_plus`` are True where the channel is
-    HelicityChannel.PLUS.  Inside the ball the outcome is the true channel
-    and the guess always matches it; outside, the outcome is unknown and
-    the guess comes from the configured strategy.
+    ``true_plus`` and ``guess_plus`` are True where the channel is the plus
+    channel.  Inside the ball the outcome is the true channel and the guess
+    always matches it; outside, the outcome is unknown and the guess comes
+    from the configured strategy.
     """
 
     start: int

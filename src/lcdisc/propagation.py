@@ -486,11 +486,11 @@ class _Level:
 
     # 4 pi w rho^2 cap on the nodes of the rho rule
     weights: np.ndarray
-    # j0 on the rho nodes x the k nodes, which keeps or streams its blocks
+    # j0 on the rho nodes x the nodes of a k rule resolving
+    # max(rho_max, t_max), which keeps or streams its blocks
     table: PanelTable
-    # nodes of a k rule resolving max(rho_max, t_max), and w k^{3/2} g(k)
-    # / sqrt(pi) on them: read-only, shared through the profile's store
-    k: np.ndarray
+    # w k^{3/2} g(k) / sqrt(pi) on the table's k nodes: read-only, shared
+    # through the profile's store
     envelope: np.ndarray
 
 
@@ -570,7 +570,6 @@ class BallQuadrature:
             level = _Level(
                 weights=4.0 * math.pi * rule.weights * rho * rho * cap,
                 table=PanelTable(rule, k),
-                k=k,
                 envelope=envelope)
             self._levels[panels_per_period] = level
         return level
@@ -582,9 +581,9 @@ class BallQuadrature:
         if self._first_two is None:
             first, second = map(self._level, DENSITY_LADDER[:2])
             self._first_two = (
-                np.concatenate((first.k, second.k)),
+                np.concatenate((first.table.k, second.table.k)),
                 np.concatenate((first.envelope, second.envelope)),
-                first.k.size)
+                first.table.k.size)
         return self._first_two
 
     def p_in(self, t_values: np.ndarray | EvenGrid) -> np.ndarray:
@@ -636,8 +635,8 @@ class BallQuadrature:
             level = self._level(panels_per_period)
             coeffs = first_two.get(panels_per_period)
             if coeffs is None:
-                coeffs = _phase_coeffs(level.envelope, level.k, times)
-            amp = weighted_j0_gemm(level.table, level.k, coeffs)
+                coeffs = _phase_coeffs(level.envelope, level.table.k, times)
+            amp = weighted_j0_gemm(level.table, level.table.k, coeffs)
             density = amp.real ** 2 + amp.imag ** 2
             return level.weights @ density
 

@@ -11,10 +11,8 @@ import lcdisc
 from lcdisc import (
     ExponentialFamily,
     GaussianFamily,
-    HelicityChannel,
     InvalidParameterError,
     NumericFailureError,
-    channel_overlap,
     make_profile,
     momentum_norm,
 )
@@ -129,14 +127,6 @@ def test_make_profile_deterministic():
     b = make_profile(GaussianFamily(5.0, 1.0))
     assert a.norm_const == b.norm_const
     assert a.k_max == b.k_max
-
-
-def test_channel_overlap_orthonormal():
-    plus, minus = HelicityChannel.PLUS, HelicityChannel.MINUS
-    assert channel_overlap(plus, plus) == 1.0
-    assert channel_overlap(minus, minus) == 1.0
-    assert channel_overlap(plus, minus) == 0.0
-    assert channel_overlap(minus, plus) == 0.0
 
 
 @pytest.mark.parametrize("bad", [

@@ -661,6 +661,45 @@ FROZEN_MONTE_CARLO = {
 }
 
 
+# sha256 of stdout of optimal-time and error-curve, with and without
+# --fixed-t: a change to p_t, its search or the P_e formula moves them
+EXP_ARGS = ["--family", "exponential", "--kappa", "1"]
+FROZEN_ARTIFACTS = {
+    "optimal-gaussian-offset": (
+        ["optimal-time", *GAUSS_ARGS, "--d", "10", "--R", "2", "--t-lo", "6",
+         "--t-hi", "14", "--t-grid", "12", "--format", "json"],
+        "ff7854c9081b8f5c228e90a96d094107680f113e2e641f161e990ebd1e317072"),
+    "optimal-exponential": (
+        ["optimal-time", *EXP_ARGS, "--d", "3", "--R", "2", "--t-lo", "0",
+         "--t-hi", "6", "--t-grid", "12", "--pi0", "0.3", "--format", "json"],
+        "ce3656c90ef45f5498c12d8d97a78eeaa1eb51b7c2d4f40d8a29e2e5f0d5cc82"),
+    "curve-fixed-csv": (
+        ["error-curve", *GAUSS_ARGS, "--pi0", "0.3", "--R-list", "0.5,1,2",
+         "--fixed-t", "1"],
+        "015955fcfc5529b6e8811a462c3cb8183afd425fcef1b933f9e0ca7d559a64ee"),
+    "curve-fixed-json": (
+        ["error-curve", *GAUSS_ARGS, "--pi0", "0.3", "--R-list", "0.5,1,2",
+         "--fixed-t", "1", "--format", "json"],
+        "9fe4956d1c14879cc472c7716156965c73d50a036046dab2c5148f3a41e1aace"),
+    "curve-search-csv": (
+        ["error-curve", *GAUSS_ARGS, "--d", "3", "--R-list", "1,2", "--t-lo",
+         "0", "--t-hi", "6", "--t-grid", "8"],
+        "f72f1028234f55c2d5ab58f42853f97c10942a8f22f98e7512222cea56403be7"),
+    "curve-search-json": (
+        ["error-curve", *GAUSS_ARGS, "--d", "3", "--R-list", "1,2", "--t-lo",
+         "0", "--t-hi", "6", "--t-grid", "8", "--format", "json"],
+        "b2d693a99103ae86a7cd569a96be1f7609f626d25a0fa0b4dcb522d63fb2f26f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ARTIFACTS))
+def test_frozen_artifact_digests(case, capsys):
+    argv, digest = FROZEN_ARTIFACTS[case]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _without_column(text, name):
     """The CSV ``text`` with the column ``name`` dropped from its header and
     rows; comment lines are kept as they are."""

@@ -13,16 +13,11 @@ from lcdisc import (
     DiscriminationReport,
     InvalidParameterError,
     Priors,
-    accessible_error,
     build_report,
-    inaccessible_error,
-    map_error,
     optimal_measurement_time,
     outside_probability,
     outside_probability_sweep,
-    posteriors_on_unknown,
     strategy_error,
-    total_error,
     tradeoff_curve,
 )
 from lcdisc.quadrature import EvenGrid
@@ -42,56 +37,50 @@ def test_priors_validation(bad):
         Priors(bad)
 
 
-def test_posteriors_equal_priors():
-    assert posteriors_on_unknown(Priors(0.3)) == (0.3, 0.7)
-    assert posteriors_on_unknown(Priors(1.0)) == (1.0, 0.0)
-
-
-def test_accessible_error_is_zero():
-    assert accessible_error() == 0.0
-
-
 def test_error_values():
-    assert total_error(Priors(0.5), 1.0) == 0.5
-    assert total_error(Priors(0.5), 0.0) == 0.0
-    assert total_error(Priors(1.0), 0.7) == 0.0
-    assert total_error(Priors(0.3), 0.5) == pytest.approx(2 * 0.3 * 0.7 * 0.5)
-    assert map_error(Priors(0.3), 0.5) == pytest.approx(0.3 * 0.5)
+    assert strategy_error("paper", Priors(0.5), 1.0) == 0.5
+    assert strategy_error("paper", Priors(0.5), 0.0) == 0.0
+    assert strategy_error("paper", Priors(1.0), 0.7) == 0.0
+    assert strategy_error("paper", Priors(0.3), 0.5) == pytest.approx(
+        2 * 0.3 * 0.7 * 0.5)
+    assert strategy_error("map", Priors(0.3), 0.5) == pytest.approx(0.3 * 0.5)
 
 
 @settings(max_examples=200)
 @given(pi0=probs, p_t=probs)
 def test_error_decomposition_identity(pi0, p_t):
+    # posteriors on an outside outcome equal the priors and the in-ball
+    # error is zero, so P_e is the outside term (pi0 pi1 + pi1 pi0) p_t
     priors = Priors(pi0)
-    total = total_error(priors, p_t)
-    assert total == accessible_error() + inaccessible_error(priors, p_t)
+    total = strategy_error("paper", priors, p_t)
+    assert total == 0.0 + (pi0 * priors.pi1 + priors.pi1 * pi0) * p_t
     assert total == pytest.approx(2.0 * pi0 * (1.0 - pi0) * p_t, abs=1e-15)
 
 
 @settings(max_examples=200)
 @given(pi0=probs, p_t=probs)
 def test_error_symmetry_and_bounds(pi0, p_t):
-    mirrored = total_error(Priors(1.0 - pi0), p_t)
-    assert total_error(Priors(pi0), p_t) == pytest.approx(mirrored, abs=1e-15)
+    total = strategy_error("paper", Priors(pi0), p_t)
+    mirrored = strategy_error("paper", Priors(1.0 - pi0), p_t)
+    assert total == pytest.approx(mirrored, abs=1e-15)
     # Probability matching is maximized by even priors and never beats MAP.
-    assert total_error(Priors(pi0), p_t) <= 0.5 * p_t + 1e-15
-    assert map_error(Priors(pi0), p_t) <= total_error(Priors(pi0),
-                                                      p_t) + 1e-15
+    assert total <= 0.5 * p_t + 1e-15
+    assert strategy_error("map", Priors(pi0), p_t) <= total + 1e-15
 
 
 def test_strategy_dispatch():
     priors = Priors(0.3)
-    assert strategy_error("paper", priors, 0.5) == total_error(priors, 0.5)
-    assert strategy_error("map", priors, 0.5) == map_error(priors, 0.5)
+    assert strategy_error("paper", priors, 0.5) == 2.0 * (0.3 * 0.7) * 0.5
+    assert strategy_error("map", priors, 0.5) == 0.3 * 0.5
     with pytest.raises(InvalidParameterError):
         strategy_error("bogus", priors, 0.5)
 
 
 def test_error_rejects_bad_probability():
     with pytest.raises(InvalidParameterError):
-        total_error(Priors(0.5), 1.5)
+        strategy_error("paper", Priors(0.5), 1.5)
     with pytest.raises(InvalidParameterError):
-        map_error(Priors(0.5), float("nan"))
+        strategy_error("map", Priors(0.5), float("nan"))
 
 
 def test_outside_probability_complements_inside(gauss_profile):
@@ -238,8 +227,8 @@ def test_search_streams_levels_past_the_kept_table_budget(monkeypatch):
     n1, n2 = (len(range(0, level.table.rule.centres.size,
                         _kernels._GEMM_CHUNK_PANELS))
               for level in (level1, level2))
-    assert fills.count(level1.k.size) == n1
-    assert fills.count(level2.k.size) == n2 * len(balls)
+    assert fills.count(level1.table.k.size) == n1
+    assert fills.count(level2.table.k.size) == n2 * len(balls)
     assert len(fills) == n1 + n2 * len(balls)
 
 
@@ -345,7 +334,6 @@ def test_build_report_fields():
     assert report.t_meas == 1.5
     assert report.p_t == 0.25
     assert report.P_e == pytest.approx(2 * 0.3 * 0.7 * 0.25)
-    assert (report.posterior0, report.posterior1) == (0.3, 0.7)
     assert report.scan_T == 2.0
     assert report.total_T == 3.5
 
@@ -400,7 +388,7 @@ def test_tradeoff_curve_zero_radius_reaches_prior_error(gauss_profile):
     report = tradeoff_curve(gauss_profile, Priors(0.3), np.array([0.0]),
                             (0.0, 1.0), fixed_t=0.0)[0]
     assert report.p_t == 1.0
-    assert report.P_e == total_error(Priors(0.3), 1.0)
+    assert report.P_e == strategy_error("paper", Priors(0.3), 1.0)
 
 
 def test_tradeoff_curve_validation(gauss_profile):
@@ -414,6 +402,7 @@ def test_tradeoff_curve_validation(gauss_profile):
 
 
 def test_sweep_clips_once_with_one_warning(monkeypatch, gauss_profile):
+    # the warning points at the caller's line, for a sweep and a scalar
     monkeypatch.setattr(discrimination, "inside_probability_sweep",
                         lambda *args: np.array([1.0 + 1e-5, 1.0 + 2e-5, 0.5]))
     with warnings.catch_warnings(record=True) as caught:
@@ -421,3 +410,12 @@ def test_sweep_clips_once_with_one_warning(monkeypatch, gauss_profile):
         p = outside_probability_sweep(gauss_profile, 1.0, np.arange(3.0))
     assert p.tolist() == [0.0, 0.0, 0.5]
     assert [w.category for w in caught] == [UserWarning]
+    assert [w.filename for w in caught] == [__file__]
+    monkeypatch.setattr(discrimination, "inside_probability_sweep",
+                        lambda *args: np.array([1.0 + 1e-5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = outside_probability(gauss_profile, 1.0, 0.0)
+    assert p == 0.0
+    assert [w.category for w in caught] == [UserWarning]
+    assert [w.filename for w in caught] == [__file__]

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from lcdisc import (
     InvalidParameterError,
-    Ruler,
     RulerTiming,
     lorentz_factor,
     ruler_min_time,
@@ -68,7 +67,7 @@ def test_ruler_validation():
     with pytest.raises(InvalidParameterError):
         ruler_min_time(2.0, 4.0, observer_position=1.2)
     with pytest.raises(InvalidParameterError):
-        Ruler(float("nan"))
+        ruler_min_time(float("nan"), 1.0)
 
 
 def test_lorentz_factor_examples():

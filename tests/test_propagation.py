@@ -503,9 +503,9 @@ def _p_in_per_level(ball, times):
     own."""
     def evaluate(panels_per_period):
         level = ball._level(panels_per_period)
+        k = level.table.k
         amp = _kernels.weighted_j0_gemm(
-            level.table, level.k, _level_coeffs(level.envelope, level.k,
-                                                times))
+            level.table, k, _level_coeffs(level.envelope, k, times))
         return level.weights @ (amp.real ** 2 + amp.imag ** 2)
 
     return propagation._converged(evaluate, ball.prob_tol, "ball")[0]
